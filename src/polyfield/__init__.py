@@ -42,7 +42,7 @@ from .polytope import (
     upper_principal_part,
 )
 from .portrait import PortraitSpec, render_portrait
-from .trig import QuadratureError, TrigTable, build_trig, eval_trig
+from .trig import QuadratureError, TrigTable, build_trig
 
 __all__ = [
     "AdmissibilityError",
@@ -71,7 +71,6 @@ __all__ = [
     "directional_plc",
     "divisor_singularities",
     "equivalence_verdict",
-    "eval_trig",
     "fan_chart_field",
     "format_field",
     "make_favorable",

@@ -47,6 +47,7 @@ from .polys import (
     up_eval,
     up_gcd,
     up_is_zero,
+    xgcd,
 )
 from .polytope import (
     Segment,
@@ -264,21 +265,6 @@ def divisor_singularities(cf: ChartField) -> list[SingularityRecord]:
 # hypothesis (a): the upper principal part has no zero in (R*)^2
 
 
-def _bezout(dx: int, dy: int) -> tuple[int, int]:
-    """Integers (wu, wv) with dx*wu + dy*wv = 1, for coprime inputs."""
-    old_r, r = dx, dy
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
 @dataclass(frozen=True)
 class DegeneracyWitness:
     """A common zero of one upper-segment restriction off the axes."""
@@ -340,7 +326,7 @@ def check_nondegenerate(upp: UpperPrincipalPart):
             raise InternalConsistencyError(
                 "an upper segment with empty coefficient data")
         dx, dy = seg.direction
-        wu, wv = _bezout(dx, dy)
+        _, wu, wv = xgcd(dx, dy)
         for s1 in (1, -1):
             for s2 in (1, -1):
                 eps = (s1 if dx % 2 else 1) * (s2 if dy % 2 else 1)

@@ -15,18 +15,20 @@ from typing import Optional
 
 from .fans import ChartMap, SimpleFan, chart_maps
 from .fields import (
+    DIRECTIONS,
     FieldError,
     InternalConsistencyError,
     PlanarField,
     WeightVector,
+    directional_map,
+    format_poly,
     max_level,
+    monomial_pullback,
 )
 from .polytope import Polytope
 
 UVKey = tuple[int, int]
 TrigKey = tuple[int, int, int]
-
-DIRECTIONS = ("Xpos", "Xneg", "Ypos", "Yneg")
 
 
 @dataclass
@@ -80,11 +82,12 @@ class ChartField:
 
     def pretty(self) -> str:
         if self.label == "Polar":
-            t = _format_trig_poly(self.u_comp)
-            r = _format_trig_poly(self.v_comp)
+            names = ("Cs", "Sn", "r")
+            t = format_poly(self.u_comp, names)
+            r = format_poly(self.v_comp, names)
             return f"({t}) dtheta + ({r}) dr"
-        u = _format_uv_poly(self.u_comp)
-        v = _format_uv_poly(self.v_comp)
+        u = format_poly(self.u_comp, ("u", "v"))
+        v = format_poly(self.v_comp, ("u", "v"))
         return f"({u}) du + ({v}) dv"
 
 
@@ -92,42 +95,11 @@ def _strip_zeros(comp: dict) -> dict:
     return {k: c for k, c in comp.items() if c != 0}
 
 
-def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
-def _format_poly_generic(comp: dict, names: tuple[str, ...]) -> str:
-    if not comp:
-        return "0"
-    out = []
-    for key in sorted(comp, reverse=True):
-        c = comp[key]
-        mono = _format_monomial(names, key)
-        mag = abs(c)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if not out:
-            out.append(body if c > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(out)
-
-
-def _format_uv_poly(comp: dict) -> str:
-    return _format_poly_generic(comp, ("u", "v"))
-
-
-def _format_trig_poly(comp: dict) -> str:
-    return _format_poly_generic(comp, ("Cs", "Sn", "r"))
+def _check_nonnegative(u_comp: dict, v_comp: dict, where: str) -> None:
+    for (i, j) in list(u_comp) + list(v_comp):
+        if i < 0 or j < 0:
+            raise InternalConsistencyError(
+                f"negative exponent ({i},{j}) in {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,37 +116,12 @@ def directional_plc(f: PlanarField, w: WeightVector, direction: str) -> ChartFie
     weighted level, both components are polynomials and {v = 0} is the
     divisor at infinity.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    forward, signs = directional_map(w, direction)
     if f.is_zero:
         raise FieldError("cannot compactify the zero field")
-    alpha, beta = w.as_tuple()
     delta = max_level(f, w) + 1
-    u_comp: dict[UVKey, Fraction] = {}
-    v_comp: dict[UVKey, Fraction] = {}
-    along_x = direction in ("Xpos", "Xneg")
-    for (m, n), (a, b) in f.items():
-        d = alpha * m + beta * n
-        if along_x:
-            sigma = -1 if (direction == "Xneg" and m % 2) else 1
-            swirl = b - Fraction(beta, alpha) * a
-            radial = -Fraction(a, alpha)
-            uk, vk = (n + 1, delta - d - 1), (n, delta - d)
-        else:
-            sigma = -1 if (direction == "Yneg" and n % 2) else 1
-            swirl = a - Fraction(alpha, beta) * b
-            radial = -Fraction(b, beta)
-            uk, vk = (m + 1, delta - d - 1), (m, delta - d)
-        if swirl:
-            u_comp[uk] = u_comp.get(uk, Fraction(0)) + sigma * swirl
-        if radial:
-            v_comp[vk] = v_comp.get(vk, Fraction(0)) + sigma * radial
-    u_comp = _strip_zeros(u_comp)
-    v_comp = _strip_zeros(v_comp)
-    for (i, j) in list(u_comp) + list(v_comp):
-        if i < 0 or j < 0:
-            raise InternalConsistencyError(
-                f"negative exponent ({i},{j}) in {direction} chart")
+    u_comp, v_comp = monomial_pullback(f, forward, signs, (0, delta - 1))
+    _check_nonnegative(u_comp, v_comp, f"{direction} chart")
     return ChartField(direction, u_comp, v_comp, divisor="v",
                       normalization={"v": delta - 1}, weight=w, delta=delta)
 
@@ -230,27 +177,9 @@ def fan_chart_field(f: PlanarField, fan: SimpleFan, j: int) -> ChartField:
     minima, _ = _support_minima(f.support(), fan.vectors)
     eu = max(0, -minima[j - 1])
     ev = max(0, -minima[j])
-    (a0, b0), (a1, b1) = fan.vectors[j - 1], fan.vectors[j]
-    u_comp: dict[UVKey, Fraction] = {}
-    v_comp: dict[UVKey, Fraction] = {}
-    for (m, n), (a, b) in f.items():
-        pu = eu + a0 * m + b0 * n
-        pv = ev + a1 * m + b1 * n
-        swirl = b1 * a - a1 * b
-        radial = a0 * b - b0 * a
-        if swirl:
-            key = (pu + 1, pv)
-            u_comp[key] = u_comp.get(key, Fraction(0)) + swirl
-        if radial:
-            key = (pu, pv + 1)
-            v_comp[key] = v_comp.get(key, Fraction(0)) + radial
-    u_comp = _strip_zeros(u_comp)
-    v_comp = _strip_zeros(v_comp)
-    for (i, k) in list(u_comp) + list(v_comp):
-        if i < 0 or k < 0:
-            raise InternalConsistencyError(
-                f"negative exponent ({i},{k}) in fan chart {j}")
     cmap = chart_maps(fan)[j]
+    u_comp, v_comp = monomial_pullback(f, cmap.forward, (1, 1), (eu, ev))
+    _check_nonnegative(u_comp, v_comp, f"fan chart {j}")
     return ChartField(f"fan:{j}", u_comp, v_comp, divisor=cmap.divisor,
                       normalization={"u": eu, "v": ev}, chart=cmap)
 

@@ -273,9 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except ParseError as exc:
         return _fail(exc, 2)
-    except QuadratureError as exc:
-        return _fail(exc, 4)
-    except InternalConsistencyError as exc:
+    except (QuadratureError, InternalConsistencyError, OverflowError) as exc:
         return _fail(exc, 4)
     except FieldError as exc:
         return _fail(exc, 3 if args.cmd == "return-map" else 1)

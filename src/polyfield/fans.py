@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polys import det2, ivec_gcd
+from .fields import InternalConsistencyError
+from .polys import det2, ivec_gcd, xgcd
 from .polytope import Polytope, Segment
 
 IVec = tuple[int, int]
@@ -121,21 +122,6 @@ def skeleton(p: Polytope) -> list[IVec]:
     return [s.inward_normal for s in p.upper]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _unimodular_chain(a: IVec, b: IVec) -> list[IVec]:
     """Minimal insertion chain for a pair with det(a, b) >= 1.
 
@@ -149,7 +135,7 @@ def _unimodular_chain(a: IVec, b: IVec) -> list[IVec]:
         raise FanError(f"chain requested across a non-convex gap {a}..{b}")
     if d == 1:
         return []
-    g, u, v = _xgcd(a[0], a[1])
+    g, u, v = xgcd(a[0], a[1])
     if g != 1:
         raise FanError(f"non-primitive fan vector {a}")
     t = (-(u * b[0] + v * b[1])) % d
@@ -157,7 +143,8 @@ def _unimodular_chain(a: IVec, b: IVec) -> list[IVec]:
     if t == 0 or zx % d or zy % d:
         raise FanError(f"cannot refine the cone {a}..{b}")
     z = (zx // d, zy // d)
-    assert det2(a, z) == 1 and det2(z, b) == t
+    if det2(a, z) != 1 or det2(z, b) != t:
+        raise InternalConsistencyError(f"bad split {z} of the cone {a}..{b}")
     return [z] + _unimodular_chain(z, b)
 
 
@@ -171,7 +158,9 @@ def _fill_gap(a: IVec, b: IVec) -> list[IVec]:
     if d != 0 and (a[0] + b[0]) % d == 0 and (a[1] + b[1]) % d == 0:
         z = ((a[0] + b[0]) // d, (a[1] + b[1]) // d)
         if not (z[0] > 0 and z[1] > 0):
-            assert det2(a, z) == 1 and det2(z, b) == 1
+            if det2(a, z) != 1 or det2(z, b) != 1:
+                raise InternalConsistencyError(
+                    f"bad insertion {z} into the gap {a}..{b}")
             return [z]
     # otherwise route through the antidiagonal, which splits the gap into
     # two convex cones

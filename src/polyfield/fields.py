@@ -62,6 +62,62 @@ class WeightVector:
         return (self.alpha, self.beta)
 
 
+# ---------------------------------------------------------------------------
+# monomial charts
+#
+# A chart x = sx * u**A00 * v**A01, y = sy * u**A10 * v**A11 is given by its
+# exponent matrix A (``forward``) and the signs (sx, sy).  It sends the
+# monomial x**m y**n to sx**m sy**n u**i v**j with (i, j) = A^T (m, n), and
+# the log vector (a, b) of x d/dx, y d/dy to A^-1 (a, b) in u d/du, v d/dv.
+
+DIRECTIONS = ("Xpos", "Xneg", "Ypos", "Yneg")
+
+
+def directional_map(w: WeightVector, direction: str):
+    """``(forward, signs)`` of a directional chart: x = +-v**-alpha,
+    y = u * v**-beta toward X, and x = u * v**-alpha, y = +-v**-beta
+    toward Y."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    alpha, beta = w.as_tuple()
+    sign = -1 if direction.endswith("neg") else 1
+    if direction.startswith("X"):
+        return ((0, -alpha), (1, -beta)), (sign, 1)
+    return ((1, -alpha), (0, -beta)), (1, sign)
+
+
+def monomial_pullback(field, forward, signs, normalization) -> tuple[dict, dict]:
+    """Pull ``field`` back through a monomial chart and multiply by the
+    monomial u**e_u v**e_v, ``normalization = (e_u, e_v)``.
+
+    ``field`` is anything with ``items()`` yielding ``((m, n), (a, b))``.
+    Returns the du and dv components as ``{(i, j): coefficient}`` dicts.
+    """
+    (f00, f01), (f10, f11) = forward
+    det = f00 * f11 - f01 * f10
+    if det == 0:
+        raise InternalConsistencyError(f"chart matrix {forward} is singular")
+    i00, i01, i10, i11 = (c // det if c % det == 0 else Fraction(c, det)
+                          for c in (f11, -f01, -f10, f00))
+    flip_m, flip_n = signs[0] < 0, signs[1] < 0
+    eu, ev = normalization
+    # A^T is invertible, so distinct terms never share a key
+    u_comp: dict[LatticePoint, Fraction] = {}
+    v_comp: dict[LatticePoint, Fraction] = {}
+    for (m, n), (a, b) in field.items():
+        i = eu + f00 * m + f10 * n
+        j = ev + f01 * m + f11 * n
+        swirl = i00 * a + i01 * b
+        radial = i10 * a + i11 * b
+        if (flip_m and m % 2 == 1) != (flip_n and n % 2 == 1):
+            swirl, radial = -swirl, -radial
+        if swirl:
+            u_comp[(i + 1, j)] = swirl
+        if radial:
+            v_comp[(i, j + 1)] = radial
+    return u_comp, v_comp
+
+
 def _check_admissible(p: LatticePoint, a: Fraction, b: Fraction) -> None:
     m, n = p
     if a != 0 and (m < -1 or n < 0):
@@ -328,31 +384,42 @@ def parse_field(text: str) -> PlanarField:
 # printing
 
 
-def _format_poly(P: Mapping) -> str:
-    if not P:
-        return "0"
+def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     parts = []
-    for (i, j), c in sorted(P.items(), reverse=True):
-        factors = []
-        if i:
-            factors.append("x" if i == 1 else f"x^{i}")
-        if j:
-            factors.append("y" if j == 1 else f"y^{j}")
+    for name, e in zip(names, exps):
+        if e == 0:
+            continue
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts)
+
+
+def format_poly(comp: Mapping, names: tuple[str, ...]) -> str:
+    """An exponent-tuple -> coefficient dict as text, highest key first."""
+    if not comp:
+        return "0"
+    out = []
+    for key in sorted(comp, reverse=True):
+        c = comp[key]
+        mono = _format_monomial(names, key)
         mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    if text.startswith("+ "):
-        return text[2:]
-    return "-" + text[2:]
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(out)
 
 
 def format_field(f: PlanarField) -> str:
     """Canonical text form; ``parse_field`` round-trips it exactly."""
     P, Q = f.components()
-    return f"dx = {_format_poly(P)}; dy = {_format_poly(Q)}"
+    xy = ("x", "y")
+    return f"dx = {format_poly(P, xy)}; dy = {format_poly(Q, xy)}"
 
 
 # ---------------------------------------------------------------------------

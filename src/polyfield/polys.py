@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+from .fields import InternalConsistencyError
 
 Poly = "tuple[Fraction, ...]"
 
@@ -76,25 +78,11 @@ def up_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]
     return up(out)
 
 
-def up_pow(f: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
-    out = (ONE,)
-    for _ in range(n):
-        out = up_mul(out, f)
-    return out
-
-
 def up_eval(f: Sequence[Fraction], x) -> Fraction:
     x = Fraction(x)
     acc = ZERO
     for c in reversed(f):
         acc = acc * x + c
-    return acc
-
-
-def up_eval_float(f: Sequence[Fraction], x: float) -> float:
-    acc = 0.0
-    for c in reversed(f):
-        acc = acc * x + float(c)
     return acc
 
 
@@ -145,7 +133,8 @@ def up_squarefree(f) -> tuple[Fraction, ...]:
         return up_monic(f)
     g = up_gcd(f, up_deriv(f))
     q, r = up_divmod(f, g)
-    assert up_is_zero(r)
+    if not up_is_zero(r):
+        raise InternalConsistencyError("gcd(f, f') does not divide f")
     return up_monic(q)
 
 
@@ -324,7 +313,7 @@ class RealRoot:
                 lo = mid
             else:
                 hi = mid
-        raise RuntimeError("sign refinement did not converge")
+        raise InternalConsistencyError("sign refinement did not converge")
 
     def equals(self, other: "RealRoot") -> bool:
         if self.is_rational and other.is_rational:
@@ -372,7 +361,8 @@ def real_roots(f) -> list[RealRoot]:
     rats = _rational_roots(g)
     for r in rats:
         g, rem = up_divmod(g, (-r, ONE))
-        assert up_is_zero(rem)
+        if not up_is_zero(rem):
+            raise InternalConsistencyError(f"rational root {r} does not divide")
     roots = [rational_root(r) for r in rats]
     if up_degree(g) >= 1:
         chain = sturm_chain(g)
@@ -414,17 +404,6 @@ def bp(entries) -> dict:
     return out
 
 
-def bp_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for k, c in g.items():
-        v = out.get(k, ZERO) + c
-        if v == 0:
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return out
-
-
 def bp_scale(f: dict, c) -> dict:
     c = Fraction(c)
     if c == 0:
@@ -443,11 +422,6 @@ def bp_mul(f: dict, g: dict) -> dict:
             else:
                 out[k] = v
     return out
-
-
-def bp_eval(f: dict, x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
-    return sum((c * x**i * y**j for (i, j), c in f.items()), ZERO)
 
 
 def bp_is_zero(f: dict) -> bool:
@@ -509,7 +483,8 @@ def _ylists_primitive(rows: Sequence) -> list:
             out.append(())
         else:
             q, rem = up_divmod(r, cont)
-            assert up_is_zero(rem)
+            if not up_is_zero(rem):
+                raise InternalConsistencyError("content does not divide a row")
             out.append(q)
     return out
 
@@ -572,24 +547,9 @@ def bp_gcd(F: dict, G: dict) -> dict:
     return out
 
 
-def bp_deriv(f: dict, var: int) -> dict:
-    out = {}
-    for (i, j), c in f.items():
-        if var == 0 and i > 0:
-            out[(i - 1, j)] = out.get((i - 1, j), ZERO) + i * c
-        if var == 1 and j > 0:
-            out[(i, j - 1)] = out.get((i, j - 1), ZERO) + j * c
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def _y_poly_at_x(f: dict, x: Fraction) -> tuple[Fraction, ...]:
     rows = _to_ylists(f)
     return up(up_eval(r, x) for r in rows)
-
-
-def _x_poly_at_y(f: dict, y: Fraction) -> tuple[Fraction, ...]:
-    swapped = {(j, i): c for (i, j), c in f.items()}
-    return _y_poly_at_x(swapped, y)
 
 
 def has_real_branch(g: dict) -> bool:
@@ -666,3 +626,18 @@ def primitive(v: tuple[int, int]) -> tuple[int, int]:
 
 def det2(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, u, v) with u*a + v*b == g == gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t

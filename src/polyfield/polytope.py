@@ -11,11 +11,18 @@ orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .fields import FieldError, LatticePoint, PlanarField, WeightVector
-from .polys import det2, primitive
+from .fields import (
+    FieldError,
+    InternalConsistencyError,
+    LatticePoint,
+    PlanarField,
+    WeightVector,
+    directional_map,
+    monomial_pullback,
+)
+from .polys import primitive
 
 LOWER = "lower"
 UPPER = "upper"
@@ -93,8 +100,11 @@ def _points_on(support, normal, level, start, end) -> tuple[LatticePoint, ...]:
 
 def _make_segment(support, start, end, normal, tag) -> Segment:
     level = _dot(normal, start)
-    assert _dot(normal, end) == level
-    assert all(_dot(normal, p) >= level for p in support), "normal is not inward"
+    if _dot(normal, end) != level:
+        raise InternalConsistencyError(
+            f"segment {start}..{end} is not orthogonal to {normal}")
+    if any(_dot(normal, p) < level for p in support):
+        raise InternalConsistencyError(f"normal {normal} is not inward")
     return Segment(
         start=start,
         end=end,
@@ -185,9 +195,12 @@ def plc_weight(p: Polytope) -> tuple[WeightVector, int]:
             "apply make_favorable or pass an explicit weight"
         )
     g = main_features(p).gammah
-    assert g is not None and g.tag == UPPER
+    if g is None or g.tag != UPPER:
+        raise InternalConsistencyError("favorable polytope has no top segment")
     nx, ny = g.inward_normal
-    assert nx < 0 and ny < 0, "favorable polytope must end in a negative-slope segment"
+    if not (nx < 0 and ny < 0):
+        raise InternalConsistencyError(
+            "favorable polytope must end in a negative-slope segment")
     return WeightVector(-nx, -ny), -g.level
 
 
@@ -213,25 +226,18 @@ def upper_principal_part(field: PlanarField) -> UpperPrincipalPart:
     )
 
 
-_DIRECTIONS = ("Xpos", "Xneg", "Ypos", "Yneg")
-
-
 def polytope_after_plc(p: Polytope, w: WeightVector, direction: str) -> Polytope:
     """Support image of the compactified field in one directional chart.
 
-    With d the weighted level and delta the maximal level over the support,
-    the y-directions send (m, n) to (m, delta - d) and the x-directions send
-    (m, n) to (n, delta - d); sign conjugation in the negative charts never
-    moves support points.
+    The chart exponent matrix sends (m, n) to (n, delta - d) toward X and to
+    (m, delta - d) toward Y, with d the weighted level and delta the maximal
+    level over the support; sign conjugation in the negative charts never
+    moves support points.  The image is read off the pullback of a field
+    with a nonzero log vector at every support point.
     """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    forward, signs = directional_map(w, direction)
     delta = max(w.level(pt) for pt in p.support)
-    image = []
-    for m, n in p.support:
-        d = w.level((m, n))
-        if direction.startswith("Y"):
-            image.append((m, delta - d))
-        else:
-            image.append((n, delta - d))
-    return polytope_from_support(image)
+    u_comp, v_comp = monomial_pullback(dict.fromkeys(p.support, (1, 1)),
+                                       forward, signs, (0, delta))
+    return polytope_from_support([(i - 1, j) for i, j in u_comp]
+                                 + [(i, j - 1) for i, j in v_comp])

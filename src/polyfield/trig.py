@@ -37,12 +37,6 @@ class TrigTable:
         cs, sn = self._solution.sol(theta % self.period)
         return float(cs), float(sn)
 
-    def eval_array(self, thetas):
-        import numpy as np
-
-        reduced = np.asarray(thetas, dtype=float) % self.period
-        return self._solution.sol(reduced)
-
 
 def _period_by_quadrature(alpha: int, beta: int) -> tuple[float, float]:
     """Evaluate the closed-form period integral; returns (T, error estimate).
@@ -107,7 +101,3 @@ def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
     table = TrigTable(key, period, inside, sol)
     _CACHE[key] = (tol, table)
     return table
-
-
-def eval_trig(table: TrigTable, theta: float) -> tuple[float, float]:
-    return table.eval(theta)

@@ -250,6 +250,15 @@ def test_cli_parse_error(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_cli_float_overflow_is_a_numeric_failure(capsys):
+    huge = "1" + "0" * 400
+    code, out, err = _run(capsys, "check-equivalence",
+                          "--field", f"dx = {huge}*x; dy = y")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "OverflowError"
+
+
 def test_cli_zero_field_portrait(capsys):
     code, _, err = _run(capsys, "portrait", "--field", "dx = 0; dy = 0")
     assert code == 1

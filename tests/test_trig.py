@@ -4,7 +4,7 @@ import pytest
 from scipy.special import beta as beta_integral
 
 from polyfield.fields import WeightVector
-from polyfield.trig import build_trig, eval_trig
+from polyfield.trig import build_trig
 
 
 def _reference_period(a, b):
@@ -76,7 +76,6 @@ def test_negative_theta_reduction():
     t = build_trig(WeightVector(1, 1))
     cs, sn = t.eval(-math.pi / 2)
     assert abs(cs) <= 1e-8 and abs(sn + 1.0) <= 1e-8
-    assert eval_trig(t, 3.0) == t.eval(3.0)
 
 
 def test_tolerance_validation():
