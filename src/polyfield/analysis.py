@@ -179,10 +179,10 @@ def _branch_polys(cf: ChartField, branch: str):
 
 
 def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
-    sign = root.sign_of(poly)
     if root.is_rational:
         val = up_eval(poly, root.lo)
-        return Eigenvalue(sign=sign, approx=float(val), exact=val)
+        return Eigenvalue(sign=(val > 0) - (val < 0), approx=float(val), exact=val)
+    sign = root.sign_of(poly)
     if sign == 0:
         return Eigenvalue(sign=0, approx=0.0)
     r = root.refine(Fraction(1, 10**15))
@@ -228,32 +228,40 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
     )
 
 
-def _scan_branch(cf: ChartField, branch: str) -> list[SingularityRecord]:
+def _scan_branch(cf: ChartField, branch: str,
+                 roots: dict) -> list[SingularityRecord]:
     restriction, _ = _branch_polys(cf, branch)
     if up_is_zero(restriction):
         bare = SingularityRecord(chart=cf.label, branch=branch, position=None)
         return [classify(cf, bare)]
+    found = roots.get(restriction)
+    if found is None:
+        found = roots[restriction] = real_roots(restriction)
     out = []
-    for root in real_roots(restriction):
+    for root in found:
         bare = SingularityRecord(chart=cf.label, branch=branch, position=root)
         out.append(classify(cf, bare))
     return out
 
 
-def divisor_singularities(cf: ChartField) -> list[SingularityRecord]:
+def divisor_singularities(cf: ChartField,
+                          roots: Optional[dict] = None) -> list[SingularityRecord]:
     """All singularities on the divisor of a directional or fan chart field.
 
     Interior fan charts carry two divisor branches meeting at the chart
     origin; the origin is reported once, on the {v = 0} branch (where it is
-    always a zero of the restriction).
+    always a zero of the restriction).  ``roots``, when given, maps each
+    restriction polynomial already isolated to its roots, and is filled in.
     """
+    if roots is None:
+        roots = {}
     if cf.divisor == "v":
-        return _scan_branch(cf, "v=0")
+        return _scan_branch(cf, "v=0", roots)
     if cf.divisor == "u":
-        return _scan_branch(cf, "u=0")
+        return _scan_branch(cf, "u=0", roots)
     if cf.divisor == "uv":
-        recs = _scan_branch(cf, "v=0")
-        for rec in _scan_branch(cf, "u=0"):
+        recs = _scan_branch(cf, "v=0", roots)
+        for rec in _scan_branch(cf, "u=0", roots):
             if not rec.is_curve and rec.at_chart_origin:
                 continue
             recs.append(rec)
@@ -338,6 +346,8 @@ def check_nondegenerate(upp: UpperPrincipalPart):
                 while shift < len(g) and g[shift] == 0:
                     shift += 1
                 g = g[shift:]
+                if len(g) < 2:
+                    continue
                 for root in real_roots(g):
                     if root.sign_of((Fraction(0), Fraction(1))) <= 0:
                         continue
@@ -378,16 +388,18 @@ def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
 # inventories and the equivalence verdict
 
 
-def singularity_inventory(f: PlanarField, fan: SimpleFan,
-                          w: WeightVector) -> dict[str, list[SingularityRecord]]:
-    """Per-chart divisor singularities across all fan and directional charts."""
+def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector,
+                          roots: Optional[dict] = None
+                          ) -> dict[str, list[SingularityRecord]]:
+    """Per-chart divisor singularities across all fan and directional charts
+    (``roots`` as in :func:`divisor_singularities`)."""
     inv: dict[str, list[SingularityRecord]] = {}
     for j in range(1, len(fan.vectors)):
         cf = fan_chart_field(f, fan, j)
-        inv[cf.label] = divisor_singularities(cf)
+        inv[cf.label] = divisor_singularities(cf, roots)
     for direction in DIRECTIONS:
         cf = directional_plc(f, w, direction)
-        inv[direction] = divisor_singularities(cf)
+        inv[direction] = divisor_singularities(cf, roots)
     return inv
 
 
@@ -528,8 +540,12 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
 
     hyp_a, witnesses = check_nondegenerate(upp)
     hyp_b = check_no_singularity_curve(upp)
-    inv_full = singularity_inventory(sheared, fan, w)
-    inv_prin = singularity_inventory(upp.field, fan, w)
+    # the field and its upper principal part mostly restrict to the same
+    # divisor polynomials, so the two inventories share one root table,
+    # which lives for this verdict only
+    roots: dict = {}
+    inv_full = singularity_inventory(sheared, fan, w, roots)
+    inv_prin = singularity_inventory(upp.field, fan, w, roots)
     hyp_c = any(r.characteristic_orbit
                 for recs in inv_full.values() for r in recs)
 

@@ -7,16 +7,19 @@ Bivariate polynomials are dicts mapping ``(i, j)`` exponent pairs to nonzero
 
 The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
-Algebraic numbers are represented by :class:`RealRoot`: a squarefree defining
-polynomial together with an isolating rational interval.
+It evaluates signs on integer polynomials only, and gcds run as primitive
+integer remainder sequences.  Algebraic numbers are represented by
+:class:`RealRoot`: a squarefree defining polynomial together with an
+isolating rational interval; each remembers its narrowest interval and the
+signs decided at it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .fields import InternalConsistencyError
 
@@ -57,13 +60,6 @@ def up_neg(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def up_sub(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return up_add(f, up_neg(g))
-
-
-def up_scale(f: Sequence[Fraction], c) -> tuple[Fraction, ...]:
-    c = Fraction(c)
-    if c == 0:
-        return ()
-    return tuple(c * a for a in f)
 
 
 def up_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -108,34 +104,14 @@ def up_divmod(f: Sequence[Fraction], g: Sequence[Fraction]):
     return up(q), up(rem)
 
 
-def up_rem(f, g):
-    return up_divmod(f, g)[1]
-
-
-def up_monic(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if up_is_zero(f):
-        return ()
-    return up_scale(f, 1 / f[-1])
-
-
 def up_gcd(f, g) -> tuple[Fraction, ...]:
     """Monic greatest common divisor (gcd(0, g) = monic g)."""
-    a, b = up(f), up(g)
-    while not up_is_zero(b):
-        a, b = b, up_rem(a, b)
-    return up_monic(a)
+    return _monic(_igcd(_int_multiple(f), _int_multiple(g)))
 
 
 def up_squarefree(f) -> tuple[Fraction, ...]:
     """The squarefree part f / gcd(f, f')."""
-    f = up(f)
-    if up_degree(f) < 1:
-        return up_monic(f)
-    g = up_gcd(f, up_deriv(f))
-    q, r = up_divmod(f, g)
-    if not up_is_zero(r):
-        raise InternalConsistencyError("gcd(f, f') does not divide f")
-    return up_monic(q)
+    return _monic(_isquarefree(_int_multiple(f)))
 
 
 def up_from_roots(roots: Iterable) -> tuple[Fraction, ...]:
@@ -146,32 +122,155 @@ def up_from_roots(roots: Iterable) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and root counting
+# integer kernels
+#
+# Signs are evaluated on integer polynomials only: every polynomial whose
+# signs matter is replaced once by a primitive integer multiple of itself,
+# positive when signs must be kept, and a point a/q (q > 0) is plugged in by
+# homogeneous Horner, sum c_i a^i q^(n-i), which has the sign of f(a/q).
 
 
-def sturm_chain(f: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    chain = [up(f), up_deriv(f)]
-    while not up_is_zero(chain[-1]) and up_degree(chain[-1]) > 0:
-        chain.append(up_neg(up_rem(chain[-2], chain[-1])))
-    if up_is_zero(chain[-1]):
-        chain.pop()
+def _int_multiple(f: Sequence) -> tuple[int, ...]:
+    """The primitive integer polynomial that is a positive multiple of f."""
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    if not n:
+        return ()
+    den = lcm(*(c.denominator for c in f[:n]))
+    ints = [c.numerator * (den // c.denominator) for c in f[:n]]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints) if g != 1 else tuple(ints)
+
+
+def _iprimitive(f: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*f) if f else 1
+    return tuple(c // g for c in f) if g > 1 else tuple(f)
+
+
+def _monic(f: Sequence[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, f[-1]) for c in f) if f else ()
+
+
+def _sign_at(f: Sequence[int], a: int, q: int) -> int:
+    """Sign of the integer polynomial f at a/q, q > 0."""
+    if not f:
+        return 0
+    acc, qk = f[-1], q
+    for c in f[-2::-1]:
+        acc = acc * a + c * qk
+        qk *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _ideriv(f: Sequence[int]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(f) if i > 0)
+
+
+def _iprem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """A positive integer multiple of the remainder of f by g."""
+    r = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    while len(r) > dg:
+        c = r[-1]
+        d = gcd(c, lead)
+        m, k = abs(lead) // d, c // d if lead > 0 else -(c // d)
+        shift = len(r) - 1 - dg
+        if m != 1:
+            r = [m * x for x in r]
+        for j in range(dg):
+            r[shift + j] -= k * g[j]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _iquo(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """The exact quotient f / g of integer polynomials."""
+    r = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    q = [0] * (len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c, rest = divmod(r[i], lead)
+        if rest:
+            raise InternalConsistencyError("inexact polynomial division")
+        if c:
+            q[i - dg] = c
+            for j in range(dg + 1):
+                r[i - dg + j] -= c * g[j]
+    if any(r[:dg]):
+        raise InternalConsistencyError("inexact polynomial division")
+    return tuple(q)
+
+
+def _igcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd with a positive leading coefficient, by a primitive
+    pseudo-remainder sequence (Collins)."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while b:
+        a, b = b, _iprimitive(_iprem(a, b))
+    a = _iprimitive(a)
+    return a if not a or a[-1] > 0 else tuple(-c for c in a)
+
+
+def _isquarefree(f: Sequence[int]) -> tuple[int, ...]:
+    """Primitive squarefree part with a positive leading coefficient."""
+    if len(f) < 2:
+        return (1,) if f else ()
+    g = _igcd(f, _ideriv(f))
+    q = _iquo(f, g)
+    return q if q[-1] > 0 else tuple(-c for c in q)
+
+
+def _isturm(f: Sequence[int]) -> list[tuple[int, ...]]:
+    """Positive integer multiples of the Sturm sequence of f."""
+    if len(f) < 2:
+        return [tuple(f)] if f else []
+    chain = [tuple(f), _iprimitive(_ideriv(f))]
+    while len(chain[-1]) > 1:
+        r = _iprem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(tuple(-c for c in _iprimitive(r)))
     return chain
 
 
-def _variations(signs: Iterable[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
+def _variations(chain: Sequence[Sequence[int]], a: int, q: int) -> int:
+    """Sign variations of a Sturm sequence at a/q."""
+    v = last = 0
+    for p in chain:
+        s = _sign_at(p, a, q)
+        if s:
+            if s != last and last:
+                v += 1
+            last = s
+    return v
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _root_bound(f: Sequence[int]) -> int:
+    """A power of two B with every real root of f inside (-B, B)."""
+    m = max(abs(c) for c in f[:-1])
+    return 1 << (m // abs(f[-1]) + 1).bit_length()
 
 
-def sturm_count(chain: Sequence[Sequence[Fraction]], a: Fraction, b: Fraction) -> int:
+# ---------------------------------------------------------------------------
+# Sturm chains and root counting
+
+
+def sturm_chain(f: Sequence[Fraction]) -> list[tuple[int, ...]]:
+    """The Sturm sequence of f, each member scaled to a primitive integer
+    polynomial by a positive factor (which keeps every sign)."""
+    return _isturm(_int_multiple(f))
+
+
+def sturm_count(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the half-open interval (a, b]."""
-    va = _variations(_sign(up_eval(p, a)) for p in chain)
-    vb = _variations(_sign(up_eval(p, b)) for p in chain)
-    return va - vb
+    a, b = Fraction(a), Fraction(b)
+    return (_variations(chain, a.numerator, a.denominator)
+            - _variations(chain, b.numerator, b.denominator))
 
 
 def cauchy_bound(f: Sequence[Fraction]) -> Fraction:
@@ -185,70 +284,64 @@ def cauchy_bound(f: Sequence[Fraction]) -> Fraction:
 
 
 def count_real_roots(f) -> int:
-    f = up_squarefree(f)
-    if up_degree(f) < 1:
+    g = _isquarefree(_int_multiple(f))
+    if len(g) < 2:
         return 0
-    chain = sturm_chain(f)
-    bound = cauchy_bound(f)
-    return sturm_count(chain, -bound, bound)
-
-
-# ---------------------------------------------------------------------------
-# rational roots
-
-
-def _rational_roots(f: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of f (without multiplicity), ascending."""
-    f = up(f)
-    if up_degree(f) < 1:
-        return []
-    # strip t^k
-    k = 0
-    while f[k] == 0:
-        k += 1
-    roots = [ZERO] if k > 0 else []
-    g = f[k:]
-    if up_degree(g) >= 1:
-        den = 1
-        for c in g:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ig = [int(c * den) for c in g]
-        c0, cl = abs(ig[0]), abs(ig[-1])
-        for p in _divisors(c0):
-            for q in _divisors(cl):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if up_eval(g, cand) == 0 and cand not in roots:
-                        roots.append(cand)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    chain = _isturm(g)
+    bound = _root_bound(g)
+    return _variations(chain, -bound, 1) - _variations(chain, bound, 1)
 
 
 # ---------------------------------------------------------------------------
 # real algebraic numbers
 
 
+class _RootMemo:
+    """What one real algebraic number has learned about itself: its
+    defining polynomial as a positive integer multiple, its narrowest
+    isolating interval [a/q, b/q] with the sign ``sa`` of that polynomial at
+    a/q, the signs already decided at it, and ``root``, the
+    :class:`RealRoot` for the narrowest interval."""
+
+    __slots__ = ("ipoly", "a", "b", "q", "sa", "signs", "root")
+
+    def __init__(self, ipoly, a: int, b: int, q: int, sa: int):
+        self.ipoly = ipoly
+        self.a, self.b, self.q, self.sa = a, b, q, sa
+        self.signs: dict = {}
+        self.root = None
+
+    def narrow(self, a: int, b: int, q: int) -> None:
+        self.a, self.b, self.q = a, b, q
+        self.root = None
+
+
 @dataclass(frozen=True)
 class RealRoot:
     """A real algebraic number: squarefree defining polynomial plus an
-    isolating rational interval.  For rational values lo == hi."""
+    isolating rational interval.  For rational values lo == hi.
+
+    An irrational root's interval is open at both ends: neither endpoint is a
+    zero of ``poly``.  Roots that share ``memo`` stand for the same number;
+    refinements and sign queries are kept there and reused.
+    """
 
     poly: tuple[Fraction, ...]
     lo: Fraction
     hi: Fraction
+    memo: Optional[_RootMemo] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        m = self.memo
+        if m is None:
+            q = lcm(self.lo.denominator, self.hi.denominator)
+            a = self.lo.numerator * (q // self.lo.denominator)
+            b = self.hi.numerator * (q // self.hi.denominator)
+            ip = _int_multiple(self.poly) if a != b else None
+            m = _RootMemo(ip, a, b, q, _sign_at(ip, a, q) if ip else 0)
+            object.__setattr__(self, "memo", m)
+        if m.root is None:
+            m.root = self
 
     @property
     def is_rational(self) -> bool:
@@ -266,56 +359,82 @@ class RealRoot:
         return self.approx()
 
     def refine(self, width) -> "RealRoot":
-        """Shrink the isolating interval below the requested width."""
+        """Shrink the isolating interval below the requested width.
+
+        Returns the narrowest interval known so far when it is narrow
+        enough, and otherwise bisects on from it.
+        """
         if self.is_rational:
             return self
-        lo, hi = self.lo, self.hi
-        f = self.poly
-        slo = _sign(up_eval(f, lo))
+        m = self.memo
         width = Fraction(width)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            smid = _sign(up_eval(f, mid))
-            if smid == 0:
-                return RealRoot(self.poly, mid, mid)
-            if smid == slo:
-                lo = mid
-            else:
-                hi = mid
-        return RealRoot(self.poly, lo, hi)
+        wn, wd = width.numerator, width.denominator
+        a, b, q = m.a, m.b, m.q
+        if (b - a) * wd > wn * q:
+            f, sa = m.ipoly, m.sa
+            while (b - a) * wd > wn * q:
+                c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+                s = _sign_at(f, c, q)
+                if s == 0:
+                    mid = Fraction(c, q)
+                    return RealRoot(self.poly, mid, mid)
+                if s == sa:
+                    a = c
+                else:
+                    b = c
+            m.narrow(a, b, q)
+        return self._narrowest()
+
+    def _narrowest(self) -> "RealRoot":
+        m = self.memo
+        if m.root is None:
+            RealRoot(self.poly, Fraction(m.a, m.q), Fraction(m.b, m.q), m)
+        return m.root
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
-        """Exact sign of g at this algebraic number."""
-        g = up(g)
-        if up_is_zero(g):
+        """Exact sign of g at this algebraic number, remembered per g."""
+        key = tuple(g)
+        signs = self.memo.signs
+        s = signs.get(key)
+        if s is None:
+            s = signs[key] = self._sign_of(_int_multiple(key))
+        return s
+
+    def _sign_of(self, g: tuple[int, ...]) -> int:
+        m = self.memo
+        if not g:
             return 0
         if self.is_rational:
-            return _sign(up_eval(g, self.lo))
-        h = up_gcd(self.poly, g)
-        if up_degree(h) >= 1:
-            chain = sturm_chain(h)
-            if sturm_count(chain, self.lo, self.hi) >= 1:
-                # the root of h inside our interval must be this number,
-                # because h divides the defining polynomial
-                return 0
-        lo, hi = self.lo, self.hi
-        f = self.poly
-        slo = _sign(up_eval(f, lo))
-        gchain = sturm_chain(up_squarefree(g))
+            return _sign_at(g, m.a, m.q)
+        f, a, b, q, sa = m.ipoly, m.a, m.b, m.q, m.sa
+        h = _igcd(f, g)
+        if len(h) > 1 and _sign_at(h, a, q) != _sign_at(h, b, q):
+            # h divides the defining polynomial, so its one simple root in
+            # the interval is this number
+            return 0
+        chain = None
         for _ in range(20000):
-            if up_eval(g, lo) != 0 and sturm_count(gchain, lo, hi) == 0:
-                return _sign(up_eval(g, lo))
-            mid = (lo + hi) / 2
-            smid = _sign(up_eval(f, mid))
-            if smid == 0:
-                return _sign(up_eval(g, mid))
-            if smid == slo:
-                lo = mid
+            sg = _sign_at(g, a, q)
+            if sg and sg == _sign_at(g, b, q):
+                if chain is None:
+                    chain = _isturm(_isquarefree(g))
+                if _variations(chain, a, q) == _variations(chain, b, q):
+                    if q != m.q or a != m.a or b != m.b:
+                        m.narrow(a, b, q)
+                    return sg
+            c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+            s = _sign_at(f, c, q)
+            if s == 0:
+                return _sign_at(g, c, q)
+            if s == sa:
+                a = c
             else:
-                hi = mid
+                b = c
         raise InternalConsistencyError("sign refinement did not converge")
 
     def equals(self, other: "RealRoot") -> bool:
+        if self is other or self.memo is other.memo:
+            return True
         if self.is_rational and other.is_rational:
             return self.lo == other.lo
         if self.is_rational != other.is_rational:
@@ -323,20 +442,22 @@ class RealRoot:
             # rational roots deflated away, so the two can never coincide
             rat, irr = (self, other) if self.is_rational else (other, self)
             return up_eval(irr.poly, rat.lo) == 0 and irr.lo < rat.lo < irr.hi
-        h = up_gcd(self.poly, other.poly)
-        if up_degree(h) < 1:
-            return False
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        s, o = self._narrowest(), other._narrowest()
+        lo, hi = max(s.lo, o.lo), min(s.hi, o.hi)
         if lo >= hi:
             return False
-        chain = sturm_chain(h)
-        return sturm_count(chain, lo, hi) >= 1
+        h = _igcd(self.memo.ipoly, other.memo.ipoly)
+        if len(h) < 2:
+            return False
+        # lo and hi are endpoints of isolating intervals, so not zeros of h,
+        # and h has at most the one simple root common to both in between
+        return (_sign_at(h, lo.numerator, lo.denominator)
+                != _sign_at(h, hi.numerator, hi.denominator))
 
     def __lt__(self, other: "RealRoot") -> bool:
-        if self.equals(other):
+        if self is other or self.equals(other):
             return False
-        a, b = self, other
+        a, b = self._narrowest(), other._narrowest()
         while not (a.hi < b.lo or b.hi < a.lo):
             a = a.refine((a.hi - a.lo) / 4 if not a.is_rational else 1)
             b = b.refine((b.hi - b.lo) / 4 if not b.is_rational else 1)
@@ -348,47 +469,85 @@ def rational_root(value) -> RealRoot:
     return RealRoot((-v, ONE), v, v)
 
 
+def _isolate(f: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Ascending disjoint intervals (a/q, b/q], each holding one root of the
+    squarefree integer polynomial f, by Sturm bisection of (-B, B]."""
+    chain = _isturm(f)
+    bound = _root_bound(f)
+    out = []
+    stack = [(-bound, bound, 1, _variations(chain, -bound, 1),
+              _variations(chain, bound, 1))]
+    while stack:
+        a, b, q, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((a, b, q))
+        elif va - vb > 1:
+            c, q = a + b, 2 * q
+            vc = _variations(chain, c, q)
+            stack.append((c, 2 * b, q, vc, vb))
+            stack.append((2 * a, c, q, va, vc))
+    return out
+
+
+def _settle(f: Sequence[int], a: int, b: int, q: int):
+    """Decide the one simple root of f in (a/q, b/q]: its exact value when it
+    is rational, else an interval [a/q, b/q] narrower than 1/(2 lc^2) with f
+    nonzero at both ends, returned as (None, a, b, q).
+
+    A rational root p/s of a primitive integer f has s | lc, and two such
+    fractions lie at least 1/lc^2 apart, so the fraction nearest the
+    midpoint with denominator at most |lc| is the only candidate.
+    """
+    sb = _sign_at(f, b, q)
+    if sb == 0:
+        return Fraction(b, q), a, b, q
+    sa = _sign_at(f, a, q)
+    lc = abs(f[-1])
+    limit = 2 * lc * lc
+    # a may be the root of the interval to the left: bisect it away too
+    while sa == 0 or (b - a) * limit >= q:
+        c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+        s = _sign_at(f, c, q)
+        if s == 0:
+            return Fraction(c, q), a, b, q
+        if s == sb:
+            b = c
+        else:
+            a, sa = c, s
+    cand = Fraction(a + b, 2 * q).limit_denominator(lc)
+    p, s = cand.numerator, cand.denominator
+    if a * s < p * q < b * s and _sign_at(f, p, s) == 0:
+        return cand, a, b, q
+    return None, a, b, q
+
+
 def real_roots(f) -> list[RealRoot]:
     """All distinct real roots of f, ascending, as :class:`RealRoot`.
 
-    Rational roots are detected exactly and deflated; the remaining factor is
-    isolated by Sturm bisection, so every irrational root carries a defining
-    polynomial with no rational roots at all.
+    The squarefree part is isolated by Sturm bisection on integer
+    coefficients; each root is then decided rational or not (see
+    :func:`_settle`), and the rational ones are deflated, so every irrational
+    root carries a defining polynomial with no rational roots at all.
     """
-    g = up_squarefree(f)
-    if up_degree(g) < 1:
+    g = _isquarefree(_int_multiple(f))
+    if len(g) < 2:
         return []
-    rats = _rational_roots(g)
-    for r in rats:
-        g, rem = up_divmod(g, (-r, ONE))
-        if not up_is_zero(rem):
-            raise InternalConsistencyError(f"rational root {r} does not divide")
-    roots = [rational_root(r) for r in rats]
-    if up_degree(g) >= 1:
-        chain = sturm_chain(g)
-        bound = cauchy_bound(g)
-        total = sturm_count(chain, -bound, bound)
-        stack = [(-bound, bound, total)]
-        while stack:
-            lo, hi, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                # shrink until the endpoints straddle the single simple root
-                while _sign(up_eval(g, lo)) == _sign(up_eval(g, hi)):
-                    mid = (lo + hi) / 2
-                    if sturm_count(chain, lo, mid) == 1:
-                        hi = mid
-                    else:
-                        lo = mid
-                roots.append(RealRoot(g, lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            left = sturm_count(chain, lo, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, cnt - left))
-    roots.sort(key=lambda r: (r.refine(Fraction(1, 2**40)).lo))
-    return roots
+    if len(g) == 2:
+        return [rational_root(Fraction(-g[0], g[1]))]
+    settled = [_settle(g, a, b, q) for a, b, q in _isolate(g)]
+    h = g
+    for v, *_ in settled:
+        if v is not None:
+            h = _iquo(h, (-v.numerator, v.denominator))
+    poly = _monic(h)
+    out = []
+    for v, a, b, q in settled:
+        if v is not None:
+            out.append(rational_root(v))
+        else:
+            m = _RootMemo(h, a, b, q, _sign_at(h, a, q))
+            out.append(RealRoot(poly, Fraction(a, q), Fraction(b, q), m))
+    return out
 
 
 # ---------------------------------------------------------------------------

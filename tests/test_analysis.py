@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polyfield import analysis
 from polyfield.analysis import (
     CURVE,
     DEGENERATE,
@@ -17,7 +19,7 @@ from polyfield.analysis import (
     return_map_test,
     singularity_inventory,
 )
-from polyfield.charts import directional_plc, fan_chart_field
+from polyfield.charts import DIRECTIONS, directional_plc, fan_chart_field
 from polyfield.fans import build_fan
 from polyfield.fields import (
     FieldError,
@@ -162,6 +164,57 @@ def test_quartic_verdict_equivalent():
     full = {c: [r.to_json() for r in rs] for c, rs in rep.inventory_full.items()}
     prin = {c: [r.to_json() for r in rs] for c, rs in rep.inventory_principal.items()}
     assert full == prin
+
+
+# the field has lower-order terms, so its upper principal part differs
+PERTURBED = parse_field("dx = y^3 - x^3*y + x^2 - 3*y; "
+                        "dy = -x^3 + x*y^3 + 2*x*y - 1")
+
+
+def _positions(rep):
+    return [r.position for inv in (rep.inventory_full, rep.inventory_principal)
+            for recs in inv.values() for r in recs if r.position is not None]
+
+
+def test_verdict_isolates_each_restriction_once(monkeypatch):
+    calls = Counter()
+    isolate = analysis.real_roots
+
+    def counting(f):
+        calls[tuple(f)] += 1
+        return isolate(f)
+
+    monkeypatch.setattr(analysis, "real_roots", counting)
+    rep = equivalence_verdict(PERTURBED)
+    sheared = rep.field_after_shear
+    fan = build_fan(build_polytope(sheared))
+    restrictions = set()
+    for f in (sheared, upper_principal_part(sheared).field):
+        charts = [fan_chart_field(f, fan, j) for j in range(1, len(fan.vectors))]
+        charts += [directional_plc(f, rep.weight, d) for d in DIRECTIONS]
+        for cf in charts:
+            for branch in {"v": ("v=0",), "u": ("u=0",),
+                           "uv": ("v=0", "u=0")}[cf.divisor]:
+                restriction, _ = analysis._branch_polys(cf, branch)
+                if restriction:
+                    restrictions.add(restriction)
+    assert restrictions
+    assert {r: calls[r] for r in restrictions} == dict.fromkeys(restrictions, 1)
+    # both inventories hold the very same root objects
+    full = {id(r.position) for recs in rep.inventory_full.values()
+            for r in recs if r.position is not None}
+    prin = {id(r.position) for recs in rep.inventory_principal.values()
+            for r in recs if r.position is not None}
+    assert full and full == prin
+
+
+def test_root_table_lives_for_one_verdict():
+    first, second = equivalence_verdict(PERTURBED), equivalence_verdict(PERTURBED)
+    assert first.to_json() == second.to_json()
+    a, b = _positions(first), _positions(second)
+    assert a and len(a) == len(b)
+    assert not {id(p) for p in a} & {id(p) for p in b}
+    assert not {id(p.memo) for p in a} & {id(p.memo) for p in b}
 
 
 def test_rotation_has_no_characteristic_orbit():

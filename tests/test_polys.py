@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyfield.polys import (
     RealRoot,
@@ -160,6 +163,57 @@ def test_realroot_ordering():
     roots = real_roots(up_mul(up([-2, 0, 1]), up_from_roots([0, F(7, 5)])))
     vals = [float(r) for r in roots]
     assert vals == sorted(vals)
+
+
+def test_real_roots_ascending_with_a_rational_root_beside_an_irrational_one():
+    # r sits just below sqrt(2): closer than 2^-44, so the two can only be
+    # ordered exactly
+    r = F(math.isqrt(2**89), 2**44)
+    roots = real_roots(up_mul(up_from_roots([r]), up([-2, 0, 1])))
+    assert len(roots) == 3
+    low, mid, high = roots
+    assert mid.exact == r
+    assert not low.is_rational and not high.is_rational
+    assert low.hi < mid.lo and mid.hi < high.lo
+    assert high.sign_of(up([-2, 0, 1])) == 0 and high.sign_of((-r, 1)) == 1
+    assert low < mid < high
+
+
+T = sympy.symbols("t")
+_COEF = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
+_LEAD = _COEF.filter(lambda c: c != 0)
+_FACTOR = st.tuples(st.one_of(st.tuples(_COEF, _LEAD),
+                              st.tuples(_COEF, _COEF, _LEAD)),
+                    st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(_FACTOR, min_size=1, max_size=3))
+def test_real_roots_match_sympy(factors):
+    """Products of linear and quadratic integer factors, some repeated and
+    some with 30-digit coefficients, against ``sympy.real_roots``."""
+    f = (F(1),)
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            f = up_mul(f, up(coeffs))
+    ours = real_roots(f)
+    poly = sympy.Poly([int(c) for c in reversed(f)], T)
+    theirs = list(dict.fromkeys(sympy.real_roots(poly)))  # ascending
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, ours[1:]):
+        assert a.hi <= b.lo  # ascending, disjoint open intervals
+    squarefree = poly.sqf_part()
+    for r, s in zip(ours, theirs):
+        if s.is_Rational:
+            assert r.is_rational and r.exact == F(int(s.p), int(s.q))
+            continue
+        assert not r.is_rational and r.lo < r.hi
+        lo = sympy.Rational(r.lo.numerator, r.lo.denominator)
+        hi = sympy.Rational(r.hi.numerator, r.hi.denominator)
+        # one root of f in [lo, hi]; with the intervals ascending and
+        # disjoint and the counts equal, it is the sympy root of this rank
+        assert squarefree.count_roots(lo, hi) == 1
+        assert abs(float(r) - float(s)) <= 1e-9 * max(1.0, abs(float(s)))
 
 
 def test_refine_narrows():

@@ -259,6 +259,13 @@ def test_cli_float_overflow_is_a_numeric_failure(capsys):
     assert json.loads(err)["error"] == "OverflowError"
 
 
+def test_cli_thirty_digit_coefficient_gets_a_verdict(capsys):
+    code, out, _ = _run(capsys, "check-equivalence", "--field",
+                        "dx = 123456789012345678901234567891*x + y^2; dy = y")
+    assert code in (0, 3)
+    assert json.loads(out)["report"]["verdict"] in ("Equivalent", "HypothesesFail")
+
+
 def test_cli_zero_field_portrait(capsys):
     code, _, err = _run(capsys, "portrait", "--field", "dx = 0; dy = 0")
     assert code == 1
