@@ -73,11 +73,12 @@ class Eigenvalue:
     """One eigenvalue of the on-divisor Jacobian.
 
     The sign is decided exactly; ``exact`` is filled when the base point is
-    rational, and ``approx`` is a float for reporting.
+    rational, and ``approx`` is a float for reporting, None when the value
+    lies outside the float range.
     """
 
     sign: int
-    approx: float
+    approx: Optional[float]
     exact: Optional[Fraction] = None
 
     def to_json(self) -> dict:
@@ -88,11 +89,19 @@ class Eigenvalue:
         }
 
 
+def _float_or_none(q) -> Optional[float]:
+    """``float(q)``, or None when ``q`` lies outside the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
 def _realroot_json(r: RealRoot) -> dict:
     return {
         "poly": [str(c) for c in r.poly],
         "interval": [str(r.lo), str(r.hi)],
-        "approx": float(r),
+        "approx": _float_or_none(r),
     }
 
 
@@ -181,12 +190,14 @@ def _branch_polys(cf: ChartField, branch: str):
 def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
     if root.is_rational:
         val = up_eval(poly, root.lo)
-        return Eigenvalue(sign=(val > 0) - (val < 0), approx=float(val), exact=val)
+        return Eigenvalue(sign=(val > 0) - (val < 0), approx=_float_or_none(val),
+                          exact=val)
     sign = root.sign_of(poly)
     if sign == 0:
         return Eigenvalue(sign=0, approx=0.0)
     r = root.refine(Fraction(1, 10**15))
-    return Eigenvalue(sign=sign, approx=float(up_eval(poly, (r.lo + r.hi) / 2)))
+    return Eigenvalue(sign=sign,
+                      approx=_float_or_none(up_eval(poly, (r.lo + r.hi) / 2)))
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
@@ -423,6 +434,7 @@ def _chart_order(label: str):
 class MatchRow:
     chart: str
     branch: str
+    #: None for a curve of singularities or outside the float range
     position: Optional[float]
     classification_field: Optional[str]
     classification_principal: Optional[str]
@@ -451,7 +463,7 @@ def _pair_inventories(inv_full, inv_prin):
                 some = ra or rb
                 rows.append(MatchRow(
                     chart=chart, branch=some.branch,
-                    position=None if some.is_curve else float(some.position),
+                    position=None if some.is_curve else _float_or_none(some.position),
                     classification_field=ra.classification if ra else None,
                     classification_principal=rb.classification if rb else None,
                     matched=False))
@@ -463,7 +475,7 @@ def _pair_inventories(inv_full, inv_prin):
             matched = same_place and ra.classification == rb.classification
             rows.append(MatchRow(
                 chart=chart, branch=ra.branch,
-                position=None if ra.is_curve else float(ra.position),
+                position=None if ra.is_curve else _float_or_none(ra.position),
                 classification_field=ra.classification,
                 classification_principal=rb.classification,
                 matched=matched))

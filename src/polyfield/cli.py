@@ -13,6 +13,7 @@ import argparse
 import ast
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import equivalence_verdict, return_map_test, singularity_inventory
@@ -145,6 +146,22 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
     return 0
 
 
+def _position_text(root) -> str:
+    try:
+        return f"{float(root):.8g}"
+    except OverflowError:
+        return ">1e308" if root.sign_of((Fraction(0), Fraction(1))) > 0 \
+            else "<-1e308"
+
+
+def _eigenvalue_text(e) -> str:
+    if e is None:
+        return ""
+    if e.approx is None:
+        return ">1e308" if e.sign > 0 else "<-1e308"
+    return f"{e.approx:.4g}"
+
+
 def _cmd_singularities(args: argparse.Namespace) -> int:
     f = _read_field(args)
     w = _weight(args, f)
@@ -164,9 +181,9 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for chart, recs in inv.items():
         for r in recs:
-            pos = "curve" if r.is_curve else f"{float(r.position):.8g}"
-            tan = "" if r.tangent is None else f"{r.tangent.approx:.4g}"
-            tra = "" if r.transverse is None else f"{r.transverse.approx:.4g}"
+            pos = "curve" if r.is_curve else _position_text(r.position)
+            tan = _eigenvalue_text(r.tangent)
+            tra = _eigenvalue_text(r.transverse)
             orbit = "yes" if r.characteristic_orbit else "no"
             print(f"{chart:8s} {r.branch:6s} {pos:>14s} "
                   f"{r.classification:20s} {tan:>10s} {tra:>10s} {orbit}")

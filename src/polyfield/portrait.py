@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -171,9 +172,9 @@ def _trajectory(terms_theta, terms_r, table: TrigTable, seed, horizon: float,
                 tol: float, sign: float) -> tuple[list[tuple[float, float]], bool]:
     """Integrate one branch of an orbit; returns samples and a truncation flag."""
 
-    def rhs(t, y):
-        cs, sn = table.eval(y[0])
-        r = y[1]
+    trig = table.eval
+
+    def rates(cs, sn, r):
         td = 0.0
         for c, i, j, k in terms_theta:
             td += c * cs ** i * sn ** j * r ** k
@@ -181,6 +182,16 @@ def _trajectory(terms_theta, terms_r, table: TrigTable, seed, horizon: float,
         for c, i, j, k in terms_r:
             rd += c * cs ** i * sn ** j * r ** k
         return (sign * td, sign * rd)
+
+    def rhs(t, y):
+        theta, r = y.tolist()
+        cs, sn = trig(theta)
+        try:
+            return rates(cs, sn, r)
+        except OverflowError:
+            # a float power overflowed at a trial stage; numpy's power gives
+            # inf there instead, and the solver rejects the step
+            return rates(cs, sn, np.float64(r))
 
     def hit_centre(t, y):
         return y[1] - 49.0
@@ -198,12 +209,9 @@ def _trajectory(terms_theta, terms_r, table: TrigTable, seed, horizon: float,
     end = float(sol.t[-1])
     if end <= 0.0:
         return [tuple(seed)], sol.status != 0
-    samples = []
     steps = 240
-    for i in range(steps + 1):
-        th, r = sol.sol(end * i / steps)
-        samples.append((float(th), float(r)))
-    return samples, sol.status != 0
+    th, r = sol.sol([end * i / steps for i in range(steps + 1)]).tolist()
+    return list(zip(th, r)), sol.status != 0
 
 
 # ---------------------------------------------------------------------------

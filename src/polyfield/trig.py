@@ -13,11 +13,12 @@ against the orbit return time of the integrated Cauchy problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 from scipy.integrate import quad, solve_ivp
 
-from .fields import WeightVector
+from .fields import InternalConsistencyError, WeightVector
 
 
 class QuadratureError(ArithmeticError):
@@ -26,16 +27,61 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TrigTable:
+    """The pair (Cs, Sn) as plain-float pieces of a DOP853 dense output.
+
+    ``eval`` reproduces scipy's dense output of the Cauchy problem bit for
+    bit: it picks the piece that ``OdeSolution`` picks (the lower one at a
+    knot) and sums the degree-7 interpolant in the operation order of
+    ``Dop853DenseOutput``, without scipy's per-call array overhead.
+    """
+
     weight: tuple[int, int]
     period: float
     #: theta values in (0, period] where Cs or Sn crosses zero; the last
     #: entry is the return time, an independent estimate of the period
     axis_crossings: tuple[float, ...]
-    _solution: object
+    #: error estimate of the period quadrature
+    period_error: float
+    #: right end of each piece, ascending; the last one lies past the period
+    _ends: list[float] = field(repr=False, compare=False)
+    #: per piece: t_old, h, the interpolant rows of Cs in Horner order and
+    #: Cs at t_old, then the same for Sn
+    _pieces: list[tuple[float, ...]] = field(repr=False, compare=False)
 
     def eval(self, theta: float) -> tuple[float, float]:
-        cs, sn = self._solution.sol(theta % self.period)
-        return float(cs), float(sn)
+        t = float(theta) % self.period
+        # searchsorted 'left' on all knots, less one and clamped at 0, is
+        # the first piece whose right end is not below t; t <= period never
+        # needs the upper clamp
+        piece = self._pieces[bisect_left(self._ends, t)]
+        (t_old, h, c6, c5, c4, c3, c2, c1, c0, c,
+         s6, s5, s4, s3, s2, s1, s0, s) = piece
+        x = (t - t_old) / h
+        u = 1 - x
+        return (((((((c6 * x + c5) * u + c4) * x + c3) * u + c2) * x + c1)
+                 * u + c0) * x + c,
+                ((((((s6 * x + s5) * u + s4) * x + s3) * u + s2) * x + s1)
+                 * u + s0) * x + s)
+
+
+def _pieces(dense) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Right ends and float pieces of a DOP853 ``OdeSolution``.
+
+    ``Dop853DenseOutput`` starts its Horner sum from zero, so the leading
+    row enters as ``0.0 + F[6]``.
+    """
+    pieces = []
+    for p in dense.interpolants:
+        if getattr(p, "F", None) is None or p.F.shape != (7, 2):
+            raise InternalConsistencyError(
+                "trig dense output is not a DOP853 interpolant")
+        rows = p.F[::-1].tolist()
+        rows[0] = [0.0 + v for v in rows[0]]
+        cs_old, sn_old = p.y_old.tolist()
+        pieces.append((float(p.t_old), float(p.h),
+                       *(row[0] for row in rows), cs_old,
+                       *(row[1] for row in rows), sn_old))
+    return dense.ts[1:].tolist(), pieces
 
 
 def _period_by_quadrature(alpha: int, beta: int) -> tuple[float, float]:
@@ -73,7 +119,7 @@ def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
     if hit is not None and hit[0] <= tol:
         return hit[1]
     alpha, beta = key
-    period, _ = _period_by_quadrature(alpha, beta)
+    period, period_error = _period_by_quadrature(alpha, beta)
 
     def rhs(_, y):
         cs, sn = y
@@ -98,6 +144,23 @@ def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
         raise QuadratureError(
             f"orbit return time disagrees with the period integral for {key}")
     inside = tuple(t for t in crossings if t <= returns[0])
-    table = TrigTable(key, period, inside, sol)
+    table = TrigTable(key, period, inside, period_error, *_pieces(sol.sol))
+    _check_against(table, sol.sol)
     _CACHE[key] = (tol, table)
     return table
+
+
+def _check_against(table: TrigTable, dense) -> None:
+    """The float pieces read scipy internals; confirm they reproduce
+    ``dense`` exactly at every knot and every piece midpoint."""
+    knots = dense.ts.tolist()
+    if not table.period < knots[-1]:
+        raise InternalConsistencyError(
+            f"trig table for {table.weight} stops short of its period")
+    probes = knots + [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+    for t in probes:
+        want = tuple(dense(t % table.period).tolist())
+        if table.eval(t) != want:
+            raise InternalConsistencyError(
+                f"trig table for {table.weight} departs from its dense "
+                f"output at theta = {t!r}")

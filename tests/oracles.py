@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from math import gcd
 
 
@@ -84,3 +85,34 @@ def shortest_unimodular_chain_length(a, b, bound=12):
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)
     return None
+
+
+@lru_cache(maxsize=None)
+def reference_trig(alpha, beta, period):
+    """scipy's own dense output of the (Cs, Sn) Cauchy problem, integrated
+    with the arguments ``build_trig`` uses at its default tolerance.
+
+    Returns the ``OdeSolution`` and a lookup that, like the table before its
+    float pieces, reads it at ``theta % period`` through ``float()``.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(_, y):
+        cs, sn = y
+        return [-(sn ** (2 * alpha - 1)), cs ** (2 * beta - 1)]
+
+    def cs_zero(_, y):
+        return y[0]
+
+    def sn_zero(_, y):
+        return y[1]
+
+    dense = solve_ivp(rhs, (0.0, 1.5 * period), [1.0, 0.0], method="DOP853",
+                      dense_output=True, rtol=1e-12, atol=1e-14,
+                      events=[cs_zero, sn_zero]).sol
+
+    def lookup(theta):
+        cs, sn = dense(theta % period)
+        return float(cs), float(sn)
+
+    return dense, lookup

@@ -2,8 +2,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from oracles import reference_trig
+from polyfield import portrait
 from polyfield.charts import polar_field
 from polyfield.cli import main
 from polyfield.fields import WeightVector, parse_field
@@ -134,6 +138,83 @@ def test_trajectory_truncation_is_annotated():
     assert 'class="trajectory truncated"' in svg
 
 
+def _per_point_trajectory(terms_theta, terms_r, table, seed, horizon, tol,
+                          sign):
+    """The trajectory integrator as it was before the float trig pieces and
+    the vectorized sampling: scipy dense-output trig lookups, numpy scalar
+    state, one dense-output call per sample."""
+    _, lookup = reference_trig(*table.weight, table.period)
+
+    def rhs(t, y):
+        cs, sn = lookup(y[0])
+        r = y[1]
+        td = 0.0
+        for c, i, j, k in terms_theta:
+            td += c * cs ** i * sn ** j * r ** k
+        rd = 0.0
+        for c, i, j, k in terms_r:
+            rd += c * cs ** i * sn ** j * r ** k
+        return (sign * td, sign * rd)
+
+    def hit_centre(t, y):
+        return y[1] - 49.0
+
+    hit_centre.terminal = True
+
+    def hit_divisor(t, y):
+        return y[1] - 1e-7
+
+    hit_divisor.terminal = True
+
+    sol = solve_ivp(rhs, (0.0, horizon), list(seed), method="DOP853",
+                    rtol=tol, atol=tol, dense_output=True,
+                    events=[hit_centre, hit_divisor])
+    end = float(sol.t[-1])
+    if end <= 0.0:
+        return [tuple(seed)], sol.status != 0
+    samples = []
+    steps = 240
+    for i in range(steps + 1):
+        th, r = sol.sol(end * i / steps)
+        samples.append((float(th), float(r)))
+    return samples, sol.status != 0
+
+
+@pytest.mark.parametrize("text,w", [
+    (QUARTIC_TEXT, W12),
+    ("dx = -x; dy = -y", WeightVector(1, 1)),
+])
+def test_portrait_matches_per_point_integrator(monkeypatch, text, w):
+    field = parse_field(text)
+    spec = PortraitSpec(weight=w)
+    svg = render_portrait(field, spec)
+    fast = portrait._trajectory
+    pairs = []
+
+    def both(*args):
+        pairs.append((fast(*args), _per_point_trajectory(*args)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(portrait, "_trajectory", both)
+    assert svg == render_portrait(field, spec)
+    assert len(pairs) == 2 * len(default_seeds(1.0))
+    # every sample, not just its three-decimal SVG rendering
+    assert all(new == old for new, old in pairs)
+
+
+def test_trajectory_survives_a_trial_stage_overflow():
+    # r' = r**400 overflows a float power once a trial stage passes r ~ 6;
+    # numpy gives inf there, the solver rejects the step and gives up
+    table = build_trig(WeightVector(1, 1))
+    args = (((1.0, 0, 0, 0),), ((1.0, 0, 0, 400),), table, (0.0, 1.0), 8.0,
+            1e-9, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _per_point_trajectory(*args)
+        got = portrait._trajectory(*args)
+    assert got == want
+    assert got[1] and len(got[0]) == 241
+
+
 def test_spec_validation():
     w = WeightVector(1, 1)
     with pytest.raises(ValueError, match="radius"):
@@ -251,12 +332,40 @@ def test_cli_parse_error(capsys):
 
 
 def test_cli_float_overflow_is_a_numeric_failure(capsys):
+    # the portrait integrates in floats, so a coefficient past the float
+    # range cannot be drawn
     huge = "1" + "0" * 400
-    code, out, err = _run(capsys, "check-equivalence",
+    code, out, err = _run(capsys, "portrait", "--weight", "1,1",
                           "--field", f"dx = {huge}*x; dy = y")
     assert code == 4 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "OverflowError"
+
+
+def test_cli_huge_exact_values_get_a_verdict(capsys):
+    huge = "1" + "0" * 400
+    code, out, _ = _run(capsys, "check-equivalence",
+                        "--field", f"dx = {huge}*x; dy = y")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "Equivalent"
+    tangents = [r["tangent"] for recs in report["inventory"]["field"].values()
+                for r in recs]
+    assert {t["approx"] for t in tangents} == {None}
+    assert all(int(t["exact"]) == t["sign"] * (10**400 - 1) for t in tangents)
+
+
+def test_cli_huge_positions_get_a_verdict_and_a_table(capsys):
+    # restriction roots near +-10**310 lie outside the float range
+    text = "dx = x^2; dy = x*y + y^2 - 1" + "0" * 620 + "*x^2"
+    code, out, _ = _run(capsys, "check-equivalence", "--field", text)
+    assert code == 0
+    rows = json.loads(out)["report"]["match_table"]
+    assert sum(r["position"] is None for r in rows) >= 2
+    code, out, _ = _run(capsys, "singularities", "--weight", "1,1",
+                        "--field", text)
+    assert code == 0
+    assert ">1e308" in out and "<-1e308" in out
 
 
 def test_cli_thirty_digit_coefficient_gets_a_verdict(capsys):

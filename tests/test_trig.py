@@ -3,8 +3,10 @@ import math
 import pytest
 from scipy.special import beta as beta_integral
 
-from polyfield.fields import WeightVector
-from polyfield.trig import build_trig
+from oracles import reference_trig
+from polyfield import trig
+from polyfield.fields import InternalConsistencyError, WeightVector
+from polyfield.trig import _period_by_quadrature, build_trig
 
 
 def _reference_period(a, b):
@@ -87,3 +89,42 @@ def test_tables_are_cached():
     t1 = build_trig(WeightVector(2, 3))
     t2 = build_trig(WeightVector(2, 3))
     assert t1 is t2
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (3, 5), (2, 1)])
+def test_eval_is_bit_identical_to_scipy_dense_output(a, b):
+    t = build_trig(WeightVector(a, b))
+    dense, lookup = reference_trig(a, b, t.period)
+    knots = dense.ts.tolist()
+    thetas = knots + [(x + y) / 2 for x, y in zip(knots, knots[1:])]
+    thetas += [0.0, -0.0, t.period, -5e-324, -1e-300]
+    thetas += [s * k * t.period + f for k in (1, 3, 17)
+               for s in (1, -1) for f in (0.0, 0.37, 1.9)]
+    thetas += [-x for x in knots]
+    for theta in thetas:
+        got = t.eval(theta)
+        assert all(type(v) is float for v in got)
+        # hex tells -0.0 from 0.0
+        assert [v.hex() for v in got] == [v.hex() for v in lookup(theta)], theta
+
+
+def test_period_error_is_kept():
+    t = build_trig(WeightVector(3, 5))
+    assert t.period_error == _period_by_quadrature(3, 5)[1]
+    assert 0.0 < t.period_error <= 1e-9
+
+
+def test_table_refuses_pieces_that_depart_from_scipy(monkeypatch):
+    real = trig._pieces
+
+    def swapped(dense):
+        ends, pieces = real(dense)
+        p = list(pieces[5])
+        p[3], p[4] = p[4], p[3]
+        pieces[5] = tuple(p)
+        return ends, pieces
+
+    monkeypatch.setattr(trig, "_CACHE", {})
+    monkeypatch.setattr(trig, "_pieces", swapped)
+    with pytest.raises(InternalConsistencyError, match="departs"):
+        build_trig(WeightVector(1, 2))
