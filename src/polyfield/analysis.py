@@ -74,7 +74,7 @@ class Eigenvalue:
 
     The sign is decided exactly; ``exact`` is filled when the base point is
     rational, and ``approx`` is a float for reporting, None when the value
-    lies outside the float range.
+    lies outside the float range (overflows, or is nonzero and underflows).
     """
 
     sign: int
@@ -90,11 +90,14 @@ class Eigenvalue:
 
 
 def _float_or_none(q) -> Optional[float]:
-    """``float(q)``, or None when ``q`` lies outside the float range."""
+    """``float(q)``, or None when ``q`` lies outside the float range: it
+    overflows, or it is nonzero and underflows to zero."""
     try:
-        return float(q)
+        v = float(q)
     except OverflowError:
         return None
+    exact = q.exact if isinstance(q, RealRoot) else q
+    return None if v == 0 and exact != 0 else v
 
 
 def _realroot_json(r: RealRoot) -> dict:

@@ -146,19 +146,30 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
     return 0
 
 
+def _outside_floats(sign: int, huge: bool) -> str:
+    if huge:
+        return ">1e308" if sign > 0 else "<-1e308"
+    return "(0,5e-324)" if sign > 0 else "(-5e-324,0)"
+
+
 def _position_text(root) -> str:
     try:
-        return f"{float(root):.8g}"
+        v = float(root)
+        if v or root.exact == 0:
+            return f"{v:.8g}"
+        huge = False
     except OverflowError:
-        return ">1e308" if root.sign_of((Fraction(0), Fraction(1))) > 0 \
-            else "<-1e308"
+        huge = True
+    return _outside_floats(root.sign_of((Fraction(0), Fraction(1))), huge)
 
 
 def _eigenvalue_text(e) -> str:
     if e is None:
         return ""
     if e.approx is None:
-        return ">1e308" if e.sign > 0 else "<-1e308"
+        # an eigenvalue at an irrational point keeps no exact value; its
+        # approximation leaves the float range only upwards in practice
+        return _outside_floats(e.sign, e.exact is None or abs(e.exact) >= 1)
     return f"{e.approx:.4g}"
 
 

@@ -1,17 +1,20 @@
 """Exact polynomial arithmetic over the rationals.
 
-Univariate polynomials are tuples of ``Fraction`` coefficients in ascending
-degree order with no trailing zeros; the zero polynomial is the empty tuple.
-Bivariate polynomials are dicts mapping ``(i, j)`` exponent pairs to nonzero
-``Fraction`` values.
+At the boundary, univariate polynomials are tuples of ``Fraction``
+coefficients in ascending degree order with no trailing zeros (the zero
+polynomial is the empty tuple), and bivariate polynomials are dicts mapping
+``(i, j)`` exponent pairs to nonzero ``Fraction`` values.  Inside, roots,
+gcds and the curve check run on integers: a polynomial is replaced once by
+an integer multiple of itself, a bivariate one by rows of integer
+polynomials in x indexed by the degree in y.
 
 The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
-It evaluates signs on integer polynomials only, and gcds run as primitive
-integer remainder sequences.  Algebraic numbers are represented by
-:class:`RealRoot`: a squarefree defining polynomial together with an
-isolating rational interval; each remembers its narrowest interval and the
-signs decided at it.
+Signs are evaluated by homogeneous Horner, and gcds, univariate and
+bivariate, run as primitive integer pseudo-remainder sequences.  Algebraic
+numbers are represented by :class:`RealRoot`: a squarefree defining
+polynomial together with an isolating rational interval; each remembers its
+narrowest interval and the signs decided at it.
 """
 
 from __future__ import annotations
@@ -49,19 +52,6 @@ def up_is_zero(f: Sequence[Fraction]) -> bool:
     return len(f) == 0
 
 
-def up_add(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(f), len(g))
-    return up((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n))
-
-
-def up_neg(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(-c for c in f)
-
-
-def up_sub(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return up_add(f, up_neg(g))
-
-
 def up_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if not f or not g:
         return ()
@@ -84,24 +74,6 @@ def up_eval(f: Sequence[Fraction], x) -> Fraction:
 
 def up_deriv(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return up(i * c for i, c in enumerate(f) if i > 0)
-
-
-def up_divmod(f: Sequence[Fraction], g: Sequence[Fraction]):
-    """Exact division with remainder over the rationals."""
-    if up_is_zero(g):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    q = [ZERO] * max(0, len(f) - len(g) + 1)
-    dg = up_degree(g)
-    lead = g[-1]
-    for i in range(len(rem) - 1, dg - 1, -1):
-        if rem[i] == 0:
-            continue
-        c = rem[i] / lead
-        q[i - dg] = c
-        for j, b in enumerate(g):
-            rem[i - dg + j] -= c * b
-    return up(q), up(rem)
 
 
 def up_gcd(f, g) -> tuple[Fraction, ...]:
@@ -152,15 +124,42 @@ def _monic(f: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, f[-1]) for c in f) if f else ()
 
 
-def _sign_at(f: Sequence[int], a: int, q: int) -> int:
-    """Sign of the integer polynomial f at a/q, q > 0."""
+def _ival(f: Sequence[int], a: int, q: int) -> int:
+    """q^n f(a/q) for the integer polynomial f of degree n: sum c_i a^i
+    q^(n-i) by homogeneous Horner."""
     if not f:
         return 0
     acc, qk = f[-1], q
     for c in f[-2::-1]:
         acc = acc * a + c * qk
         qk *= q
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(f: Sequence[int], a: int, q: int) -> int:
+    """Sign of the integer polynomial f at a/q, q > 0."""
+    v = _ival(f, a, q)
+    return (v > 0) - (v < 0)
+
+
+def _imul(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def _isub(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, b in enumerate(g):
+        out[i] -= b
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _ideriv(f: Sequence[int]) -> tuple[int, ...]:
@@ -563,13 +562,6 @@ def bp(entries) -> dict:
     return out
 
 
-def bp_scale(f: dict, c) -> dict:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in f.items()}
-
-
 def bp_mul(f: dict, g: dict) -> dict:
     out: dict = {}
     for (i1, j1), a in f.items():
@@ -596,119 +588,89 @@ def bp_strip_monomial(f: dict) -> tuple[dict, int, int]:
     return {(i - i0, j - j0): c for (i, j), c in f.items()}, i0, j0
 
 
-def _to_ylists(f: dict) -> list[tuple[Fraction, ...]]:
-    """Bivariate dict -> list indexed by y-degree of polynomials in x."""
-    if not f:
-        return []
-    dy = max(j for _, j in f)
-    rows: list[list[Fraction]] = [[] for _ in range(dy + 1)]
-    dx = max(i for i, _ in f)
-    for r in rows:
-        r.extend([ZERO] * (dx + 1))
+# Inside, a bivariate polynomial is a list of rows indexed by the degree in
+# y, each an integer polynomial in x, the top row nonzero.
+
+
+def _rows(f: dict) -> list[tuple[int, ...]]:
+    """The nonzero f as rows, times the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in f.values()))
+    rows: list[list[int]] = [[] for _ in range(max(j for _, j in f) + 1)]
     for (i, j), c in f.items():
-        rows[j][i] = c
-    return [up(r) for r in rows]
+        r = rows[j]
+        if len(r) <= i:
+            r.extend([0] * (i + 1 - len(r)))
+        r[i] = c.numerator * (den // c.denominator)
+    return [tuple(r) for r in rows]
 
 
-def _from_ylists(rows: Sequence[Sequence[Fraction]]) -> dict:
-    out = {}
-    for j, row in enumerate(rows):
-        for i, c in enumerate(row):
-            if c != 0:
-                out[(i, j)] = c
-    return out
-
-
-def _ylists_trim(rows: list) -> list:
-    while rows and up_is_zero(rows[-1]):
-        rows.pop()
-    return rows
-
-
-def _ylists_content(rows: Sequence) -> tuple[Fraction, ...]:
-    g: tuple[Fraction, ...] = ()
+def _content(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The primitive gcd of the rows, with a positive leading coefficient."""
+    g: tuple[int, ...] = ()
     for r in rows:
-        g = up_gcd(g, r)
+        g = _igcd(g, r)
+        if len(g) == 1:
+            break
     return g
 
 
-def _ylists_primitive(rows: Sequence) -> list:
-    cont = _ylists_content(rows)
-    if up_degree(cont) < 1:
-        return list(rows)
-    out = []
-    for r in rows:
-        if up_is_zero(r):
-            out.append(())
-        else:
-            q, rem = up_divmod(r, cont)
-            if not up_is_zero(rem):
-                raise InternalConsistencyError("content does not divide a row")
-            out.append(q)
-    return out
+def _primitive_rows(rows: Sequence[Sequence[int]], cont: Sequence[int]) -> list:
+    """The rows divided by their content ``cont`` and by the integer gcd
+    left over."""
+    if len(cont) > 1:
+        rows = [_iquo(r, cont) for r in rows]
+    g = gcd(*(c for r in rows for c in r))
+    return [tuple(c // g for c in r) for r in rows] if g > 1 else list(rows)
 
 
-def _ylists_pseudo_rem(f: list, g: list) -> list:
-    """Pseudo remainder of f by g in the main variable y."""
-    f = [up(r) for r in f]
-    g = [up(r) for r in g]
-    df, dg = len(f) - 1, len(g) - 1
+def _prem_rows(f: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> list:
+    """Pseudo-remainder of f by g in y: lead(g)^k f minus a multiple of g,
+    of y-degree below g's."""
+    dg = len(g) - 1
     lead = g[-1]
-    while len(f) - 1 >= dg and f:
-        d = len(f) - 1
-        # multiply f by lead and subtract f_lead * y^(d-dg) * g
-        flead = f[-1]
-        f = [up_mul(r, lead) for r in f]
-        for k in range(dg + 1):
-            f[d - dg + k] = up_sub(f[d - dg + k], up_mul(flead, g[k]))
-        f = _ylists_trim(f)
-        if not f:
-            break
+    f = list(f)
+    while len(f) > dg:
+        shift, flead = len(f) - 1 - dg, f[-1]
+        f = [_imul(r, lead) for r in f]
+        for k in range(dg):
+            f[shift + k] = _isub(f[shift + k], _imul(flead, g[k]))
+        f.pop()  # lead * flead - flead * lead
+        while f and not f[-1]:
+            f.pop()
     return f
 
 
 def bp_gcd(F: dict, G: dict) -> dict:
-    """GCD over Q[x, y] via a primitive polynomial remainder sequence."""
+    """GCD over Q[x, y], normalized to leading coefficient 1 in (j, i)-lex
+    order; gcd(0, G) is G itself.
+
+    The gcd of the x-contents times the gcd of the primitive parts, the
+    latter by a primitive pseudo-remainder sequence in y over Z[x].
+    """
     if bp_is_zero(F):
         return dict(G)
     if bp_is_zero(G):
         return dict(F)
-    fr = _ylists_trim(_to_ylists(F))
-    gr = _ylists_trim(_to_ylists(G))
-    contf = _ylists_content(fr)
-    contg = _ylists_content(gr)
-    cont = up_gcd(contf, contg)
-    a = _ylists_primitive(fr)
-    b = _ylists_primitive(gr)
-    if len(a) - 1 < len(b) - 1:
+    fr, gr = _rows(F), _rows(G)
+    cf, cg = _content(fr), _content(gr)
+    a, b = _primitive_rows(fr, cf), _primitive_rows(gr, cg)
+    if len(a) < len(b):
         a, b = b, a
-    while True:
-        if len(b) == 0:
-            h = a
-            break
-        if len(b) == 1:
-            # gcd of primitive a and a y-free polynomial: content is 1,
-            # so the primitive gcd divides the x-content only
-            h = [up_gcd(_ylists_content(a), b[0])]
-            break
-        r = _ylists_pseudo_rem(a, b)
-        a, b = b, _ylists_primitive(_ylists_trim(r))
-    h = _ylists_primitive(_ylists_trim(h))
-    if not h:
-        h = [(ONE,)]
-    out = _from_ylists(h)
-    out = bp_mul(out, _from_ylists([cont]))
-    # normalize sign/lead: make the leading coefficient (lex in (j, i)) positive
-    if out:
-        lead_key = max(out, key=lambda k: (k[1], k[0]))
-        lc = out[lead_key]
-        out = bp_scale(out, 1 / lc)
-    return out
+    while len(b) > 1:
+        r = _prem_rows(a, b)
+        a, b = b, _primitive_rows(r, _content(r))
+    # a y-free primitive b is a constant
+    h = [(1,)] if b else a
+    cont = _igcd(cf, cg)
+    rows = [_imul(r, cont) for r in h]
+    lc = rows[-1][-1]
+    return {(i, j): Fraction(c, lc)
+            for j, r in enumerate(rows) for i, c in enumerate(r) if c}
 
 
-def _y_poly_at_x(f: dict, x: Fraction) -> tuple[Fraction, ...]:
-    rows = _to_ylists(f)
-    return up(up_eval(r, x) for r in rows)
+def _root_off_zero(f: Sequence[int]) -> bool:
+    """Does the nonzero integer polynomial f have a real root other than 0?"""
+    return count_real_roots(f) > (f[0] == 0)
 
 
 def has_real_branch(g: dict) -> bool:
@@ -723,47 +685,40 @@ def has_real_branch(g: dict) -> bool:
     here.
     """
     g, _, _ = bp_strip_monomial(g)
-    if not g:
-        return False  # g was a monomial: zero set inside the axes only
-    if all(k == (0, 0) for k in g):
-        return False  # nonzero constant
-    rows = _ylists_trim(_to_ylists(g))
-    dy = len(rows) - 1
-    if dy == 0:
+    if not g or all(k == (0, 0) for k in g):
+        return False  # a monomial or a nonzero constant: zero set in the axes
+    rows = _rows(g)
+    if len(rows) == 1:
         # univariate in x: real nonzero root <-> vertical line branch
-        return any(not r.is_rational or r.lo != 0 for r in real_roots(rows[0]))
-    cont = _ylists_content(rows)
-    if up_degree(cont) >= 1 and any(
-        not r.is_rational or r.lo != 0 for r in real_roots(cont)
-    ):
+        return _root_off_zero(rows[0])
+    cont = _content(rows)
+    if len(cont) > 1 and _root_off_zero(cont):
         return True  # vertical line x = c with c a real nonzero root
-    if dy % 2 == 1:
+    if len(rows) % 2 == 0:
         return True  # odd y-degree: a real y exists for all large x
     # pigeonhole sampling in x, then symmetrically in y
-    for orient in (0, 1):
-        f = g if orient == 0 else {(j, i): c for (i, j), c in g.items()}
-        frows = _ylists_trim(_to_ylists(f))
+    for f in (g, {(j, i): c for (i, j), c in g.items()}):
+        frows = _rows(f)
+        top = max(len(r) for r in frows)
         total_deg = max(i + j for i, j in f)
         need = total_deg * total_deg + 3
-        lead = frows[-1]
-        hits = 0
-        seen = 0
+        hits = seen = 0
         k = 1
         while seen < need and k < 8 * need:
-            c = Fraction(k, 7)  # avoids most small-denominator root loci
+            # the line x = k/7 avoids most small-denominator root loci; fy
+            # is a positive multiple of f(k/7, y)
+            fy = [_ival(r, k, 7) * 7 ** (top - len(r)) for r in frows]
             k += 1
-            if up_eval(lead, c) == 0:
+            if not fy[-1]:
                 continue
             seen += 1
-            fy = _y_poly_at_x(f, c)
-            for r in real_roots(fy):
-                if not (r.is_rational and r.lo == 0):
-                    hits += 1
-                    break
-            if hits > total_deg:
-                # more sample lines carry a nonzero root than a curve of this
-                # degree could meet in isolated points: a 1-dim branch exists
-                return True
+            if _root_off_zero(fy):
+                hits += 1
+                if hits > total_deg:
+                    # more sample lines carry a nonzero root than a curve of
+                    # this degree could meet in isolated points: a
+                    # 1-dimensional branch exists
+                    return True
     return False
 
 

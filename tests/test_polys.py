@@ -24,30 +24,12 @@ from polyfield.polys import (
     sturm_chain,
     sturm_count,
     up,
-    up_divmod,
     up_eval,
     up_from_roots,
     up_gcd,
     up_mul,
     up_squarefree,
 )
-
-
-def test_up_divmod_roundtrip():
-    rng = random.Random(7)
-    for _ in range(40):
-        f = up([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 7))])
-        g = up([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))])
-        if not g:
-            continue
-        q, r = up_divmod(f, g)
-        assert up(list(_addmul(q, g, r))) == f
-
-
-def _addmul(q, g, r):
-    s = up_mul(q, g)
-    n = max(len(s), len(r))
-    return [(s[i] if i < len(s) else 0) + (r[i] if i < len(r) else 0) for i in range(n)]
 
 
 def test_gcd_known_factors():
@@ -270,6 +252,34 @@ def test_bp_gcd_random_products():
         assert sympy.rem(_sympy_poly(g), hs, X, Y) == 0
 
 
+# integers() over a wide range draws mostly small values, so the 30-digit
+# magnitudes get a branch of their own
+_BICOEF = st.one_of(st.integers(-12, 12).filter(bool),
+                    st.integers(10**29, 10**30), st.integers(-10**30, -10**29))
+_BIPOLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          st.builds(F, _BICOEF, st.integers(1, 6)),
+                          min_size=1, max_size=4).map(bp)
+
+
+def _lead_one(f: dict) -> dict:
+    lc = f[max(f, key=lambda k: (k[1], k[0]))]
+    return {k: c / lc for k, c in f.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_BIPOLY, _BIPOLY, _BIPOLY)
+def test_bp_gcd_matches_sympy(c, a, b):
+    """bp_gcd(c·a, c·b) against ``sympy.gcd`` scaled to the same leading
+    term, with small and with 30-digit coefficients; a zero argument gives
+    the other one back unchanged."""
+    f, g = bp_mul(c, a), bp_mul(c, b)
+    assert bp_gcd(f, {}) == f
+    assert bp_gcd({}, g) == g
+    theirs = sympy.Poly(sympy.gcd(_sympy_poly(f), _sympy_poly(g)), X, Y)
+    expected = bp({k: F(int(v.p), int(v.q)) for k, v in theirs.terms()})
+    assert bp_gcd(f, g) == _lead_one(expected)
+
+
 def test_strip_monomial():
     f = bp({(2, 1): 3, (1, 2): -1})
     core, i, j = bp_strip_monomial(f)
@@ -296,6 +306,15 @@ def test_has_real_branch_circle():
 def test_has_real_branch_point_only():
     # x^2 + y^2 = 0 vanishes only at the origin, which sits on the axes
     assert not has_real_branch(bp({(2, 0): 1, (0, 2): 1}))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "sampling gap: the sample lines x = k/7 and y = k/7 stop at k = 7, "
+    "short of the circle, which spans [2, 4] in both coordinates"))
+def test_has_real_branch_circle_off_the_sample_grid():
+    # (x-3)^2 + (y-3)^2 - 1
+    circle = bp({(2, 0): 1, (1, 0): -6, (0, 2): 1, (0, 1): -6, (0, 0): 17})
+    assert has_real_branch(circle)
 
 
 def test_primitive_and_det():

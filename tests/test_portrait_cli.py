@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -366,6 +367,31 @@ def test_cli_huge_positions_get_a_verdict_and_a_table(capsys):
                         "--field", text)
     assert code == 0
     assert ">1e308" in out and "<-1e308" in out
+
+
+def test_cli_tiny_values_are_not_printed_as_zero(capsys):
+    # divisor roots at +-10**-350 and transverse eigenvalues of the same
+    # size: nonzero, but their floats underflow to 0 and -0
+    text = "dx = x^2; dy = x*y + y^2 - 1" + "0" * 700 + "*x^2"
+    code, out, _ = _run(capsys, "singularities", "--weight", "1,1", "--json",
+                        "--field", text)
+    assert code == 0
+    recs = [r for recs in json.loads(out)["charts"].values() for r in recs]
+    values = [(r["position"]["approx"], r["position"]["interval"][0])
+              for r in recs]
+    values += [(r[k]["approx"], r[k]["exact"]) for r in recs
+               for k in ("tangent", "transverse")]
+    tiny = [v for v in values if v[0] is None and "/" in v[1]]
+    assert len(tiny) == 4 * 3  # two positions and two eigenvalues per chart
+    for approx, exact in values:
+        if approx == 0:
+            assert Fraction(exact) == 0
+    code, out, _ = _run(capsys, "singularities", "--weight", "1,1",
+                        "--field", text)
+    assert code == 0
+    cells = [c for line in out.splitlines()[2:] for c in line.split()]
+    assert cells.count("(0,5e-324)") == 6 and cells.count("(-5e-324,0)") == 6
+    assert "-0" not in cells
 
 
 def test_cli_thirty_digit_coefficient_gets_a_verdict(capsys):
