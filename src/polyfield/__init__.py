@@ -10,6 +10,7 @@ the disk.
 """
 
 from .analysis import (
+    Analysis,
     EquivalenceReport,
     ReturnMapResult,
     SingularityRecord,
@@ -20,7 +21,13 @@ from .analysis import (
     return_map_test,
     singularity_inventory,
 )
-from .charts import ChartField, directional_plc, fan_chart_field, polar_field
+from .charts import (
+    ChartField,
+    PolarField,
+    directional_plc,
+    fan_chart_field,
+    polar_field,
+)
 from .fans import SimpleFan, build_fan, chart_maps, complete_fan
 from .fields import (
     AdmissibilityError,
@@ -46,12 +53,14 @@ from .trig import QuadratureError, TrigTable, build_trig
 
 __all__ = [
     "AdmissibilityError",
+    "Analysis",
     "ChartField",
     "EquivalenceReport",
     "FieldError",
     "InternalConsistencyError",
     "ParseError",
     "PlanarField",
+    "PolarField",
     "Polytope",
     "PortraitSpec",
     "QuadratureError",

@@ -13,21 +13,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import zip_longest
 from typing import Optional
 
 from scipy.integrate import quad
 
 from .charts import (
-    DIRECTIONS,
     ChartField,
+    PolarField,
     directional_plc,
     fan_chart_field,
     polar_field,
+    support_minima,
 )
-from .fans import SimpleFan, build_fan
+from .fans import ChartMap, SimpleFan, build_fan, chart_maps
 from .fields import (
+    DIRECTIONS,
     FieldError,
     InternalConsistencyError,
     PlanarField,
@@ -50,13 +52,14 @@ from .polys import (
     xgcd,
 )
 from .polytope import (
+    Polytope,
     Segment,
     UpperPrincipalPart,
     build_polytope,
     plc_weight,
     upper_principal_part,
 )
-from .trig import build_trig
+from .trig import TrigTable, build_trig
 
 HYPERBOLIC = "Hyperbolic"
 SEMI_HYPERBOLIC = "SemiHyperbolic"
@@ -150,46 +153,6 @@ class SingularityRecord:
 # locating and classifying divisor singularities
 
 
-def _poly_from_comp(comp: dict, picker) -> tuple[Fraction, ...]:
-    """Collect ``picker(key) -> exponent or None`` entries into a polynomial."""
-    coeffs: dict[int, Fraction] = {}
-    for key, c in comp.items():
-        e = picker(key)
-        if e is not None:
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    if not coeffs:
-        return ()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return up(out)
-
-
-def _branch_polys(cf: ChartField, branch: str):
-    """Restriction and transverse polynomials along one divisor branch.
-
-    On {v = 0} the restriction is u' at v = 0 and the transverse eigenvalue
-    polynomial is the v-linear part of v'; the {u = 0} branch mirrors the
-    roles.  The off-diagonal Jacobian entry vanishes identically on the
-    branch; that structural fact is re-checked here rather than assumed.
-    """
-    if branch == "v=0":
-        if any(j == 0 for _, j in cf.v_comp):
-            raise InternalConsistencyError(
-                f"{cf.label}: divisor branch v=0 is not invariant")
-        restriction = _poly_from_comp(cf.u_comp, lambda k: k[0] if k[1] == 0 else None)
-        transverse = _poly_from_comp(cf.v_comp, lambda k: k[0] if k[1] == 1 else None)
-    elif branch == "u=0":
-        if any(i == 0 for i, _ in cf.u_comp):
-            raise InternalConsistencyError(
-                f"{cf.label}: divisor branch u=0 is not invariant")
-        restriction = _poly_from_comp(cf.v_comp, lambda k: k[1] if k[0] == 0 else None)
-        transverse = _poly_from_comp(cf.u_comp, lambda k: k[1] if k[0] == 1 else None)
-    else:
-        raise ValueError(f"unknown divisor branch {branch!r}")
-    return restriction, transverse
-
-
 def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
     if root.is_rational:
         val = up_eval(poly, root.lo)
@@ -212,7 +175,7 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
     characteristic orbit when it is hyperbolic, or semi-hyperbolic with its
     nonzero eigenvalue transverse to the divisor.
     """
-    restriction, transverse = _branch_polys(cf, rec.branch)
+    restriction, transverse = cf.branches[rec.branch]
     if rec.position is None:
         return SingularityRecord(
             chart=cf.label,
@@ -242,45 +205,34 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
     )
 
 
-def _scan_branch(cf: ChartField, branch: str,
-                 roots: dict) -> list[SingularityRecord]:
-    restriction, _ = _branch_polys(cf, branch)
-    if up_is_zero(restriction):
-        bare = SingularityRecord(chart=cf.label, branch=branch, position=None)
-        return [classify(cf, bare)]
-    found = roots.get(restriction)
-    if found is None:
-        found = roots[restriction] = real_roots(restriction)
-    out = []
-    for root in found:
-        bare = SingularityRecord(chart=cf.label, branch=branch, position=root)
-        out.append(classify(cf, bare))
-    return out
-
-
-def divisor_singularities(cf: ChartField,
-                          roots: Optional[dict] = None) -> list[SingularityRecord]:
-    """All singularities on the divisor of a directional or fan chart field.
+def _chart_records(cf: ChartField, roots: dict) -> list[SingularityRecord]:
+    """The singularities on the divisor of one chart.  ``roots`` maps each
+    restriction polynomial already isolated to its roots, and is filled in.
 
     Interior fan charts carry two divisor branches meeting at the chart
     origin; the origin is reported once, on the {v = 0} branch (where it is
-    always a zero of the restriction).  ``roots``, when given, maps each
-    restriction polynomial already isolated to its roots, and is filled in.
+    always a zero of the restriction).
     """
-    if roots is None:
-        roots = {}
-    if cf.divisor == "v":
-        return _scan_branch(cf, "v=0", roots)
-    if cf.divisor == "u":
-        return _scan_branch(cf, "u=0", roots)
-    if cf.divisor == "uv":
-        recs = _scan_branch(cf, "v=0", roots)
-        for rec in _scan_branch(cf, "u=0", roots):
-            if not rec.is_curve and rec.at_chart_origin:
+    recs = []
+    for branch, (restriction, _) in cf.branches.items():
+        if up_is_zero(restriction):
+            positions = (None,)
+        else:
+            positions = roots.get(restriction)
+            if positions is None:
+                positions = roots[restriction] = real_roots(restriction)
+        for position in positions:
+            bare = SingularityRecord(chart=cf.label, branch=branch,
+                                     position=position)
+            if branch == "u=0" and cf.divisor == "uv" and bare.at_chart_origin:
                 continue
-            recs.append(rec)
-        return recs
-    raise ValueError(f"chart {cf.label!r} has no polynomial divisor branch")
+            recs.append(classify(cf, bare))
+    return recs
+
+
+def divisor_singularities(cf: ChartField) -> list[SingularityRecord]:
+    """All singularities on the divisor of a directional or fan chart field."""
+    return _chart_records(cf, {})
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +354,80 @@ def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
 # inventories and the equivalence verdict
 
 
-def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector,
-                          roots: Optional[dict] = None
+class Analysis:
+    """The pipeline stages of one field, each computed on first use.
+
+    ``weight`` overrides the weight read off the polytope.  ``principal``,
+    the upper principal part, is analysed over this field's weight, fan,
+    chart maps and root table, so the two inventories isolate each shared
+    divisor restriction once.  Every stage lives as long as this object.
+    """
+
+    def __init__(self, field: PlanarField,
+                 weight: Optional[WeightVector] = None):
+        self.field = field
+        #: restriction polynomial -> its real roots
+        self.roots: dict = {}
+        if weight is not None:
+            self.weight = weight
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        return build_polytope(self.field)
+
+    @cached_property
+    def weight(self) -> WeightVector:
+        return plc_weight(self.polytope)[0]
+
+    @cached_property
+    def fan(self) -> SimpleFan:
+        return build_fan(self.polytope)
+
+    @cached_property
+    def chart_maps(self) -> list[ChartMap]:
+        return chart_maps(self.fan)
+
+    @cached_property
+    def upper(self) -> UpperPrincipalPart:
+        return upper_principal_part(self.field, self.polytope)
+
+    @cached_property
+    def principal(self) -> "Analysis":
+        part = Analysis(self.upper.field, self.weight)
+        part.fan, part.chart_maps = self.fan, self.chart_maps
+        part.roots = self.roots
+        return part
+
+    @cached_property
+    def directional(self) -> dict[str, ChartField]:
+        return {d: directional_plc(self.field, self.weight, d)
+                for d in DIRECTIONS}
+
+    @cached_property
+    def fan_charts(self) -> dict[str, ChartField]:
+        minima, _ = support_minima(self.field.support(), self.fan.vectors)
+        return {f"fan:{j}": fan_chart_field(self.field, cmap,
+                                            minima[j - 1:j + 1])
+                for j, cmap in enumerate(self.chart_maps) if j}
+
+    @cached_property
+    def inventory(self) -> dict[str, list[SingularityRecord]]:
+        """Divisor singularities per chart: fan charts, then directional."""
+        charts = self.fan_charts | self.directional
+        return {label: _chart_records(cf, self.roots)
+                for label, cf in charts.items()}
+
+    @cached_property
+    def trig(self) -> TrigTable:
+        return build_trig(self.weight)
+
+
+def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector
                           ) -> dict[str, list[SingularityRecord]]:
-    """Per-chart divisor singularities across all fan and directional charts
-    (``roots`` as in :func:`divisor_singularities`)."""
-    inv: dict[str, list[SingularityRecord]] = {}
-    for j in range(1, len(fan.vectors)):
-        cf = fan_chart_field(f, fan, j)
-        inv[cf.label] = divisor_singularities(cf, roots)
-    for direction in DIRECTIONS:
-        cf = directional_plc(f, w, direction)
-        inv[direction] = divisor_singularities(cf, roots)
-    return inv
+    """Per-chart divisor singularities across all fan and directional charts."""
+    a = Analysis(f, w)
+    a.fan = fan
+    return a.inventory
 
 
 def _cmp_records(r1: SingularityRecord, r2: SingularityRecord) -> int:
@@ -456,34 +469,24 @@ class MatchRow:
 
 def _pair_inventories(inv_full, inv_prin):
     rows: list[MatchRow] = []
-    all_matched = True
     key = cmp_to_key(_cmp_records)
     for chart in sorted(set(inv_full) | set(inv_prin), key=_chart_order):
         a = sorted(inv_full.get(chart, []), key=key)
         b = sorted(inv_prin.get(chart, []), key=key)
         for ra, rb in zip_longest(a, b):
-            if ra is None or rb is None:
-                some = ra or rb
-                rows.append(MatchRow(
-                    chart=chart, branch=some.branch,
-                    position=None if some.is_curve else _float_or_none(some.position),
-                    classification_field=ra.classification if ra else None,
-                    classification_principal=rb.classification if rb else None,
-                    matched=False))
-                all_matched = False
-                continue
-            same_place = (ra.branch == rb.branch and
-                          (ra.is_curve == rb.is_curve) and
-                          (ra.is_curve or ra.position.equals(rb.position)))
-            matched = same_place and ra.classification == rb.classification
+            some = ra or rb
+            matched = (ra is not None and rb is not None
+                       and ra.branch == rb.branch
+                       and ra.is_curve == rb.is_curve
+                       and (ra.is_curve or ra.position.equals(rb.position))
+                       and ra.classification == rb.classification)
             rows.append(MatchRow(
-                chart=chart, branch=ra.branch,
-                position=None if ra.is_curve else _float_or_none(ra.position),
-                classification_field=ra.classification,
-                classification_principal=rb.classification,
+                chart=chart, branch=some.branch,
+                position=None if some.is_curve else _float_or_none(some.position),
+                classification_field=ra.classification if ra else None,
+                classification_principal=rb.classification if rb else None,
                 matched=matched))
-            all_matched = all_matched and matched
-    return tuple(rows), all_matched
+    return tuple(rows), all(row.matched for row in rows)
 
 
 @dataclass(frozen=True)
@@ -548,19 +551,11 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
             match_table=(),
             witnesses=(),
         )
-    p = build_polytope(sheared)
-    upp = upper_principal_part(sheared)
-    w, _ = plc_weight(p)
-    fan = build_fan(p)
-
-    hyp_a, witnesses = check_nondegenerate(upp)
-    hyp_b = check_no_singularity_curve(upp)
-    # the field and its upper principal part mostly restrict to the same
-    # divisor polynomials, so the two inventories share one root table,
-    # which lives for this verdict only
-    roots: dict = {}
-    inv_full = singularity_inventory(sheared, fan, w, roots)
-    inv_prin = singularity_inventory(upp.field, fan, w, roots)
+    a = Analysis(sheared)
+    hyp_a, witnesses = check_nondegenerate(a.upper)
+    hyp_b = check_no_singularity_curve(a.upper)
+    inv_full = a.inventory
+    inv_prin = a.principal.inventory
     hyp_c = any(r.characteristic_orbit
                 for recs in inv_full.values() for r in recs)
 
@@ -581,7 +576,7 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
         hypotheses=hypotheses,
         shear=lam,
         field_after_shear=sheared,
-        weight=w,
+        weight=a.weight,
         inventory_full=inv_full,
         inventory_principal=inv_prin,
         match_table=match_table,
@@ -617,16 +612,15 @@ class ReturnMapResult:
         }
 
 
-def _assert_no_divisor_singularities(f: PlanarField, w: WeightVector) -> None:
+def _assert_no_divisor_singularities(a: Analysis) -> None:
     """The return map exists only when the divisor carries no singularity.
 
     The four directional charts cover the divisor cycle, so exact
     root-freeness of their four branch restrictions is both necessary and
     sufficient.
     """
-    for direction in DIRECTIONS:
-        cf = directional_plc(f, w, direction)
-        restriction, _ = _branch_polys(cf, "v=0")
+    for direction, cf in a.directional.items():
+        restriction, _ = cf.branches["v=0"]
         if up_is_zero(restriction):
             raise FieldError(
                 f"{direction}: the divisor is a curve of singularities; "
@@ -638,10 +632,10 @@ def _assert_no_divisor_singularities(f: PlanarField, w: WeightVector) -> None:
                 "the return-map test does not apply")
 
 
-def _linear_return_integrand(pf: ChartField):
+def _linear_return_integrand(pf: PolarField):
     """G(theta) = (r-linear radial coefficient) / (on-divisor angular speed)."""
-    theta0 = {(i, j): c for (i, j, k), c in pf.theta_comp.items() if k == 0}
-    r1 = {(i, j): c for (i, j, k), c in pf.r_comp.items() if k == 1}
+    theta0 = {(i, j): c for (i, j, k), c in pf.theta.items() if k == 0}
+    r1 = {(i, j): c for (i, j, k), c in pf.r.items() if k == 1}
     if not r1:
         return None
 
@@ -653,7 +647,7 @@ def _linear_return_integrand(pf: ChartField):
     return g
 
 
-def return_map_test(field: PlanarField, w: WeightVector) -> ReturnMapResult:
+def return_map_test(a: Analysis) -> ReturnMapResult:
     """Integrate the linear-order return map over one divisor cycle for the
     field and for its upper principal part, and compare the signs.
 
@@ -661,15 +655,17 @@ def return_map_test(field: PlanarField, w: WeightVector) -> ReturnMapResult:
     so the two fields agree when both integrals carry the same strict sign;
     a vanishing integral is reported as inconclusive.
     """
-    if field.is_zero:
+    # without an override, a field with no favorable polytope fails here
+    w = a.weight
+    if a.field.is_zero:
         raise FieldError("the zero field has no return map")
-    _assert_no_divisor_singularities(field, w)
-    upp = upper_principal_part(field)
-    table = build_trig(w)
+    _assert_no_divisor_singularities(a)
+    upp = a.upper
+    table = a.trig
     period = table.period
 
     integrals = []
-    for f in (field, upp.field):
+    for f in (a.field, upp.field):
         g = _linear_return_integrand(polar_field(f, w))
         if g is None:
             integrals.append(0.0)

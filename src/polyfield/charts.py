@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .fans import ChartMap, SimpleFan, chart_maps
+from .fans import ChartMap, SimpleFan
 from .fields import (
     DIRECTIONS,
     FieldError,
@@ -25,20 +26,22 @@ from .fields import (
     max_level,
     monomial_pullback,
 )
+from .polys import up
 from .polytope import Polytope
 
-UVKey = tuple[int, int]
 TrigKey = tuple[int, int, int]
+
+#: the divisor branches of a chart, in the order they are scanned
+_BRANCHES = {"v": ("v=0",), "u": ("u=0",), "uv": ("v=0", "u=0")}
 
 
 @dataclass
 class ChartField:
-    """A compactified field in one chart.
+    """A compactified field in one directional or fan chart.
 
-    For directional and fan charts ``u_comp``/``v_comp`` are the du/dv
-    polynomial components.  For the polar chart they hold the theta and r
-    components as trig-polynomials.  ``normalization`` records the monomial
-    the raw pullback was multiplied by to clear denominators.
+    ``u_comp``/``v_comp`` are the du/dv polynomial components.
+    ``normalization`` records the monomial the raw pullback was multiplied
+    by to clear denominators.
     """
 
     label: str
@@ -50,13 +53,10 @@ class ChartField:
     chart: Optional[ChartMap] = None
     delta: Optional[int] = None
 
-    @property
-    def theta_comp(self) -> dict:
-        return self.u_comp
-
-    @property
-    def r_comp(self) -> dict:
-        return self.v_comp
+    @cached_property
+    def branches(self) -> dict[str, tuple[tuple, tuple]]:
+        """Restriction and transverse polynomial of each divisor branch."""
+        return {b: _branch_polys(self, b) for b in _BRANCHES[self.divisor]}
 
     def to_json(self) -> dict:
         def enc(comp):
@@ -81,14 +81,52 @@ class ChartField:
         return blob
 
     def pretty(self) -> str:
-        if self.label == "Polar":
-            names = ("Cs", "Sn", "r")
-            t = format_poly(self.u_comp, names)
-            r = format_poly(self.v_comp, names)
-            return f"({t}) dtheta + ({r}) dr"
         u = format_poly(self.u_comp, ("u", "v"))
         v = format_poly(self.v_comp, ("u", "v"))
         return f"({u}) du + ({v}) dv"
+
+
+@dataclass(frozen=True)
+class PolarField:
+    """The compactified field in weighted polar coordinates: ``theta`` and
+    ``r`` are the dtheta and dr components as trig-polynomials, after
+    multiplying by r**(delta-1)."""
+
+    theta: dict
+    r: dict
+    weight: WeightVector
+    delta: int
+
+    def pretty(self) -> str:
+        names = ("Cs", "Sn", "r")
+        return (f"({format_poly(self.theta, names)}) dtheta + "
+                f"({format_poly(self.r, names)}) dr")
+
+
+def _slice(comp: dict, along: int, across: int, level: int) -> tuple:
+    """The polynomial, in the ``along`` exponent, of the terms of ``comp``
+    whose ``across`` exponent equals ``level``."""
+    coeffs = {k[along]: c for k, c in comp.items() if k[across] == level}
+    return up(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1))
+
+
+def _branch_polys(cf: ChartField, branch: str):
+    """Restriction and transverse polynomials along one divisor branch.
+
+    On {v = 0} the restriction is u' at v = 0 and the transverse eigenvalue
+    polynomial is the v-linear part of v'; the {u = 0} branch mirrors the
+    roles.  The off-diagonal Jacobian entry vanishes identically on the
+    branch; that structural fact is re-checked here rather than assumed.
+    """
+    if branch == "v=0":
+        tangent, normal, along, across = cf.u_comp, cf.v_comp, 0, 1
+    else:
+        tangent, normal, along, across = cf.v_comp, cf.u_comp, 1, 0
+    if any(k[across] == 0 for k in normal):
+        raise InternalConsistencyError(
+            f"{cf.label}: divisor branch {branch} is not invariant")
+    return (_slice(tangent, along, across, 0),
+            _slice(normal, along, across, 1))
 
 
 def _strip_zeros(comp: dict) -> dict:
@@ -143,7 +181,7 @@ class LevelData:
     argmins: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _support_minima(support, vectors) -> tuple[list[int], list[tuple]]:
+def support_minima(support, vectors) -> tuple[list[int], list[tuple]]:
     minima = []
     argmins = []
     for j, (x, y) in enumerate(vectors):
@@ -157,30 +195,25 @@ def _support_minima(support, vectors) -> tuple[list[int], list[tuple]]:
 
 
 def level_data(p: Polytope, fan: SimpleFan) -> LevelData:
-    minima, argmins = _support_minima(p.support, fan.vectors)
+    minima, argmins = support_minima(p.support, fan.vectors)
     return LevelData(tuple(minima), tuple(argmins))
 
 
-def fan_chart_field(f: PlanarField, fan: SimpleFan, j: int) -> ChartField:
-    """The compactified field in fan chart j (1 <= j <= s).
+def fan_chart_field(f: PlanarField, cmap: ChartMap,
+                    minima: tuple[int, int]) -> ChartField:
+    """The compactified field in the fan chart ``cmap`` (index j >= 1).
 
     The pullback of x**m y**n (a x dx + b y dy) under the chart map is
     u**<xi_{j-1},p> v**<xi_j,p> (A u du + B v dv) with A = beta_j a -
     alpha_j b and B = alpha_{j-1} b - beta_{j-1} a; multiplying by
-    u**e_{j-1} v**e_j with e = max(0, -M) clears all denominators.
+    u**e_{j-1} v**e_j with e = max(0, -M) clears all denominators, where
+    ``minima`` holds M_{j-1}, M_j from :func:`support_minima` of ``f``.
     """
-    s = len(fan.vectors) - 1
-    if not 1 <= j <= s:
-        raise ValueError(f"chart index {j} out of range 1..{s}")
-    if f.is_zero:
-        raise FieldError("cannot compactify the zero field")
-    minima, _ = _support_minima(f.support(), fan.vectors)
-    eu = max(0, -minima[j - 1])
-    ev = max(0, -minima[j])
-    cmap = chart_maps(fan)[j]
+    eu = max(0, -minima[0])
+    ev = max(0, -minima[1])
     u_comp, v_comp = monomial_pullback(f, cmap.forward, (1, 1), (eu, ev))
-    _check_nonnegative(u_comp, v_comp, f"fan chart {j}")
-    return ChartField(f"fan:{j}", u_comp, v_comp, divisor=cmap.divisor,
+    _check_nonnegative(u_comp, v_comp, f"fan chart {cmap.index}")
+    return ChartField(f"fan:{cmap.index}", u_comp, v_comp, divisor=cmap.divisor,
                       normalization={"u": eu, "v": ev}, chart=cmap)
 
 
@@ -188,7 +221,7 @@ def fan_chart_field(f: PlanarField, fan: SimpleFan, j: int) -> ChartField:
 # polar chart
 
 
-def polar_field(f: PlanarField, w: WeightVector) -> ChartField:
+def polar_field(f: PlanarField, w: WeightVector) -> PolarField:
     """The global compactified field in weighted polar coordinates.
 
     Substituting x = Cs(theta) r**(-alpha), y = Sn(theta) r**(-beta) and
@@ -228,29 +261,4 @@ def polar_field(f: PlanarField, w: WeightVector) -> ChartField:
         if ce < 0 or se < 0 or re < 1:
             raise InternalConsistencyError(
                 "polar radial component must vanish on the divisor")
-    return ChartField("Polar", theta, rad, divisor="r",
-                      normalization={"r": delta - 1}, weight=w, delta=delta)
-
-
-# ---------------------------------------------------------------------------
-# evaluation helpers shared by tests and downstream analysis
-
-
-def eval_uv(comp: dict, u, v):
-    """Evaluate a u/v exponent dictionary at a point."""
-    total = 0
-    for (i, j), c in comp.items():
-        total += c * (u ** i) * (v ** j)
-    return total
-
-
-def uv_support(cf: ChartField) -> set[UVKey]:
-    """Log-support of a directional/fan chart field.
-
-    A u-component monomial u**i v**j du contributes (i-1, j); a
-    v-component monomial contributes (i, j-1); this is the lattice image
-    the compactification acts on.
-    """
-    pts = {(i - 1, j) for (i, j) in cf.u_comp}
-    pts |= {(i, j - 1) for (i, j) in cf.v_comp}
-    return pts
+    return PolarField(theta, rad, weight=w, delta=delta)

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import equivalence_verdict, return_map_test, singularity_inventory
-from .charts import DIRECTIONS, directional_plc, fan_chart_field
-from .fans import FanError, build_fan, complete_fan
+from .analysis import Analysis, equivalence_verdict, return_map_test
+from .fans import FanError, complete_fan
 from .fields import (
+    DIRECTIONS,
     FieldError,
     InternalConsistencyError,
     ParseError,
@@ -28,7 +29,7 @@ from .fields import (
     format_field,
     parse_field,
 )
-from .polytope import Polytope, build_polytope, plc_weight, upper_principal_part
+from .polytope import Polytope, plc_weight
 from .portrait import PortraitSpec, render_portrait
 from .trig import QuadratureError
 
@@ -58,13 +59,16 @@ def _read_field(args: argparse.Namespace) -> PlanarField:
     return parse_field(text)
 
 
-def _weight(args: argparse.Namespace, f: PlanarField) -> WeightVector:
-    if args.weight:
-        parts = args.weight.split(",")
-        if len(parts) != 2:
-            raise ValueError("--weight expects two integers, e.g. 1,2")
-        return WeightVector(int(parts[0]), int(parts[1]))
-    return plc_weight(build_polytope(f))[0]
+def _analysis(args: argparse.Namespace) -> Analysis:
+    """The field's analysis, with the ``--weight`` override where given."""
+    f = _read_field(args)
+    text = getattr(args, "weight", None)
+    if not text:
+        return Analysis(f)
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("--weight expects two integers, e.g. 1,2")
+    return Analysis(f, WeightVector(int(parts[0]), int(parts[1])))
 
 
 def _segment_json(s) -> dict:
@@ -101,8 +105,7 @@ def _polytope_json(p: Polytope) -> dict:
 
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
-    f = _read_field(args)
-    _emit({"polytope": _polytope_json(build_polytope(f))})
+    _emit({"polytope": _polytope_json(_analysis(args).polytope)})
     return 0
 
 
@@ -114,31 +117,33 @@ def _cmd_fan(args: argparse.Namespace) -> int:
             raise FanError(f"cannot parse skeleton {args.skeleton!r}") from exc
         fan = complete_fan([tuple(v) for v in vectors])
     else:
-        fan = build_fan(build_polytope(_read_field(args)))
+        fan = _analysis(args).fan
     _emit({"fan": fan.to_json()})
     return 0
 
 
 def _cmd_compactify(args: argparse.Namespace) -> int:
-    f = _read_field(args)
     if args.chart in DIRECTIONS:
-        cf = directional_plc(f, _weight(args, f), args.chart)
+        cf = _analysis(args).directional[args.chart]
     else:
+        # the weight does not enter a fan chart, so it is not read
+        f = _read_field(args)
         try:
             j = int(args.chart)
         except ValueError:
             raise FieldError(
                 f"--chart must be one of {', '.join(DIRECTIONS)} or a fan "
                 f"chart index, got {args.chart!r}")
-        fan = build_fan(build_polytope(f))
-        cf = fan_chart_field(f, fan, j)
+        charts = Analysis(f).fan_charts
+        cf = charts.get(f"fan:{j}")
+        if cf is None:
+            raise ValueError(f"chart index {j} out of range 1..{len(charts)}")
     _emit({"chart": cf.to_json(), "pretty": cf.pretty()})
     return 0
 
 
 def _cmd_principal_part(args: argparse.Namespace) -> int:
-    f = _read_field(args)
-    upp = upper_principal_part(f)
+    upp = _analysis(args).upper
     _emit({
         "field": format_field(upp.field),
         "upper_segments": [_segment_json(s) for s, _ in upp.per_segment],
@@ -174,10 +179,9 @@ def _eigenvalue_text(e) -> str:
 
 
 def _cmd_singularities(args: argparse.Namespace) -> int:
-    f = _read_field(args)
-    w = _weight(args, f)
-    fan = build_fan(build_polytope(f))
-    inv = singularity_inventory(f, fan, w)
+    a = _analysis(args)
+    w = a.weight
+    inv = a.inventory
     if args.json:
         _emit({
             "weight": list(w.as_tuple()),
@@ -208,8 +212,7 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> int:
 
 
 def _cmd_return_map(args: argparse.Namespace) -> int:
-    f = _read_field(args)
-    res = return_map_test(f, _weight(args, f))
+    res = return_map_test(_analysis(args))
     _emit({"return_map": res.to_json()})
     return 0
 
@@ -222,13 +225,13 @@ def _parse_seed(text: str) -> tuple[float, float]:
 
 
 def _cmd_portrait(args: argparse.Namespace) -> int:
-    f = _read_field(args)
-    w = _weight(args, f)
+    a = _analysis(args)
+    w = a.weight
     seeds = tuple(_parse_seed(s) for s in args.seed) if args.seed else None
     spec = PortraitSpec(weight=w, seeds=seeds, horizon=args.horizon,
                         tolerance=args.tolerance, size=args.size,
                         markers=not args.no_markers)
-    svg = render_portrait(f, spec)
+    svg = render_portrait(a.field, spec)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -242,6 +245,7 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyfield",

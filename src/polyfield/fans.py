@@ -127,25 +127,28 @@ def _unimodular_chain(a: IVec, b: IVec) -> list[IVec]:
 
     Repeatedly splits off the vector z = (b + t*a) / det(a, b) where t is
     the unique residue making the quotient integral; then det(a, z) = 1 and
-    det(z, b) = t < det(a, b), so the recursion terminates with the
-    continued-fraction chain of the cone.
+    det(z, b) = t < det(a, b), so continuing from (z, b) terminates with the
+    continued-fraction chain of the cone.  The chain can be as long as an
+    exponent of the field, so it is built in a loop, not by recursion.
     """
     d = det2(a, b)
     if d < 1:
         raise FanError(f"chain requested across a non-convex gap {a}..{b}")
-    if d == 1:
-        return []
-    g, u, v = xgcd(a[0], a[1])
-    if g != 1:
-        raise FanError(f"non-primitive fan vector {a}")
-    t = (-(u * b[0] + v * b[1])) % d
-    zx, zy = b[0] + t * a[0], b[1] + t * a[1]
-    if t == 0 or zx % d or zy % d:
-        raise FanError(f"cannot refine the cone {a}..{b}")
-    z = (zx // d, zy // d)
-    if det2(a, z) != 1 or det2(z, b) != t:
-        raise InternalConsistencyError(f"bad split {z} of the cone {a}..{b}")
-    return [z] + _unimodular_chain(z, b)
+    chain: list[IVec] = []
+    while d > 1:
+        g, u, v = xgcd(a[0], a[1])
+        if g != 1:
+            raise FanError(f"non-primitive fan vector {a}")
+        t = (-(u * b[0] + v * b[1])) % d
+        zx, zy = b[0] + t * a[0], b[1] + t * a[1]
+        if t == 0 or zx % d or zy % d:
+            raise FanError(f"cannot refine the cone {a}..{b}")
+        z = (zx // d, zy // d)
+        if det2(a, z) != 1 or det2(z, b) != t:
+            raise InternalConsistencyError(f"bad split {z} of the cone {a}..{b}")
+        chain.append(z)
+        a, d = z, t
+    return chain
 
 
 def _fill_gap(a: IVec, b: IVec) -> list[IVec]:

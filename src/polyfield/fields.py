@@ -423,26 +423,13 @@ def format_field(f: PlanarField) -> str:
 
 
 # ---------------------------------------------------------------------------
-# quasi-homogeneous structure
-
-
-def decompose(f: PlanarField, w: WeightVector) -> list[tuple[int, PlanarField]]:
-    """Split into weighted-level slices, ascending by level."""
-    buckets: dict[int, dict] = {}
-    for p, ab in f.items():
-        buckets.setdefault(w.level(p), {})[p] = ab
-    return [(d, PlanarField(buckets[d])) for d in sorted(buckets)]
+# weighted levels
 
 
 def max_level(f: PlanarField, w: WeightVector) -> int:
     if f.is_zero:
         raise FieldError("zero field has no weighted levels")
     return max(w.level(p) for p in f.support())
-
-
-def top_slice(f: PlanarField, w: WeightVector) -> PlanarField:
-    d = max_level(f, w)
-    return PlanarField({p: ab for p, ab in f.items() if w.level(p) == d})
 
 
 # ---------------------------------------------------------------------------

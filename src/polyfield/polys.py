@@ -44,24 +44,8 @@ def up(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def up_degree(f: Sequence[Fraction]) -> int:
-    return len(f) - 1
-
-
 def up_is_zero(f: Sequence[Fraction]) -> bool:
     return len(f) == 0
-
-
-def up_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not f or not g:
-        return ()
-    out = [ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return up(out)
 
 
 def up_eval(f: Sequence[Fraction], x) -> Fraction:
@@ -79,18 +63,6 @@ def up_deriv(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def up_gcd(f, g) -> tuple[Fraction, ...]:
     """Monic greatest common divisor (gcd(0, g) = monic g)."""
     return _monic(_igcd(_int_multiple(f), _int_multiple(g)))
-
-
-def up_squarefree(f) -> tuple[Fraction, ...]:
-    """The squarefree part f / gcd(f, f')."""
-    return _monic(_isquarefree(_int_multiple(f)))
-
-
-def up_from_roots(roots: Iterable) -> tuple[Fraction, ...]:
-    out = (ONE,)
-    for r in roots:
-        out = up_mul(out, (-Fraction(r), ONE))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +229,6 @@ def _root_bound(f: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # Sturm chains and root counting
-
-
-def sturm_chain(f: Sequence[Fraction]) -> list[tuple[int, ...]]:
-    """The Sturm sequence of f, each member scaled to a primitive integer
-    polynomial by a positive factor (which keeps every sign)."""
-    return _isturm(_int_multiple(f))
-
-
-def sturm_count(chain: Sequence[Sequence[int]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    a, b = Fraction(a), Fraction(b)
-    return (_variations(chain, a.numerator, a.denominator)
-            - _variations(chain, b.numerator, b.denominator))
-
-
-def cauchy_bound(f: Sequence[Fraction]) -> Fraction:
-    """A strict bound B with all real roots of f inside (-B, B)."""
-    f = up(f)
-    if up_degree(f) < 1:
-        return ONE
-    lead = abs(f[-1])
-    m = max(abs(c) for c in f[:-1]) if len(f) > 1 else ZERO
-    return 1 + m / lead
 
 
 def count_real_roots(f) -> int:
@@ -551,28 +500,6 @@ def real_roots(f) -> list[RealRoot]:
 
 # ---------------------------------------------------------------------------
 # bivariate polynomials: dict[(i, j)] -> Fraction
-
-
-def bp(entries) -> dict:
-    out = {}
-    for (i, j), c in dict(entries).items():
-        c = Fraction(c)
-        if c != 0:
-            out[(int(i), int(j))] = c
-    return out
-
-
-def bp_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), a in f.items():
-        for (i2, j2), b in g.items():
-            k = (i1 + i2, j1 + j2)
-            v = out.get(k, ZERO) + a * b
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-    return out
 
 
 def bp_is_zero(f: dict) -> bool:

@@ -43,11 +43,6 @@ class Segment:
     def direction(self) -> tuple[int, int]:
         return primitive((self.end[0] - self.start[0], self.end[1] - self.start[1]))
 
-    def slope_is_negative(self) -> bool:
-        dx = self.end[0] - self.start[0]
-        dy = self.end[1] - self.start[1]
-        return dx * dy < 0
-
 
 @dataclass(frozen=True)
 class Polytope:
@@ -211,8 +206,8 @@ class UpperPrincipalPart:
     per_segment: tuple[tuple[Segment, PlanarField], ...]
 
 
-def upper_principal_part(field: PlanarField) -> UpperPrincipalPart:
-    p = build_polytope(field)
+def upper_principal_part(field: PlanarField, p: Polytope) -> UpperPrincipalPart:
+    """The restriction of ``field`` to the upper boundary of its polytope ``p``."""
     if p.is_point:
         # a one-point polytope is its own boundary on both sides
         return UpperPrincipalPart(field=field, polytope=p, per_segment=())

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .analysis import CURVE, divisor_singularities
-from .charts import DIRECTIONS, directional_plc, polar_field
+from .analysis import CURVE, Analysis, divisor_singularities
+from .charts import polar_field
 from .fields import FieldError, PlanarField, WeightVector
-from .trig import TrigTable, build_trig
+from .trig import TrigTable
 
 _MARKER_FILL = {
     "Hyperbolic": "#d62728",
@@ -89,35 +88,21 @@ def marker_theta(table: TrigTable, chart: str, u: float) -> float:
     """
     alpha, beta = table.weight
     c1, c2, c3, c4 = table.axis_crossings
-    period = table.period
-    if chart == "Xpos":
-        lo, hi, px = c3, c4 + c1, beta / alpha
-
-        def h(t: float) -> float:
-            cs, sn = table.eval(t)
-            return sn - u * max(cs, 0.0) ** px
-    elif chart == "Xneg":
-        lo, hi, px = c1, c3, beta / alpha
-
-        def h(t: float) -> float:
-            cs, sn = table.eval(t)
-            return sn - u * max(-cs, 0.0) ** px
-    elif chart == "Ypos":
-        lo, hi, px = 0.0, c2, alpha / beta
-
-        def h(t: float) -> float:
-            cs, sn = table.eval(t)
-            return cs - u * max(sn, 0.0) ** px
-    elif chart == "Yneg":
-        lo, hi, px = c2, c4, alpha / beta
-
-        def h(t: float) -> float:
-            cs, sn = table.eval(t)
-            return cs - u * max(-sn, 0.0) ** px
-    else:
+    spans = {"Xpos": (c3, c4 + c1), "Xneg": (c1, c3),
+             "Ypos": (0.0, c2), "Yneg": (c2, c4)}
+    if chart not in spans:
         raise ValueError(f"unknown directional chart {chart!r}")
-    root = brentq(h, lo, hi, xtol=1e-13)
-    return root % period
+    lo, hi = spans[chart]
+    x_chart = chart.startswith("X")
+    px = beta / alpha if x_chart else alpha / beta
+    side = -1.0 if chart.endswith("neg") else 1.0
+
+    def h(t: float) -> float:
+        cs, sn = table.eval(t)
+        along, across = (sn, cs) if x_chart else (cs, sn)
+        return along - u * max(side * across, 0.0) ** px
+
+    return brentq(h, lo, hi, xtol=1e-13) % table.period
 
 
 @dataclass(frozen=True)
@@ -128,18 +113,17 @@ class DiskMarker:
     chart_position: float
 
 
-def divisor_markers(field: PlanarField, w: WeightVector,
-                    ) -> tuple[tuple[DiskMarker, ...], bool]:
+def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
     """All divisor singularities as (theta, class) markers, deduplicated.
 
     Returns the markers sorted by angle together with a flag telling whether
     some chart saw the whole divisor as a curve of singularities.
     """
-    table = build_trig(w)
+    table = a.trig
     curve = False
     raw: list[DiskMarker] = []
-    for chart in DIRECTIONS:
-        for rec in divisor_singularities(directional_plc(field, w, chart)):
+    for chart, cf in a.directional.items():
+        for rec in divisor_singularities(cf):
             if rec.classification == CURVE:
                 curve = True
                 continue
@@ -237,11 +221,12 @@ def render_portrait(field: PlanarField, spec: PortraitSpec) -> str:
     if field.is_zero:
         raise FieldError("empty support: the zero field has no portrait")
     w = spec.weight
+    a = Analysis(field, w)
     pf = polar_field(field, w)
-    table = build_trig(w)
+    table = a.trig
     period = table.period
-    terms_theta = _compiled_terms(pf.theta_comp)
-    terms_r = _compiled_terms(pf.r_comp)
+    terms_theta = _compiled_terms(pf.theta)
+    terms_r = _compiled_terms(pf.r)
 
     seeds = tuple(spec.seeds) if spec.seeds is not None \
         else default_seeds(period)
@@ -268,7 +253,7 @@ def render_portrait(field: PlanarField, spec: PortraitSpec) -> str:
     marker_elems = []
     curve = False
     if spec.markers:
-        markers, curve = divisor_markers(field, w)
+        markers, curve = divisor_markers(a)
         for m in markers:
             x, y = _disk_xy(m.theta, 0.0, period, centre, radius)
             fill = _MARKER_FILL.get(m.classification, "#333333")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -116,3 +117,77 @@ def reference_trig(alpha, beta, period):
         return float(cs), float(sn)
 
     return dense, lookup
+
+
+def eval_uv(comp, u, v):
+    """Evaluate a u/v exponent dictionary at a point."""
+    return sum(c * u ** i * v ** j for (i, j), c in comp.items())
+
+
+def uv_support(cf):
+    """Log-support of a directional or fan chart field.
+
+    A u-component monomial u**i v**j du contributes (i-1, j); a
+    v-component monomial contributes (i, j-1); this is the lattice image
+    the compactification acts on.
+    """
+    pts = {(i - 1, j) for (i, j) in cf.u_comp}
+    pts |= {(i, j - 1) for (i, j) in cf.v_comp}
+    return pts
+
+
+def cauchy_bound(f):
+    """A strict bound B with all real roots of the ascending-coefficient
+    polynomial f inside (-B, B)."""
+    while f and f[-1] == 0:
+        f = f[:-1]
+    if len(f) < 2:
+        return Fraction(1)
+    return 1 + max(abs(Fraction(c)) for c in f[:-1]) / abs(Fraction(f[-1]))
+
+
+def squarefree(f):
+    """The monic squarefree part f / gcd(f, f') of an ascending-coefficient
+    polynomial, computed by sympy."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    part = sympy.Poly(list(reversed([sympy.Rational(c) for c in f])), t).sqf_part()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(part.monic().all_coeffs()))
+
+
+def up_mul(f, g):
+    """The product of two ascending-coefficient polynomials."""
+    if not f or not g:
+        return ()
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def up_from_roots(roots):
+    """The monic polynomial with the given roots, as Fraction coefficients."""
+    out = (Fraction(1),)
+    for r in roots:
+        out = up_mul(out, (-Fraction(r), Fraction(1)))
+    return out
+
+
+def bp(entries):
+    """A bivariate polynomial dict with Fraction values, zeros dropped."""
+    return {(int(i), int(j)): Fraction(c)
+            for (i, j), c in dict(entries).items() if c != 0}
+
+
+def bp_mul(f, g):
+    """The product of two bivariate polynomial dicts."""
+    out = {}
+    for (i1, j1), a in f.items():
+        for (i2, j2), b in g.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, Fraction(0)) + a * b
+    return {k: c for k, c in out.items() if c != 0}

@@ -11,13 +11,18 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import bisection_roots, det, shortest_unimodular_chain_length
+from oracles import (
+    bisection_roots,
+    cauchy_bound,
+    det,
+    shortest_unimodular_chain_length,
+)
 from scipy.special import beta as beta_integral
 from test_polytope import _brute_hull
 
 from polyfield.analysis import (
     DEGENERATE,
-    _branch_polys,
+    Analysis,
     equivalence_verdict,
     return_map_test,
 )
@@ -31,7 +36,6 @@ from polyfield.fields import (
     shear,
 )
 from polyfield.polys import (
-    cauchy_bound,
     det2,
     ivec_gcd,
     real_roots,
@@ -175,7 +179,7 @@ def test_criterion_09_return_map_closed_form():
     c = F(3, 5)
     swirl = parse_field("dx = -x^2*y - y^3 + x; dy = x^3 + x*y^2")
     radial = parse_field("dx = x^3 + x*y^2; dy = x^2*y + y^3")
-    res = return_map_test(swirl + radial.scaled(c), WeightVector(1, 1))
+    res = return_map_test(Analysis(swirl + radial.scaled(c), WeightVector(1, 1)))
     want = -2.0 * math.pi * float(c)
     assert abs(res.integral_full - want) <= 1e-7
     assert abs(res.integral_principal - want) <= 1e-7
@@ -202,7 +206,7 @@ def test_criterion_10b_sturm_matches_bisection():
         alpha, beta = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3), (2, 3)])
         cf = directional_plc(f, WeightVector(alpha, beta),
                              rng.choice(DIRECTIONS))
-        restriction, _ = _branch_polys(cf, "v=0")
+        restriction, _ = cf.branches["v=0"]
         if len(restriction) < 2:
             continue
         if len(up_gcd(restriction, up_deriv(restriction))) > 1:

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from polyfield import analysis
+from polyfield import analysis, charts, cli, polytope
 from polyfield.analysis import (
     CURVE,
+    Analysis,
     DEGENERATE,
     HYPERBOLIC,
     SEMI_HYPERBOLIC,
@@ -19,7 +20,7 @@ from polyfield.analysis import (
     return_map_test,
     singularity_inventory,
 )
-from polyfield.charts import DIRECTIONS, directional_plc, fan_chart_field
+from polyfield.charts import directional_plc
 from polyfield.fans import build_fan
 from polyfield.fields import (
     FieldError,
@@ -28,7 +29,7 @@ from polyfield.fields import (
     parse_field,
     shear,
 )
-from polyfield.polytope import build_polytope, plc_weight, upper_principal_part
+from polyfield.polytope import build_polytope, plc_weight
 
 QUARTIC = parse_field("dx = y^3 - x^3*y; dy = -x^3 + x*y^3")
 W12 = WeightVector(1, 2)
@@ -69,9 +70,9 @@ def test_quartic_y_chart_records():
 
 
 def test_quartic_fan_chart_records():
-    fan = build_fan(build_polytope(QUARTIC))
-    assert divisor_singularities(fan_chart_field(QUARTIC, fan, 1)) == []
-    recs = divisor_singularities(fan_chart_field(QUARTIC, fan, 2))
+    charts = Analysis(QUARTIC).fan_charts
+    assert divisor_singularities(charts["fan:1"]) == []
+    recs = divisor_singularities(charts["fan:2"])
     assert [r.position.exact for r in recs] == [0, 2]
     corner, node = recs
     assert (corner.tangent.exact, corner.transverse.exact) == (-2, 1)
@@ -125,7 +126,7 @@ def test_classify_is_idempotent():
 
 
 def test_quartic_hypotheses_hold():
-    upp = upper_principal_part(QUARTIC)
+    upp = Analysis(QUARTIC).upper
     ok, witnesses = check_nondegenerate(upp)
     assert ok and witnesses == ()
     assert check_no_singularity_curve(upp)
@@ -134,7 +135,7 @@ def test_quartic_hypotheses_hold():
 def test_degenerate_segment_produces_witness():
     # (y^2 + x^2 y) d/dx vanishes on the parabola y = -x^2
     f = parse_field("dx = y^2 + x^2*y; dy = 0")
-    ok, witnesses = check_nondegenerate(upper_principal_part(f))
+    ok, witnesses = check_nondegenerate(Analysis(f).upper)
     assert not ok
     for w in witnesses:
         x, y = w.point
@@ -143,9 +144,9 @@ def test_degenerate_segment_produces_witness():
 
 def test_common_factor_is_detected():
     f = parse_field("dx = x^2 - x*y; dy = x*y - y^2")
-    assert not check_no_singularity_curve(upper_principal_part(f))
+    assert not check_no_singularity_curve(Analysis(f).upper)
     g = parse_field("dx = x; dy = y")
-    assert check_no_singularity_curve(upper_principal_part(g))
+    assert check_no_singularity_curve(Analysis(g).upper)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +187,13 @@ def test_verdict_isolates_each_restriction_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "real_roots", counting)
     rep = equivalence_verdict(PERTURBED)
-    sheared = rep.field_after_shear
-    fan = build_fan(build_polytope(sheared))
+    a = Analysis(rep.field_after_shear)
+    assert a.weight == rep.weight
     restrictions = set()
-    for f in (sheared, upper_principal_part(sheared).field):
-        charts = [fan_chart_field(f, fan, j) for j in range(1, len(fan.vectors))]
-        charts += [directional_plc(f, rep.weight, d) for d in DIRECTIONS]
-        for cf in charts:
-            for branch in {"v": ("v=0",), "u": ("u=0",),
-                           "uv": ("v=0", "u=0")}[cf.divisor]:
-                restriction, _ = analysis._branch_polys(cf, branch)
+    for part in (a, a.principal):
+        charts = part.fan_charts | part.directional
+        for cf in charts.values():
+            for restriction, _ in cf.branches.values():
                 if restriction:
                     restrictions.add(restriction)
     assert restrictions
@@ -215,6 +213,41 @@ def test_root_table_lives_for_one_verdict():
     assert a and len(a) == len(b)
     assert not {id(p) for p in a} & {id(p) for p in b}
     assert not {id(p.memo) for p in a} & {id(p.memo) for p in b}
+
+
+def _stage_counts(monkeypatch, argv) -> Counter:
+    """How often each shared pipeline stage runs for one CLI call."""
+    calls = Counter()
+    with monkeypatch.context() as m:
+        for module, name in ((analysis, "chart_maps"),
+                             (analysis, "support_minima"),
+                             (charts, "_branch_polys"),
+                             (polytope, "polytope_from_support")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            m.setattr(module, name, counting)
+        assert cli.main(list(argv)) == 0
+    return calls
+
+
+def test_each_stage_runs_once_per_call(monkeypatch, capsys):
+    text = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
+    # one polytope for the shear search and one for the analysis; one atlas
+    # for the fan; one minima pass and one branch build per field and chart
+    # (8 fan charts with 14 branches and 4 directional ones, twice)
+    assert _stage_counts(monkeypatch, ["check-equivalence", "--field", text]) \
+        == {"polytope_from_support": 2, "chart_maps": 1, "support_minima": 2,
+            "_branch_polys": 36}
+    assert _stage_counts(monkeypatch, ["singularities", "--field", text]) \
+        == {"polytope_from_support": 1, "chart_maps": 1, "support_minima": 1,
+            "_branch_polys": 18}
+    capsys.readouterr()
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_rotation_has_no_characteristic_orbit():
@@ -317,7 +350,8 @@ def test_inventory_covers_fan_and_directional_charts():
 
 
 def test_rotation_return_map_is_inconclusive():
-    res = return_map_test(parse_field("dx = -y; dy = x"), WeightVector(1, 1))
+    res = return_map_test(Analysis(parse_field("dx = -y; dy = x"),
+                                    WeightVector(1, 1)))
     assert res.integral_full == 0.0
     assert res.integral_principal == 0.0
     assert res.sign_full == res.sign_principal == 0
@@ -335,7 +369,7 @@ def _spiral_field(c: Fraction) -> PlanarField:
 
 def test_return_map_integral_matches_closed_form():
     for c in (Fraction(3, 5), Fraction(-1, 3)):
-        res = return_map_test(_spiral_field(c), WeightVector(1, 1))
+        res = return_map_test(Analysis(_spiral_field(c), WeightVector(1, 1)))
         want = -2.0 * math.pi * float(c)
         assert abs(res.integral_full - want) <= 1e-7
         assert abs(res.integral_principal - want) <= 1e-7
@@ -345,4 +379,4 @@ def test_return_map_integral_matches_closed_form():
 
 def test_return_map_requires_a_clean_divisor():
     with pytest.raises(FieldError, match="Xpos"):
-        return_map_test(QUARTIC, W12)
+        return_map_test(Analysis(QUARTIC, W12))

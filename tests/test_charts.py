@@ -1,16 +1,19 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import eval_uv, uv_support
+from polyfield.analysis import Analysis
 from polyfield.charts import (
     directional_plc,
-    eval_uv,
     fan_chart_field,
     level_data,
     polar_field,
-    uv_support,
+    support_minima,
 )
+from polyfield.cli import main
 from polyfield.fans import build_fan, chart_maps, complete_fan
 from polyfield.fields import (
     FieldError,
@@ -28,6 +31,12 @@ F = Fraction
 
 def quartic():
     return parse_field(QUARTIC)
+
+
+def fan_chart(f, fan, j):
+    """Fan chart j of f over the given fan."""
+    minima, _ = support_minima(f.support(), fan.vectors)
+    return fan_chart_field(f, chart_maps(fan)[j], minima[j - 1:j + 1])
 
 
 def _random_field(rng, span=3, terms=5):
@@ -165,7 +174,7 @@ def test_level_data_quartic():
 
 def test_fan_chart_one_has_no_divisor_roots():
     fan = build_fan(build_polytope(quartic()))
-    cf = fan_chart_field(quartic(), fan, 1)
+    cf = fan_chart(quartic(), fan, 1)
     assert cf.u_comp == {(0, 0): -1, (3, 2): 1}
     assert cf.v_comp == {(3, 5): -1, (1, 2): 1}
     assert cf.divisor == "v"
@@ -174,7 +183,7 @@ def test_fan_chart_one_has_no_divisor_roots():
 
 def test_fan_chart_two_frozen():
     fan = build_fan(build_polytope(quartic()))
-    cf = fan_chart_field(quartic(), fan, 2)
+    cf = fan_chart(quartic(), fan, 2)
     assert cf.u_comp == {(5, 4): -1, (3, 1): 2, (2, 0): 1, (1, 0): -2}
     assert cf.v_comp == {(2, 2): -1, (0, 1): 1}
     assert cf.divisor == "uv"
@@ -184,7 +193,7 @@ def test_fan_chart_two_frozen():
 def test_single_term_field_in_first_homogeneous_chart():
     f = parse_field("dx = x; dy = 0")
     fan = complete_fan([(-1, -1)])
-    cf = fan_chart_field(f, fan, 1)
+    cf = fan_chart(f, fan, 1)
     assert cf.u_comp == {(1, 0): -1}
     assert cf.v_comp == {(0, 1): -1}
 
@@ -202,7 +211,7 @@ def test_homogeneous_fan_chart_equals_xpos():
         if f.is_zero:
             continue
         produced += 1
-        cf = fan_chart_field(f, fan, 1)
+        cf = fan_chart(f, fan, 1)
         dp = directional_plc(f, w, "Xpos")
         assert cf.u_comp == dp.u_comp
         assert cf.v_comp == dp.v_comp
@@ -213,7 +222,7 @@ def test_fan_chart_pullback_identity():
     fan = build_fan(build_polytope(f))
     rng = random.Random(3)
     for j in range(1, len(fan.vectors)):
-        cf = fan_chart_field(f, fan, j)
+        cf = fan_chart(f, fan, j)
         cm = cf.chart
         eu, ev = cf.normalization["u"], cf.normalization["v"]
         (pa, pb), (qa, qb) = fan.vectors[j - 1], fan.vectors[j]
@@ -236,8 +245,8 @@ def test_adjacent_fan_charts_are_conjugate():
     charts = chart_maps(fan)
     rng = random.Random(17)
     for j in range(1, len(fan.vectors) - 1):
-        a = fan_chart_field(f, fan, j)
-        b = fan_chart_field(f, fan, j + 1)
+        a = fan_chart(f, fan, j)
+        b = fan_chart(f, fan, j + 1)
         for _ in range(20):
             u = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
             v = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
@@ -262,12 +271,20 @@ def test_adjacent_fan_charts_are_conjugate():
             assert eval_uv(b.v_comp, u2, v2) == factor * dv2
 
 
-def test_fan_chart_bad_index():
-    fan = complete_fan([(-1, -1)])
-    with pytest.raises(ValueError):
-        fan_chart_field(quartic(), fan, 0)
-    with pytest.raises(ValueError):
-        fan_chart_field(quartic(), fan, 3)
+def test_fan_chart_bad_index(capsys):
+    for index in ("0", "9", "-1"):
+        assert main(["compactify", "--chart", index, "--field", QUARTIC]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"chart index {index} out of range 1..8"}
+
+
+def test_fan_charts_of_an_analysis():
+    a = Analysis(quartic())
+    assert list(a.fan_charts) == [f"fan:{j}" for j in range(1, 9)]
+    fan = build_fan(build_polytope(quartic()))
+    for j in range(1, 9):
+        assert a.fan_charts[f"fan:{j}"] == fan_chart(quartic(), fan, j)
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +294,25 @@ def test_fan_chart_bad_index():
 def test_polar_rotation():
     f = parse_field("dx = -y; dy = x")
     cf = polar_field(f, WeightVector(1, 1))
-    assert cf.theta_comp == {(0, 2, 0): 1, (2, 0, 0): 1}
-    assert cf.r_comp == {}
-    assert cf.divisor == "r"
+    assert cf.theta == {(0, 2, 0): 1, (2, 0, 0): 1}
+    assert cf.r == {}
+    assert (cf.weight, cf.delta) == (WeightVector(1, 1), 1)
 
 
 def test_polar_radial():
     f = parse_field("dx = x; dy = y")
     cf = polar_field(f, WeightVector(1, 1))
-    assert cf.theta_comp == {}
-    assert cf.r_comp == {(2, 0, 1): -1, (0, 2, 1): -1}
+    assert cf.theta == {}
+    assert cf.r == {(2, 0, 1): -1, (0, 2, 1): -1}
 
 
 def test_polar_quartic_spot_values():
     cf = polar_field(quartic(), W12)
     assert cf.delta == 6
-    assert cf.theta_comp[(0, 4, 0)] == -2   # from the y^3 dx term
-    assert cf.theta_comp[(2, 3, 0)] == 1    # from the x*y^3 dy term
-    assert cf.r_comp[(3, 3, 1)] == -1       # radial part of y^3 dx
-    assert cf.r_comp[(1, 4, 1)] == -1       # radial part of x*y^3 dy
+    assert cf.theta[(0, 4, 0)] == -2   # from the y^3 dx term
+    assert cf.theta[(2, 3, 0)] == 1    # from the x*y^3 dy term
+    assert cf.r[(3, 3, 1)] == -1       # radial part of y^3 dx
+    assert cf.r[(1, 4, 1)] == -1       # radial part of x*y^3 dy
 
 
 def test_polar_divisor_invariance():
@@ -309,8 +326,8 @@ def test_polar_divisor_invariance():
         w = rng.choice([WeightVector(1, 1), W12, WeightVector(2, 1),
                         WeightVector(2, 3)])
         cf = polar_field(f, w)
-        assert all(k[2] >= 1 for k in cf.r_comp)
-        assert all(k[2] >= 0 for k in cf.theta_comp)
+        assert all(k[2] >= 1 for k in cf.r)
+        assert all(k[2] >= 0 for k in cf.theta)
 
 
 # ---------------------------------------------------------------------------

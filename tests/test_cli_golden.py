@@ -100,6 +100,7 @@ CASES = {
     "portrait-radial-curve": ("portrait", "--size", "96", "--weight", "1,1",
                               "--seed", "0.5,0.5", "--field", RADIAL),
     "portrait-bad-seed": ("portrait", "--seed", "1", "--field", QUARTIC),
+    "portrait-radial-bad-seed": ("portrait", "--seed", "1", "--field", RADIAL),
     "portrait-bad-size": ("portrait", "--size", "10", "--field", QUARTIC),
     "portrait-radial-no-weight": ("portrait", "--field", RADIAL),
     "portrait-zero": ("portrait", "--field", ZERO),

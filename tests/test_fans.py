@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import shortest_unimodular_chain_length
+from polyfield.cli import main
 from polyfield.fans import (
     FanError,
     build_fan,
@@ -201,3 +203,16 @@ def test_fan_serializes():
     assert blob["skeleton_flags"][2] is True
     assert len(blob["charts"]) == 9
     assert blob["charts"][1]["divisor"] == "v"
+
+
+def test_long_fan_needs_no_recursion(capsys):
+    # x^n*y + y^3 has a chain of n + 3 fan vectors, one per inserted ray;
+    # a recursive chain overflowed the interpreter stack near n = 1000
+    text = "dx = x^1000*y + y^3; dy = x"
+    assert main(["fan", "--field", text]) == 0
+    vectors = json.loads(capsys.readouterr().out)["fan"]["vectors"]
+    assert len(vectors) == 1003
+    assert all(det2(a, b) == 1 for a, b in zip(vectors, vectors[1:]))
+    assert main(["check-equivalence", "--field", text]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert len(report["inventory"]["field"]) == 1002 + 4

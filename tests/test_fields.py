@@ -9,13 +9,11 @@ from polyfield.fields import (
     ParseError,
     PlanarField,
     WeightVector,
-    decompose,
     format_field,
     make_favorable,
     max_level,
     parse_field,
     shear,
-    top_slice,
 )
 
 QUARTIC = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
@@ -107,17 +105,13 @@ def test_weight_vector_validation():
     assert WeightVector(1, 2).level((-1, 3)) == 5
 
 
-def test_decompose_levels():
+def test_max_level():
     f = parse_field(QUARTIC)
-    w = WeightVector(1, 2)
-    slices = decompose(f, w)
-    assert [d for d, _ in slices] == [1, 4, 5]
-    total = PlanarField.zero()
-    for _, part in slices:
-        total = total + part
-    assert total == f
-    assert max_level(f, w) == 5
-    assert top_slice(f, w).support() == ((-1, 3), (1, 2))
+    assert max_level(f, WeightVector(1, 2)) == 5
+    assert max_level(f, WeightVector(2, 1)) == 5
+    assert max_level(f, WeightVector(1, 1)) == 3
+    with pytest.raises(FieldError):
+        max_level(PlanarField.zero(), WeightVector(1, 1))
 
 
 def test_evaluate_matches_components():

@@ -7,28 +7,28 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    bp,
+    bp_mul,
+    cauchy_bound,
+    squarefree,
+    up_from_roots,
+    up_mul,
+)
 from polyfield.polys import (
     RealRoot,
-    bp,
     bp_gcd,
     bp_is_zero,
-    bp_mul,
     bp_strip_monomial,
-    cauchy_bound,
     count_real_roots,
     det2,
     has_real_branch,
     primitive,
     rational_root,
     real_roots,
-    sturm_chain,
-    sturm_count,
     up,
     up_eval,
-    up_from_roots,
     up_gcd,
-    up_mul,
-    up_squarefree,
 )
 
 
@@ -37,20 +37,6 @@ def test_gcd_known_factors():
     b = up_from_roots([2, 3])
     assert up_gcd(a, b) == up_from_roots([2])
     assert up_gcd((), a) == a  # gcd(0, a) = monic a
-
-
-def test_squarefree_strips_multiplicity():
-    f = up_mul(up_from_roots([1, 1, 2]), (F(3),))
-    assert up_squarefree(f) == up_from_roots([1, 2])
-
-
-def test_sturm_count_on_known_roots():
-    f = up_from_roots([-3, F(1, 2), 5])
-    chain = sturm_chain(f)
-    assert sturm_count(chain, F(-10), F(10)) == 3
-    assert sturm_count(chain, F(0), F(1)) == 1
-    assert sturm_count(chain, F(-10), F(-3)) == 1  # half-open: root at -3 counted
-    assert sturm_count(chain, F(-3), F(0)) == 0
 
 
 def test_real_roots_mixed_rational_irrational():
@@ -82,7 +68,7 @@ def test_real_roots_against_bisection_oracle():
 
 def _bisection_roots(f):
     """Sign-change bisection over (-B, B) on the squarefree part."""
-    g = up_squarefree(f)
+    g = squarefree(f)
     if len(g) < 2:
         return []
     bound = float(cauchy_bound(g)) + 1

@@ -175,7 +175,7 @@ def test_is_favorable_cases():
 
 def test_upper_principal_part_quartic():
     f = parse_field(QUARTIC)
-    upp = upper_principal_part(f)
+    upp = upper_principal_part(f, build_polytope(f))
     # all four support points lie on the upper boundary
     assert upp.field == f
     assert len(upp.per_segment) == 3
@@ -185,14 +185,14 @@ def test_upper_principal_part_quartic():
 
 def test_upper_principal_part_drops_interior():
     f = parse_field("dx = y^3 - x^3*y + x; dy = -x^3 + x*y^3")
-    upp = upper_principal_part(f)
+    upp = upper_principal_part(f, build_polytope(f))
     assert (0, 0) not in upp.field.support()
     assert upp.field == parse_field(QUARTIC)
 
 
 def test_upper_principal_part_point():
     f = parse_field("dx = x; dy = y")
-    upp = upper_principal_part(f)
+    upp = upper_principal_part(f, build_polytope(f))
     assert upp.field == f
     assert upp.per_segment == ()
 

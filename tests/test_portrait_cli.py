@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from oracles import reference_trig
 from polyfield import portrait
+from polyfield.analysis import Analysis
 from polyfield.charts import polar_field
 from polyfield.cli import main
 from polyfield.fields import WeightVector, parse_field
@@ -29,7 +30,7 @@ W12 = WeightVector(1, 2)
 def _swirl_on_divisor(field, w):
     pf = polar_field(field, w)
     table = build_trig(w)
-    terms = [(float(c), i, j) for (i, j, k), c in pf.theta_comp.items()
+    terms = [(float(c), i, j) for (i, j, k), c in pf.theta.items()
              if k == 0]
 
     def g(theta):
@@ -67,7 +68,7 @@ def test_marker_theta_inverts_the_chart_coordinates():
 
 
 def test_quartic_markers_are_the_divisor_singularities():
-    markers, curve = divisor_markers(QUARTIC, W12)
+    markers, curve = divisor_markers(Analysis(QUARTIC, W12))
     assert not curve
     # six chart records describe four distinct points of the divisor
     assert len(markers) == 4
@@ -88,8 +89,8 @@ def test_overlapping_charts_agree_on_the_marker_angle():
 
 
 def test_rotation_has_no_markers():
-    markers, curve = divisor_markers(parse_field("dx = -y; dy = x"),
-                                     WeightVector(1, 1))
+    markers, curve = divisor_markers(
+        Analysis(parse_field("dx = -y; dy = x"), WeightVector(1, 1)))
     assert markers == () and not curve
 
 
