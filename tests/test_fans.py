@@ -206,8 +206,8 @@ def test_fan_serializes():
 
 
 def test_long_fan_needs_no_recursion(capsys):
-    # x^n*y + y^3 has a chain of n + 3 fan vectors, one per inserted ray;
-    # a recursive chain overflowed the interpreter stack near n = 1000
+    # x^n*y + y^3 has a chain of n + 3 fan vectors, so building the chain
+    # must not take one stack frame per inserted vector
     text = "dx = x^1000*y + y^3; dy = x"
     assert main(["fan", "--field", text]) == 0
     vectors = json.loads(capsys.readouterr().out)["fan"]["vectors"]
