@@ -43,12 +43,11 @@ from .polys import (
     bp_strip_monomial,
     count_real_roots,
     has_real_branch,
+    int_multiple,
     real_roots,
     up,
-    up_deriv,
-    up_eval,
     up_gcd,
-    up_is_zero,
+    up_value,
     xgcd,
 )
 from .polytope import (
@@ -155,15 +154,15 @@ class SingularityRecord:
 
 def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
     if root.is_rational:
-        val = up_eval(poly, root.lo)
+        val = up_value(poly, root.lo.numerator, root.lo.denominator)
         return Eigenvalue(sign=(val > 0) - (val < 0), approx=_float_or_none(val),
                           exact=val)
     sign = root.sign_of(poly)
     if sign == 0:
         return Eigenvalue(sign=0, approx=0.0)
-    r = root.refine(Fraction(1, 10**15))
+    m = root.refine(Fraction(1, 10**15)).memo
     return Eigenvalue(sign=sign,
-                      approx=_float_or_none(up_eval(poly, (r.lo + r.hi) / 2)))
+                      approx=_float_or_none(up_value(poly, m.a + m.b, 2 * m.q)))
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
@@ -175,17 +174,17 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
     characteristic orbit when it is hyperbolic, or semi-hyperbolic with its
     nonzero eigenvalue transverse to the divisor.
     """
-    restriction, transverse = cf.branches[rec.branch]
+    branch = cf.branches[rec.branch]
     if rec.position is None:
         return SingularityRecord(
             chart=cf.label,
             branch=rec.branch,
             position=None,
             classification=CURVE,
-            characteristic_orbit=not up_is_zero(transverse),
+            characteristic_orbit=bool(branch.transverse),
         )
-    tangent = _eigenvalue_at(rec.position, up_deriv(restriction))
-    trans = _eigenvalue_at(rec.position, transverse)
+    tangent = _eigenvalue_at(rec.position, branch.derivative)
+    trans = _eigenvalue_at(rec.position, branch.transverse)
     zeros = (tangent.sign == 0) + (trans.sign == 0)
     if zeros == 0:
         cls = HYPERBOLIC
@@ -214,8 +213,8 @@ def _chart_records(cf: ChartField, roots: dict) -> list[SingularityRecord]:
     always a zero of the restriction).
     """
     recs = []
-    for branch, (restriction, _) in cf.branches.items():
-        if up_is_zero(restriction):
+    for branch, (restriction, _, _) in cf.branches.items():
+        if not restriction:
             positions = (None,)
         else:
             positions = roots.get(restriction)
@@ -296,17 +295,19 @@ def check_nondegenerate(upp: UpperPrincipalPart):
     witnesses: list[DegeneracyWitness] = []
     for seg, part in upp.per_segment:
         pa, pb = _segment_parameter_polys(seg, part)
-        if up_is_zero(pa) and up_is_zero(pb):
+        if not pa and not pb:
             raise InternalConsistencyError(
                 "an upper segment with empty coefficient data")
         dx, dy = seg.direction
         _, wu, wv = xgcd(dx, dy)
+        ia, ib = int_multiple(pa), int_multiple(pb)
         for s1 in (1, -1):
             for s2 in (1, -1):
-                eps = (s1 if dx % 2 else 1) * (s2 if dy % 2 else 1)
-                pc = up(c * eps**k for k, c in enumerate(pa))
-                qc = up(c * eps**k for k, c in enumerate(pb))
-                g = up_gcd(pc, qc)
+                # t = x^dx y^dy is negative in the quadrant when exactly one
+                # negative coordinate carries an odd exponent: use f(-t)
+                odd = (s1 < 0 and dx % 2 == 1) != (s2 < 0 and dy % 2 == 1)
+                g = up_gcd(*(tuple(-c if odd and k % 2 else c
+                                   for k, c in enumerate(f)) for f in (ia, ib)))
                 # roots at t = 0 sit on the axes and do not count
                 shift = 0
                 while shift < len(g) and g[shift] == 0:
@@ -620,8 +621,8 @@ def _assert_no_divisor_singularities(a: Analysis) -> None:
     sufficient.
     """
     for direction, cf in a.directional.items():
-        restriction, _ = cf.branches["v=0"]
-        if up_is_zero(restriction):
+        restriction = cf.branches["v=0"].restriction
+        if not restriction:
             raise FieldError(
                 f"{direction}: the divisor is a curve of singularities; "
                 "the return-map test does not apply")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fans import ChartMap, SimpleFan
 from .fields import (
@@ -26,13 +26,21 @@ from .fields import (
     max_level,
     monomial_pullback,
 )
-from .polys import up
+from .polys import ZERO, up, up_deriv
 from .polytope import Polytope
 
 TrigKey = tuple[int, int, int]
 
 #: the divisor branches of a chart, in the order they are scanned
 _BRANCHES = {"v": ("v=0",), "u": ("u=0",), "uv": ("v=0", "u=0")}
+
+
+class Branch(NamedTuple):
+    """The polynomials of one divisor branch (see :func:`_branch_polys`)."""
+
+    restriction: tuple
+    derivative: tuple
+    transverse: tuple
 
 
 @dataclass
@@ -54,8 +62,8 @@ class ChartField:
     delta: Optional[int] = None
 
     @cached_property
-    def branches(self) -> dict[str, tuple[tuple, tuple]]:
-        """Restriction and transverse polynomial of each divisor branch."""
+    def branches(self) -> dict[str, Branch]:
+        """The polynomials of each divisor branch, built once."""
         return {b: _branch_polys(self, b) for b in _BRANCHES[self.divisor]}
 
     def to_json(self) -> dict:
@@ -107,11 +115,12 @@ def _slice(comp: dict, along: int, across: int, level: int) -> tuple:
     """The polynomial, in the ``along`` exponent, of the terms of ``comp``
     whose ``across`` exponent equals ``level``."""
     coeffs = {k[along]: c for k, c in comp.items() if k[across] == level}
-    return up(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1))
+    return up(coeffs.get(e, ZERO) for e in range(max(coeffs, default=-1) + 1))
 
 
-def _branch_polys(cf: ChartField, branch: str):
-    """Restriction and transverse polynomials along one divisor branch.
+def _branch_polys(cf: ChartField, branch: str) -> Branch:
+    """Restriction, its derivative and transverse polynomial along one
+    divisor branch.
 
     On {v = 0} the restriction is u' at v = 0 and the transverse eigenvalue
     polynomial is the v-linear part of v'; the {u = 0} branch mirrors the
@@ -125,8 +134,9 @@ def _branch_polys(cf: ChartField, branch: str):
     if any(k[across] == 0 for k in normal):
         raise InternalConsistencyError(
             f"{cf.label}: divisor branch {branch} is not invariant")
-    return (_slice(tangent, along, across, 0),
-            _slice(normal, along, across, 1))
+    restriction = _slice(tangent, along, across, 0)
+    return Branch(restriction, up_deriv(restriction),
+                  _slice(normal, along, across, 1))
 
 
 def _strip_zeros(comp: dict) -> dict:

@@ -123,18 +123,17 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compactify(args: argparse.Namespace) -> int:
+    a = _analysis(args)
     if args.chart in DIRECTIONS:
-        cf = _analysis(args).directional[args.chart]
+        cf = a.directional[args.chart]
     else:
-        # the weight does not enter a fan chart, so it is not read
-        f = _read_field(args)
         try:
             j = int(args.chart)
         except ValueError:
             raise FieldError(
                 f"--chart must be one of {', '.join(DIRECTIONS)} or a fan "
                 f"chart index, got {args.chart!r}")
-        charts = Analysis(f).fan_charts
+        charts = a.fan_charts
         cf = charts.get(f"fan:{j}")
         if cf is None:
             raise ValueError(f"chart index {j} out of range 1..{len(charts)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 LatticePoint = tuple[int, int]
@@ -91,30 +92,33 @@ def monomial_pullback(field, forward, signs, normalization) -> tuple[dict, dict]
     monomial u**e_u v**e_v, ``normalization = (e_u, e_v)``.
 
     ``field`` is anything with ``items()`` yielding ``((m, n), (a, b))``.
-    Returns the du and dv components as ``{(i, j): coefficient}`` dicts.
+    Returns the du and dv components as ``{(i, j): Fraction}`` dicts.
     """
     (f00, f01), (f10, f11) = forward
     det = f00 * f11 - f01 * f10
     if det == 0:
         raise InternalConsistencyError(f"chart matrix {forward} is singular")
-    i00, i01, i10, i11 = (c // det if c % det == 0 else Fraction(c, det)
-                          for c in (f11, -f01, -f10, f00))
+    # A^-1 = adj(A) / det acts on integer numerators over the denominator den
+    den = lcm(*(c.denominator for _, ab in field.items() for c in ab))
+    scale = den * det
     flip_m, flip_n = signs[0] < 0, signs[1] < 0
     eu, ev = normalization
     # A^T is invertible, so distinct terms never share a key
     u_comp: dict[LatticePoint, Fraction] = {}
     v_comp: dict[LatticePoint, Fraction] = {}
     for (m, n), (a, b) in field.items():
+        a = a.numerator * (den // a.denominator)
+        b = b.numerator * (den // b.denominator)
         i = eu + f00 * m + f10 * n
         j = ev + f01 * m + f11 * n
-        swirl = i00 * a + i01 * b
-        radial = i10 * a + i11 * b
+        swirl = f11 * a - f01 * b
+        radial = f00 * b - f10 * a
         if (flip_m and m % 2 == 1) != (flip_n and n % 2 == 1):
             swirl, radial = -swirl, -radial
         if swirl:
-            u_comp[(i + 1, j)] = swirl
+            u_comp[(i + 1, j)] = Fraction(swirl, scale)
         if radial:
-            v_comp[(i, j + 1)] = radial
+            v_comp[(i, j + 1)] = Fraction(radial, scale)
     return u_comp, v_comp
 
 

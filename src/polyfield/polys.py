@@ -38,22 +38,20 @@ ONE = Fraction(1)
 
 def up(coeffs: Iterable) -> tuple[Fraction, ...]:
     """Build a polynomial from ascending coefficients, trimming zeros."""
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
-def up_is_zero(f: Sequence[Fraction]) -> bool:
-    return len(f) == 0
-
-
-def up_eval(f: Sequence[Fraction], x) -> Fraction:
-    x = Fraction(x)
-    acc = ZERO
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def up_value(f: Sequence[Fraction], a: int, q: int) -> Fraction:
+    """The exact value f(a/q), q > 0: q^n f(a/q) by homogeneous Horner on
+    the integer numerators of f over their common denominator."""
+    if not f:
+        return ZERO
+    den = lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (den // c.denominator) for c in f]
+    return Fraction(_ival(ints, a, q), den * q ** (len(f) - 1))
 
 
 def up_deriv(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -62,7 +60,7 @@ def up_deriv(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def up_gcd(f, g) -> tuple[Fraction, ...]:
     """Monic greatest common divisor (gcd(0, g) = monic g)."""
-    return _monic(_igcd(_int_multiple(f), _int_multiple(g)))
+    return _monic(_igcd(int_multiple(f), int_multiple(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +72,9 @@ def up_gcd(f, g) -> tuple[Fraction, ...]:
 # homogeneous Horner, sum c_i a^i q^(n-i), which has the sign of f(a/q).
 
 
-def _int_multiple(f: Sequence) -> tuple[int, ...]:
-    """The primitive integer polynomial that is a positive multiple of f."""
+def int_multiple(f: Sequence) -> tuple[int, ...]:
+    """The primitive integer polynomial that is a positive multiple of f;
+    integer coefficients are accepted as they are."""
     n = len(f)
     while n and f[n - 1] == 0:
         n -= 1
@@ -232,7 +231,7 @@ def _root_bound(f: Sequence[int]) -> int:
 
 
 def count_real_roots(f) -> int:
-    g = _isquarefree(_int_multiple(f))
+    g = _isquarefree(int_multiple(f))
     if len(g) < 2:
         return 0
     chain = _isturm(g)
@@ -285,7 +284,7 @@ class RealRoot:
             q = lcm(self.lo.denominator, self.hi.denominator)
             a = self.lo.numerator * (q // self.lo.denominator)
             b = self.hi.numerator * (q // self.hi.denominator)
-            ip = _int_multiple(self.poly) if a != b else None
+            ip = int_multiple(self.poly) if a != b else None
             m = _RootMemo(ip, a, b, q, _sign_at(ip, a, q) if ip else 0)
             object.__setattr__(self, "memo", m)
         if m.root is None:
@@ -293,7 +292,8 @@ class RealRoot:
 
     @property
     def is_rational(self) -> bool:
-        return self.lo == self.hi
+        # only an irrational root keeps a defining polynomial in its memo
+        return self.memo.ipoly is None
 
     @property
     def exact(self) -> Fraction | None:
@@ -345,7 +345,7 @@ class RealRoot:
         signs = self.memo.signs
         s = signs.get(key)
         if s is None:
-            s = signs[key] = self._sign_of(_int_multiple(key))
+            s = signs[key] = self._sign_of(int_multiple(key))
         return s
 
     def _sign_of(self, g: tuple[int, ...]) -> int:
@@ -389,7 +389,8 @@ class RealRoot:
             # irrational RealRoots are built from polynomials with their
             # rational roots deflated away, so the two can never coincide
             rat, irr = (self, other) if self.is_rational else (other, self)
-            return up_eval(irr.poly, rat.lo) == 0 and irr.lo < rat.lo < irr.hi
+            return (irr.lo < rat.lo < irr.hi
+                    and _sign_at(irr.memo.ipoly, rat.memo.a, rat.memo.q) == 0)
         s, o = self._narrowest(), other._narrowest()
         lo, hi = max(s.lo, o.lo), min(s.hi, o.hi)
         if lo >= hi:
@@ -477,7 +478,7 @@ def real_roots(f) -> list[RealRoot]:
     :func:`_settle`), and the rational ones are deflated, so every irrational
     root carries a defining polynomial with no rational roots at all.
     """
-    g = _isquarefree(_int_multiple(f))
+    g = _isquarefree(int_multiple(f))
     if len(g) < 2:
         return []
     if len(g) == 2:

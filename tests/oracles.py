@@ -191,3 +191,34 @@ def bp_mul(f, g):
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, Fraction(0)) + a * b
     return {k: c for k, c in out.items() if c != 0}
+
+
+def up_eval(f, x):
+    """f(x) for an ascending-coefficient polynomial, by Horner in Fraction."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def reference_pullback(field, forward, signs, normalization):
+    """``fields.monomial_pullback`` term by term in Fraction arithmetic,
+    through the entries of the inverse chart matrix."""
+    (f00, f01), (f10, f11) = forward
+    det = f00 * f11 - f01 * f10
+    i00, i01, i10, i11 = (Fraction(c, det) for c in (f11, -f01, -f10, f00))
+    eu, ev = normalization
+    u_comp, v_comp = {}, {}
+    for (m, n), (a, b) in field.items():
+        i = eu + f00 * m + f10 * n
+        j = ev + f01 * m + f11 * n
+        swirl = i00 * a + i01 * b
+        radial = i10 * a + i11 * b
+        if (signs[0] < 0 and m % 2 == 1) != (signs[1] < 0 and n % 2 == 1):
+            swirl, radial = -swirl, -radial
+        if swirl:
+            u_comp[(i + 1, j)] = swirl
+        if radial:
+            v_comp[(i, j + 1)] = radial
+    return u_comp, v_comp

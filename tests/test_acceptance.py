@@ -206,7 +206,7 @@ def test_criterion_10b_sturm_matches_bisection():
         alpha, beta = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3), (2, 3)])
         cf = directional_plc(f, WeightVector(alpha, beta),
                              rng.choice(DIRECTIONS))
-        restriction, _ = cf.branches["v=0"]
+        restriction = cf.branches["v=0"].restriction
         if len(restriction) < 2:
             continue
         if len(up_gcd(restriction, up_deriv(restriction))) > 1:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polyfield import analysis, charts, cli, polytope
+from oracles import up_eval, up_from_roots, up_mul
+from polyfield import analysis, charts, cli, polys, polytope
 from polyfield.analysis import (
     CURVE,
     Analysis,
@@ -29,6 +30,7 @@ from polyfield.fields import (
     parse_field,
     shear,
 )
+from polyfield.polys import real_roots, up, up_deriv
 from polyfield.polytope import build_polytope, plc_weight
 
 QUARTIC = parse_field("dx = y^3 - x^3*y; dy = -x^3 + x*y^3")
@@ -121,6 +123,34 @@ def test_classify_is_idempotent():
         assert again == rec
 
 
+def test_eigenvalues_match_fraction_horner_at_the_refined_midpoint():
+    # two irrational pairs, (u^2 - 2) and a shifted copy, and two rational
+    # roots, scaled by integers large enough to leave the float range
+    rng = random.Random(4242)
+    shifted = up([Fraction(-17, 9), Fraction(-2, 3), 1])  # (u - 1/3)^2 - 2
+    shape = up_mul(up_mul(up([-2, 0, 1]), shifted),
+                   up_from_roots([Fraction(5, 2), -4]))
+    for scale in (1, 10**30 + 7, Fraction(3, 10**40), 10**400):
+        restriction = up(scale * c for c in shape)
+        roots = real_roots(restriction)
+        assert sum(not r.is_rational for r in roots) == 4 and len(roots) == 6
+        transverse = up(scale * Fraction(rng.randint(-10**30, 10**30),
+                                         rng.randint(1, 7)) for _ in range(4))
+        for root in roots:
+            for poly in (up_deriv(restriction), transverse, ()):
+                e = analysis._eigenvalue_at(root, poly)
+                if root.is_rational:
+                    val = up_eval(poly, root.lo)
+                    assert type(e.exact) is Fraction and e.exact == val
+                else:
+                    r = root.refine(Fraction(1, 10**15))
+                    val = up_eval(poly, (r.lo + r.hi) / 2)
+                    assert e.exact is None
+                assert e.sign == (val > 0) - (val < 0)
+                expected = analysis._float_or_none(val)
+                assert e.approx == expected or e.approx is expected is None
+
+
 # ---------------------------------------------------------------------------
 # hypothesis checks
 
@@ -193,9 +223,9 @@ def test_verdict_isolates_each_restriction_once(monkeypatch):
     for part in (a, a.principal):
         charts = part.fan_charts | part.directional
         for cf in charts.values():
-            for restriction, _ in cf.branches.values():
-                if restriction:
-                    restrictions.add(restriction)
+            for branch in cf.branches.values():
+                if branch.restriction:
+                    restrictions.add(branch.restriction)
     assert restrictions
     assert {r: calls[r] for r in restrictions} == dict.fromkeys(restrictions, 1)
     # both inventories hold the very same root objects
@@ -218,11 +248,13 @@ def test_root_table_lives_for_one_verdict():
 def _stage_counts(monkeypatch, argv) -> Counter:
     """How often each shared pipeline stage runs for one CLI call."""
     calls = Counter()
+    stages = [(analysis, "chart_maps"), (analysis, "support_minima"),
+              (charts, "_branch_polys"), (polytope, "polytope_from_support")]
+    # every binding of up_deriv, wherever a module calls it from
+    stages += [(module, "up_deriv") for module in (analysis, charts, polys)
+               if hasattr(module, "up_deriv")]
     with monkeypatch.context() as m:
-        for module, name in ((analysis, "chart_maps"),
-                             (analysis, "support_minima"),
-                             (charts, "_branch_polys"),
-                             (polytope, "polytope_from_support")):
+        for module, name in stages:
             def counting(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -236,13 +268,14 @@ def test_each_stage_runs_once_per_call(monkeypatch, capsys):
     text = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
     # one polytope for the shear search and one for the analysis; one atlas
     # for the fan; one minima pass and one branch build per field and chart
-    # (8 fan charts with 14 branches and 4 directional ones, twice)
+    # (8 fan charts with 14 branches and 4 directional ones, twice), each
+    # with its one derivative and none per root
     assert _stage_counts(monkeypatch, ["check-equivalence", "--field", text]) \
         == {"polytope_from_support": 2, "chart_maps": 1, "support_minima": 2,
-            "_branch_polys": 36}
+            "_branch_polys": 36, "up_deriv": 36}
     assert _stage_counts(monkeypatch, ["singularities", "--field", text]) \
         == {"polytope_from_support": 1, "chart_maps": 1, "support_minima": 1,
-            "_branch_polys": 18}
+            "_branch_polys": 18, "up_deriv": 18}
     capsys.readouterr()
 
 

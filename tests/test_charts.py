@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import eval_uv, uv_support
+from oracles import eval_uv, reference_pullback, uv_support
 from polyfield.analysis import Analysis
 from polyfield.charts import (
     directional_plc,
@@ -16,10 +18,13 @@ from polyfield.charts import (
 from polyfield.cli import main
 from polyfield.fans import build_fan, chart_maps, complete_fan
 from polyfield.fields import (
+    DIRECTIONS,
     FieldError,
     PlanarField,
     WeightVector,
+    directional_map,
     max_level,
+    monomial_pullback,
     parse_field,
 )
 from polyfield.polytope import build_polytope, polytope_after_plc
@@ -137,6 +142,35 @@ def test_directional_support_is_the_predicted_image():
             cf = directional_plc(f, w, direction)
             assert uv_support(cf) == set(
                 polytope_after_plc(p, w, direction).support)
+
+
+# 30-digit magnitudes get a branch of their own, since integers() over a
+# wide range draws mostly small values
+_COEF = st.builds(F, st.one_of(st.integers(-9, 9), st.integers(10**29, 10**30),
+                               st.integers(-10**30, -10**29)),
+                  st.integers(1, 7))
+_COMPONENT = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             _COEF, max_size=5)
+#: (forward, signs) of every directional chart at four weights and of every
+#: chart of three real fans
+_CHART_MAPS = (
+    [directional_map(WeightVector(a, b), d)
+     for a, b in ((1, 1), (1, 2), (2, 3), (3, 5)) for d in DIRECTIONS]
+    + [(cmap.forward, (1, 1))
+       for text in (QUARTIC, "dx = x^5*y + y^3; dy = x",
+                    "dx = 2*x^3*y^2 - y^5; dy = x^4 + 3*y")
+       for cmap in chart_maps(build_fan(build_polytope(parse_field(text))))[1:]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_COMPONENT, _COMPONENT, st.sampled_from(_CHART_MAPS),
+       st.tuples(st.integers(0, 6), st.integers(0, 6)))
+def test_pullback_matches_fraction_reference(P, Q, chart, normalization):
+    f = PlanarField.from_components(P, Q)
+    forward, signs = chart
+    got = monomial_pullback(f, forward, signs, normalization)
+    assert got == reference_pullback(f, forward, signs, normalization)
+    assert all(type(c) is F for comp in got for c in comp.values())
 
 
 def test_directional_rejects_zero_field():

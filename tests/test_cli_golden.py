@@ -48,8 +48,8 @@ CASES = {
     "compactify-fan-8": ("compactify", "--chart", "8", "--field", PERTURBED),
     "compactify-fan-out-of-range": ("compactify", "--chart", "9",
                                     "--field", QUARTIC),
-    "compactify-fan-ignores-weight": ("compactify", "--chart", "2",
-                                      "--weight", "2,4", "--field", QUARTIC),
+    "compactify-fan-bad-weight": ("compactify", "--chart", "2",
+                                  "--weight", "2,4", "--field", QUARTIC),
     "compactify-weight-override": ("compactify", "--chart", "Xpos",
                                    "--weight", "1,1", "--field", ROTATION),
     "compactify-bad-weight": ("compactify", "--chart", "Xpos",

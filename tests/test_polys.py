@@ -12,6 +12,7 @@ from oracles import (
     bp_mul,
     cauchy_bound,
     squarefree,
+    up_eval,
     up_from_roots,
     up_mul,
 )
@@ -27,7 +28,6 @@ from polyfield.polys import (
     rational_root,
     real_roots,
     up,
-    up_eval,
     up_gcd,
 )
 
@@ -125,6 +125,13 @@ def test_realroot_sign_of_and_equals():
     assert sqrt2.equals(again)
     assert not sqrt2.equals(rational_root(F(3, 2)))
     assert rational_root(F(1, 3)).equals(rational_root(F(1, 3)))
+    # a rational inside an isolating interval equals the root only when it
+    # is a zero of the defining polynomial, from either side
+    inside = rational_root((sqrt2.lo + sqrt2.hi) / 2)
+    assert not sqrt2.equals(inside) and not inside.equals(sqrt2)
+    wide = RealRoot(up_from_roots([F(1, 2), 3]), F(0), F(1))
+    half = rational_root(F(1, 2))
+    assert wide.equals(half) and half.equals(wide)
 
 
 def test_realroot_ordering():
