@@ -17,8 +17,6 @@ from functools import cached_property, cmp_to_key
 from itertools import zip_longest
 from typing import Optional
 
-from scipy.integrate import quad
-
 from .charts import (
     ChartField,
     PolarField,
@@ -160,9 +158,8 @@ def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
     sign = root.sign_of(poly)
     if sign == 0:
         return Eigenvalue(sign=0, approx=0.0)
-    m = root.refine(Fraction(1, 10**15)).memo
-    return Eigenvalue(sign=sign,
-                      approx=_float_or_none(up_value(poly, m.a + m.b, 2 * m.q)))
+    n, d = root.midpoint(Fraction(1, 10**15))
+    return Eigenvalue(sign=sign, approx=_float_or_none(up_value(poly, n, d)))
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
@@ -656,6 +653,8 @@ def return_map_test(a: Analysis) -> ReturnMapResult:
     so the two fields agree when both integrals carry the same strict sign;
     a vanishing integral is reported as inconclusive.
     """
+    from scipy.integrate import quad
+
     # without an override, a field with no favorable polytope fails here
     w = a.weight
     if a.field.is_zero:

@@ -113,9 +113,11 @@ def _cmd_fan(args: argparse.Namespace) -> int:
     if args.skeleton:
         try:
             vectors = ast.literal_eval(f"[{args.skeleton}]")
-        except (SyntaxError, ValueError) as exc:
+        # the failures ast.literal_eval documents for malformed input
+        except (SyntaxError, ValueError, TypeError, MemoryError,
+                RecursionError) as exc:
             raise FanError(f"cannot parse skeleton {args.skeleton!r}") from exc
-        fan = complete_fan([tuple(v) for v in vectors])
+        fan = complete_fan(vectors)
     else:
         fan = _analysis(args).fan
     _emit({"fan": fan.to_json()})

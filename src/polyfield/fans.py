@@ -214,8 +214,13 @@ def complete_fan(skeleton_vectors: Sequence[IVec],
     convention for user-supplied skeletons.  ``segments`` optionally links
     each skeleton vector to its upper segment.
     """
-    sk = [(int(v[0]), int(v[1])) for v in skeleton_vectors]
-    for v in sk:
+    sk = []
+    for v in skeleton_vectors:
+        if not (isinstance(v, (tuple, list)) and len(v) == 2
+                and all(type(c) is int for c in v)):
+            raise FanError(f"skeleton entry {v!r} is not a pair of integers")
+        v = tuple(v)
+        sk.append(v)
         if v == (0, 0) or ivec_gcd(v[0], v[1]) != 1:
             raise FanError(f"skeleton vector {v} is not primitive")
         if v[0] > 0 and v[1] > 0:

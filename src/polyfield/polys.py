@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
+from weakref import ref
 
 from .fields import InternalConsistencyError
 
@@ -243,12 +244,18 @@ def count_real_roots(f) -> int:
 # real algebraic numbers
 
 
+def _no_root() -> None:
+    return None
+
+
 class _RootMemo:
     """What one real algebraic number has learned about itself: its
     defining polynomial as a positive integer multiple, its narrowest
     isolating interval [a/q, b/q] with the sign ``sa`` of that polynomial at
-    a/q, the signs already decided at it, and ``root``, the
-    :class:`RealRoot` for the narrowest interval."""
+    a/q, the signs already decided at it, and ``root``, a weak reference to
+    the :class:`RealRoot` for the narrowest interval.  The reference is weak
+    so that a root and its memo form no cycle and are freed by reference
+    counting alone."""
 
     __slots__ = ("ipoly", "a", "b", "q", "sa", "signs", "root")
 
@@ -256,11 +263,11 @@ class _RootMemo:
         self.ipoly = ipoly
         self.a, self.b, self.q, self.sa = a, b, q, sa
         self.signs: dict = {}
-        self.root = None
+        self.root = _no_root
 
     def narrow(self, a: int, b: int, q: int) -> None:
         self.a, self.b, self.q = a, b, q
-        self.root = None
+        self.root = _no_root
 
 
 @dataclass(frozen=True)
@@ -287,8 +294,8 @@ class RealRoot:
             ip = int_multiple(self.poly) if a != b else None
             m = _RootMemo(ip, a, b, q, _sign_at(ip, a, q) if ip else 0)
             object.__setattr__(self, "memo", m)
-        if m.root is None:
-            m.root = self
+        if m.root() is None:
+            m.root = ref(self)
 
     @property
     def is_rational(self) -> bool:
@@ -300,11 +307,17 @@ class RealRoot:
         return self.lo if self.is_rational else None
 
     def approx(self, width: Fraction = Fraction(1, 10**12)) -> float:
-        r = self.refine(width)
-        return float((r.lo + r.hi) / 2)
+        n, d = self.midpoint(width)
+        return n / d
 
     def __float__(self) -> float:
         return self.approx()
+
+    def midpoint(self, width) -> tuple[int, int]:
+        """The midpoint n/d, d > 0, of an isolating interval narrower than
+        ``width`` (see :meth:`refine`)."""
+        m = self.refine(width).memo
+        return m.a + m.b, 2 * m.q
 
     def refine(self, width) -> "RealRoot":
         """Shrink the isolating interval below the requested width.
@@ -335,9 +348,10 @@ class RealRoot:
 
     def _narrowest(self) -> "RealRoot":
         m = self.memo
-        if m.root is None:
-            RealRoot(self.poly, Fraction(m.a, m.q), Fraction(m.b, m.q), m)
-        return m.root
+        r = m.root()
+        if r is None:
+            r = RealRoot(self.poly, Fraction(m.a, m.q), Fraction(m.b, m.q), m)
+        return r
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
         """Exact sign of g at this algebraic number, remembered per g."""
@@ -391,11 +405,12 @@ class RealRoot:
             rat, irr = (self, other) if self.is_rational else (other, self)
             return (irr.lo < rat.lo < irr.hi
                     and _sign_at(irr.memo.ipoly, rat.memo.a, rat.memo.q) == 0)
-        s, o = self._narrowest(), other._narrowest()
-        lo, hi = max(s.lo, o.lo), min(s.hi, o.hi)
+        s, o = self.memo, other.memo
+        lo = max(Fraction(s.a, s.q), Fraction(o.a, o.q))
+        hi = min(Fraction(s.b, s.q), Fraction(o.b, o.q))
         if lo >= hi:
             return False
-        h = _igcd(self.memo.ipoly, other.memo.ipoly)
+        h = _igcd(s.ipoly, o.ipoly)
         if len(h) < 2:
             return False
         # lo and hi are endpoints of isolating intervals, so not zeros of h,

@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-
 from .analysis import CURVE, Analysis, divisor_singularities
 from .charts import polar_field
 from .fields import FieldError, PlanarField, WeightVector
@@ -50,14 +46,16 @@ class PortraitSpec:
     markers: bool = True
 
     def validate(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("integration horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("integration horizon must be finite and positive")
         if not 0 < self.tolerance <= 1e-3:
             raise ValueError("step tolerance must lie in (0, 1e-3]")
         if self.size < 64:
             raise ValueError("image size must be at least 64 pixels")
         for seed in self.seeds or ():
-            _, r = seed
+            theta, r = seed
+            if not math.isfinite(theta):
+                raise ValueError(f"seed angle {theta!r} is not finite")
             if not 0 < r <= 1:
                 raise ValueError(
                     f"seed radius {r!r} outside (0, 1]: r=1 is the finite "
@@ -86,6 +84,8 @@ def marker_theta(table: TrigTable, chart: str, u: float) -> float:
     equation Sn = u * Cs**(beta/alpha) has exactly one root there; the
     y-charts swap the roles of Cs and Sn.
     """
+    from scipy.optimize import brentq
+
     alpha, beta = table.weight
     c1, c2, c3, c4 = table.axis_crossings
     spans = {"Xpos": (c3, c4 + c1), "Xneg": (c1, c3),
@@ -147,6 +147,13 @@ def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
 # trajectories
 
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first integration."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
 def _compiled_terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
     return tuple((float(c), i, j, k)
                  for (i, j, k), c in sorted(comp.items()))
@@ -175,7 +182,9 @@ def _trajectory(terms_theta, terms_r, table: TrigTable, seed, horizon: float,
         except OverflowError:
             # a float power overflowed at a trial stage; numpy's power gives
             # inf there instead, and the solver rejects the step
-            return rates(cs, sn, np.float64(r))
+            from numpy import float64
+
+            return rates(cs, sn, float64(r))
 
     def hit_centre(t, y):
         return y[1] - 49.0

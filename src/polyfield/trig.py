@@ -16,8 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad, solve_ivp
-
 from .fields import InternalConsistencyError, WeightVector
 
 
@@ -91,6 +89,8 @@ def _period_by_quadrature(alpha: int, beta: int) -> tuple[float, float]:
     endpoints; substituting t = s**(2*beta) on [0, 1/2] and 1-t = s**(2*alpha)
     on [1/2, 1] bounds it, after which ordinary adaptive quadrature applies.
     """
+    from scipy.integrate import quad
+
     qa = 1.0 / (2.0 * alpha)
     qb = 1.0 / (2.0 * beta)
     prefactor = 2.0 * alpha ** ((1.0 - 2.0 * alpha) / (2.0 * alpha)) \
@@ -118,6 +118,8 @@ def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
     hit = _CACHE.get(key)
     if hit is not None and hit[0] <= tol:
         return hit[1]
+    from scipy.integrate import solve_ivp
+
     alpha, beta = key
     period, period_error = _period_by_quadrature(alpha, beta)
 

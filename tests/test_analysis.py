@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -243,6 +244,26 @@ def test_root_table_lives_for_one_verdict():
     assert a and len(a) == len(b)
     assert not {id(p) for p in a} & {id(p) for p in b}
     assert not {id(p.memo) for p in a} & {id(p.memo) for p in b}
+
+
+def test_verdicts_leave_no_root_cycles():
+    # a root and its memo must be freed by reference counting alone, so a
+    # long process does not hold them until the cyclic collector runs
+    rng = random.Random(8)
+    fields = [QUARTIC, PERTURBED] + [_random_field(rng) for _ in range(12)]
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for f in fields:
+            if not f.is_zero:
+                equivalence_verdict(f).to_json()
+        gc.collect()
+        cyclic = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic["RealRoot"] == 0 and cyclic["_RootMemo"] == 0
 
 
 def _stage_counts(monkeypatch, argv) -> Counter:

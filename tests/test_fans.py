@@ -123,6 +123,22 @@ def test_completion_errors():
         complete_fan([(0, 1)])  # endpoint ray
     with pytest.raises(FanError):
         complete_fan([(-1, -1)], adjacency=[True])  # adjacency length
+    for entry in (1, (), (-1, -1, 0), (-1.0, -1), (True, False)):
+        with pytest.raises(FanError, match="not a pair of integers"):
+            complete_fan([entry])
+
+
+@pytest.mark.parametrize("text", [
+    "1", "[]", "(-1,-1),(1.5,2)", "(-1,-1,0)", "(True,False)",
+    # deep nesting exhausts the parser: ast.literal_eval's MemoryError
+    "-" * 100000 + "1",
+], ids=["int", "empty", "float", "triple", "bools", "deep-nesting"])
+def test_cli_fan_skeleton_rejects_what_is_not_integer_pairs(capsys, text):
+    code = main(["fan", f"--skeleton={text}"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "FanError"
 
 
 def test_random_skeletons_give_valid_minimal_fans():

@@ -227,6 +227,25 @@ def test_spec_validation():
         render_portrait(QUARTIC, PortraitSpec(weight=w, size=10))
 
 
+@pytest.mark.parametrize("option", [
+    "--horizon=nan", "--horizon=inf", "--horizon=-inf",
+    "--seed=nan,0.5", "--seed=inf,0.5",
+])
+def test_cli_portrait_rejects_unbounded_options(capsys, monkeypatch, option):
+    def integrate(*args):
+        pytest.fail("integrated before the options were checked")
+
+    monkeypatch.setattr(portrait, "_trajectory", integrate)
+    code, out, err = _run(capsys, "portrait", "--weight", "1,1",
+                          "--field", "dx = -y; dy = x", option)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    want = "horizon" if option.startswith("--horizon") else "seed angle"
+    assert want in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 
