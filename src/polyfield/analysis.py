@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
@@ -75,11 +75,14 @@ class Eigenvalue:
     The sign is decided exactly; ``exact`` is filled when the base point is
     rational, and ``approx`` is a float for reporting, None when the value
     lies outside the float range (overflows, or is nonzero and underflows).
+    ``huge`` tells the two apart: it is True when the value approximated
+    overflows.
     """
 
     sign: int
     approx: Optional[float]
     exact: Optional[Fraction] = None
+    huge: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -152,14 +155,18 @@ class SingularityRecord:
 
 def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
     if root.is_rational:
-        val = up_value(poly, root.lo.numerator, root.lo.denominator)
-        return Eigenvalue(sign=(val > 0) - (val < 0), approx=_float_or_none(val),
-                          exact=val)
-    sign = root.sign_of(poly)
-    if sign == 0:
-        return Eigenvalue(sign=0, approx=0.0)
-    n, d = root.midpoint(Fraction(1, 10**15))
-    return Eigenvalue(sign=sign, approx=_float_or_none(up_value(poly, n, d)))
+        val = exact = up_value(poly, root.lo.numerator, root.lo.denominator)
+        sign = (val > 0) - (val < 0)
+    else:
+        sign = root.sign_of(poly)
+        if sign == 0:
+            return Eigenvalue(sign=0, approx=0.0)
+        # the value at a refined midpoint stands in for the irrational one
+        n, d = root.midpoint(Fraction(1, 10**15))
+        val, exact = up_value(poly, n, d), None
+    approx = _float_or_none(val)
+    return Eigenvalue(sign=sign, approx=approx, exact=exact,
+                      huge=approx is None and abs(val) >= 1)
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
@@ -242,7 +249,8 @@ class DegeneracyWitness:
     segment_normal: tuple[int, int]
     quadrant: tuple[int, int]
     parameter: RealRoot
-    point: tuple[float, float]
+    #: a coordinate is None where it lies outside the float range
+    point: tuple[Optional[float], Optional[float]]
     point_exact: Optional[tuple[Fraction, Fraction]]
 
     def to_json(self) -> dict:
@@ -280,6 +288,35 @@ def _segment_parameter_polys(seg: Segment, field: PlanarField):
     return pa, pb
 
 
+def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
+    """The positive roots of gcd(ia(t), ib(t)), of gcd(ia(-t), ib(-t))
+    when ``odd``."""
+    g = up_gcd(*(tuple(-c if odd and k % 2 else c for k, c in enumerate(f))
+                 for f in (ia, ib)))
+    # roots at t = 0 sit on the axes and do not count
+    shift = 0
+    while shift < len(g) and g[shift] == 0:
+        shift += 1
+    g = g[shift:]
+    if len(g) < 2:
+        return []
+    return [root for root in real_roots(g)
+            if root.sign_of((Fraction(0), Fraction(1))) > 0]
+
+
+def _power_or_none(sign: int, root: RealRoot, k: int) -> Optional[float]:
+    """``sign * float(root) ** k`` for a positive root, or None when that
+    power leaves the float range."""
+    if k == 0:
+        return float(sign)
+    try:
+        v = sign * float(root) ** k
+    except (OverflowError, ZeroDivisionError):
+        return None
+    # the exact value is nonzero, so a zero here underflowed
+    return v or None
+
+
 def check_nondegenerate(upp: UpperPrincipalPart):
     """Decide whether the upper principal part vanishes anywhere off the axes.
 
@@ -298,31 +335,22 @@ def check_nondegenerate(upp: UpperPrincipalPart):
         dx, dy = seg.direction
         _, wu, wv = xgcd(dx, dy)
         ia, ib = int_multiple(pa), int_multiple(pb)
+        # the direction is primitive, so some quadrant has each parity
+        positive = {odd: _positive_roots(ia, ib, odd) for odd in (False, True)}
         for s1 in (1, -1):
             for s2 in (1, -1):
                 # t = x^dx y^dy is negative in the quadrant when exactly one
                 # negative coordinate carries an odd exponent: use f(-t)
                 odd = (s1 < 0 and dx % 2 == 1) != (s2 < 0 and dy % 2 == 1)
-                g = up_gcd(*(tuple(-c if odd and k % 2 else c
-                                   for k, c in enumerate(f)) for f in (ia, ib)))
-                # roots at t = 0 sit on the axes and do not count
-                shift = 0
-                while shift < len(g) and g[shift] == 0:
-                    shift += 1
-                g = g[shift:]
-                if len(g) < 2:
-                    continue
-                for root in real_roots(g):
-                    if root.sign_of((Fraction(0), Fraction(1))) <= 0:
-                        continue
+                for root in positive[odd]:
                     if root.is_rational:
                         sval = root.exact
                         exact = (s1 * sval**wu, s2 * sval**wv)
-                        point = (float(exact[0]), float(exact[1]))
+                        point = tuple(_float_or_none(c) for c in exact)
                     else:
                         exact = None
-                        sf = float(root)
-                        point = (s1 * sf**wu, s2 * sf**wv)
+                        point = (_power_or_none(s1, root, wu),
+                                 _power_or_none(s2, root, wv))
                     witnesses.append(DegeneracyWitness(
                         segment_normal=seg.inward_normal,
                         quadrant=(s1, s2),
@@ -416,6 +444,10 @@ class Analysis:
                 for label, cf in charts.items()}
 
     @cached_property
+    def polar(self) -> PolarField:
+        return polar_field(self.field, self.weight)
+
+    @cached_property
     def trig(self) -> TrigTable:
         return build_trig(self.weight)
 
@@ -426,16 +458,6 @@ def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector
     a = Analysis(f, w)
     a.fan = fan
     return a.inventory
-
-
-def _cmp_records(r1: SingularityRecord, r2: SingularityRecord) -> int:
-    if r1.branch != r2.branch:
-        return -1 if r1.branch < r2.branch else 1
-    if r1.is_curve or r2.is_curve:
-        return (not r1.is_curve) - (not r2.is_curve)
-    if r1.position.equals(r2.position):
-        return 0
-    return -1 if r1.position < r2.position else 1
 
 
 def _chart_order(label: str):
@@ -465,12 +487,20 @@ class MatchRow:
         }
 
 
+def _by_branch(rec: SingularityRecord) -> str:
+    return rec.branch
+
+
 def _pair_inventories(inv_full, inv_prin):
+    """Pair two inventories chart by chart and branch by branch.
+
+    ``_chart_records`` lists each branch's roots in ascending order, so a
+    stable sort by branch puts both sides in the same order.
+    """
     rows: list[MatchRow] = []
-    key = cmp_to_key(_cmp_records)
     for chart in sorted(set(inv_full) | set(inv_prin), key=_chart_order):
-        a = sorted(inv_full.get(chart, []), key=key)
-        b = sorted(inv_prin.get(chart, []), key=key)
+        a = sorted(inv_full.get(chart, []), key=_by_branch)
+        b = sorted(inv_prin.get(chart, []), key=_by_branch)
         for ra, rb in zip_longest(a, b):
             some = ra or rb
             matched = (ra is not None and rb is not None
@@ -660,13 +690,12 @@ def return_map_test(a: Analysis) -> ReturnMapResult:
     if a.field.is_zero:
         raise FieldError("the zero field has no return map")
     _assert_no_divisor_singularities(a)
-    upp = a.upper
     table = a.trig
     period = table.period
 
     integrals = []
-    for f in (a.field, upp.field):
-        g = _linear_return_integrand(polar_field(f, w))
+    for pf in (a.polar, a.principal.polar):
+        g = _linear_return_integrand(pf)
         if g is None:
             integrals.append(0.0)
             continue

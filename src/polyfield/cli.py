@@ -173,9 +173,7 @@ def _eigenvalue_text(e) -> str:
     if e is None:
         return ""
     if e.approx is None:
-        # an eigenvalue at an irrational point keeps no exact value; its
-        # approximation leaves the float range only upwards in practice
-        return _outside_floats(e.sign, e.exact is None or abs(e.exact) >= 1)
+        return _outside_floats(e.sign, e.huge)
     return f"{e.approx:.4g}"
 
 
@@ -227,12 +225,14 @@ def _parse_seed(text: str) -> tuple[float, float]:
 
 def _cmd_portrait(args: argparse.Namespace) -> int:
     a = _analysis(args)
-    w = a.weight
+    # read the weight first: a missing one is reported before a bad seed
+    # and before a zero field
+    a.weight
     seeds = tuple(_parse_seed(s) for s in args.seed) if args.seed else None
-    spec = PortraitSpec(weight=w, seeds=seeds, horizon=args.horizon,
+    spec = PortraitSpec(seeds=seeds, horizon=args.horizon,
                         tolerance=args.tolerance, size=args.size,
                         markers=not args.no_markers)
-    svg = render_portrait(a.field, spec)
+    svg = render_portrait(a, spec)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)

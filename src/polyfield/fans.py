@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd
+from typing import Sequence
 
 from .fields import InternalConsistencyError
-from .polys import det2, ivec_gcd, xgcd
-from .polytope import Polytope, Segment
+from .polys import det2, xgcd
+from .polytope import Polytope
 
 IVec = tuple[int, int]
 
@@ -86,9 +87,6 @@ class ChartMap:
 class SimpleFan:
     vectors: tuple[IVec, ...]
     skeleton_flags: tuple[bool, ...]
-    #: aligned with ``vectors``; the upper segment a skeleton vector is
-    #: normal to, when known
-    segment_of: tuple[Optional[Segment], ...]
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -178,7 +176,7 @@ def _validate(vectors: list[IVec], flags: list[bool],
         raise FanError("fan must run from (0,1) to (1,0)")
     keys = []
     for j, v in enumerate(vectors):
-        if ivec_gcd(v[0], v[1]) != 1:
+        if gcd(*v) != 1:
             raise FanError(f"fan vector {v} is not primitive")
         if 0 < j < len(vectors) - 1 and v[0] > 0 and v[1] > 0:
             raise FanError(f"fan vector {v} lies in the open first quadrant")
@@ -201,18 +199,13 @@ def _validate(vectors: list[IVec], flags: list[bool],
             raise FanError(f"fan is not minimal: {vectors[j]} is removable")
 
 
-def complete_fan(skeleton_vectors: Sequence[IVec],
-                 adjacency: Optional[Sequence[bool]] = None,
-                 segments: Optional[Sequence[Optional[Segment]]] = None,
-                 ) -> SimpleFan:
+def complete_fan(skeleton_vectors: Sequence[IVec]) -> SimpleFan:
     """Complete a skeleton of upper-boundary normals to a simple fan.
 
-    ``adjacency[i]`` says whether skeleton vectors i and i+1 are normals of
-    consecutive upper segments (such normals may not end up adjacent in the
-    fan).  When omitted it defaults to all-True, which is correct whenever
-    the skeleton comes from a connected upper boundary and is the stated
-    convention for user-supplied skeletons.  ``segments`` optionally links
-    each skeleton vector to its upper segment.
+    Consecutive skeleton vectors are taken to be normals of consecutive
+    upper segments, which may not end up adjacent in the fan.  That holds
+    for every skeleton read off a polytope: the upper boundary is one
+    connected chain, so its normals form one contiguous run of the sweep.
     """
     sk = []
     for v in skeleton_vectors:
@@ -221,7 +214,7 @@ def complete_fan(skeleton_vectors: Sequence[IVec],
             raise FanError(f"skeleton entry {v!r} is not a pair of integers")
         v = tuple(v)
         sk.append(v)
-        if v == (0, 0) or ivec_gcd(v[0], v[1]) != 1:
+        if v == (0, 0) or gcd(*v) != 1:
             raise FanError(f"skeleton vector {v} is not primitive")
         if v[0] > 0 and v[1] > 0:
             raise FanError(f"skeleton vector {v} lies in the open first quadrant")
@@ -230,28 +223,9 @@ def complete_fan(skeleton_vectors: Sequence[IVec],
     keys = [sweep_key(v) for v in sk]
     if any(keys[i] >= keys[i + 1] for i in range(len(sk) - 1)):
         raise FanError("skeleton vectors must be strictly ordered by sweep angle")
-
-    if adjacency is None:
-        if segments is not None and len(segments) == len(sk):
-            adjacency = [
-                segments[i] is not None and segments[i + 1] is not None
-                and segments[i].end == segments[i + 1].start
-                for i in range(len(sk) - 1)
-            ]
-        else:
-            adjacency = [True] * max(len(sk) - 1, 0)
-    adjacency = list(adjacency)
-    if len(adjacency) != max(len(sk) - 1, 0):
-        raise FanError("adjacency must have one entry per consecutive skeleton pair")
-    if segments is None:
-        segments = [None] * len(sk)
-    segments = list(segments)
-    if len(segments) != len(sk):
-        raise FanError("segments must align with the skeleton")
-    adjacent_pairs = {(sk[i], sk[i + 1]) for i in range(len(sk) - 1) if adjacency[i]}
+    adjacent_pairs = set(zip(sk, sk[1:]))
 
     spine = [(0, 1)] + sk + [(1, 0)]
-    seg_by_vec = dict(zip(sk, segments))
     vectors: list[IVec] = [(0, 1)]
     flags: list[bool] = [False]
     for i in range(len(spine) - 1):
@@ -264,7 +238,7 @@ def complete_fan(skeleton_vectors: Sequence[IVec],
     # separate normals of consecutive upper segments (their cones meet in a
     # ray that must carry its own chart); the vector sum is the unique
     # single insertion preserving unimodularity
-    for a, b in sorted(adjacent_pairs, key=lambda p: sweep_key(p[0])):
+    for a, b in zip(sk, sk[1:]):
         i = vectors.index(a)
         if vectors[i + 1] == b:
             vectors.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
@@ -286,14 +260,12 @@ def complete_fan(skeleton_vectors: Sequence[IVec],
                 break
 
     _validate(vectors, flags, adjacent_pairs)
-    segment_of = tuple(
-        seg_by_vec.get(v) if f else None for v, f in zip(vectors, flags))
-    return SimpleFan(tuple(vectors), tuple(flags), segment_of)
+    return SimpleFan(tuple(vectors), tuple(flags))
 
 
 def build_fan(p: Polytope) -> SimpleFan:
-    """Skeleton extraction plus completion, with segment links attached."""
-    return complete_fan(skeleton(p), segments=list(p.upper))
+    """Skeleton extraction plus completion."""
+    return complete_fan(skeleton(p))
 
 
 def chart_maps(fan: SimpleFan) -> list[ChartMap]:

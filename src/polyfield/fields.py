@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping
 
 LatticePoint = tuple[int, int]
@@ -440,19 +440,13 @@ def max_level(f: PlanarField, w: WeightVector) -> int:
 # shear
 
 
-def _binomial(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
-
-
 def _subst_x_plus_ly(poly: Mapping, lam: Fraction) -> dict:
     """Substitute x -> x + lam*y in a bivariate coefficient dict."""
     out: dict = {}
     for (i, j), c in poly.items():
         for k in range(i + 1):
             key = (i - k, j + k)
-            add = c * _binomial(i, k) * lam**k
+            add = c * comb(i, k) * lam**k
             v = out.get(key, Fraction(0)) + add
             if v == 0:
                 out.pop(key, None)

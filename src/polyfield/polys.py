@@ -306,12 +306,9 @@ class RealRoot:
     def exact(self) -> Fraction | None:
         return self.lo if self.is_rational else None
 
-    def approx(self, width: Fraction = Fraction(1, 10**12)) -> float:
-        n, d = self.midpoint(width)
-        return n / d
-
     def __float__(self) -> float:
-        return self.approx()
+        n, d = self.midpoint(Fraction(1, 10**12))
+        return n / d
 
     def midpoint(self, width) -> tuple[int, int]:
         """The midpoint n/d, d > 0, of an isolating interval narrower than
@@ -518,10 +515,6 @@ def real_roots(f) -> list[RealRoot]:
 # bivariate polynomials: dict[(i, j)] -> Fraction
 
 
-def bp_is_zero(f: dict) -> bool:
-    return not f
-
-
 def bp_strip_monomial(f: dict) -> tuple[dict, int, int]:
     """Factor out the largest monomial x^i y^j dividing f."""
     if not f:
@@ -590,9 +583,9 @@ def bp_gcd(F: dict, G: dict) -> dict:
     The gcd of the x-contents times the gcd of the primitive parts, the
     latter by a primitive pseudo-remainder sequence in y over Z[x].
     """
-    if bp_is_zero(F):
+    if not F:
         return dict(G)
-    if bp_is_zero(G):
+    if not G:
         return dict(F)
     fr, gr = _rows(F), _rows(G)
     cf, cg = _content(fr), _content(gr)
@@ -669,15 +662,11 @@ def has_real_branch(g: dict) -> bool:
 # lattice helpers
 
 
-def ivec_gcd(a: int, b: int) -> int:
-    return gcd(abs(a), abs(b))
-
-
 def primitive(v: tuple[int, int]) -> tuple[int, int]:
     x, y = v
     if x == 0 and y == 0:
         raise ValueError("zero vector has no primitive representative")
-    g = ivec_gcd(x, y)
+    g = gcd(x, y)
     return (x // g, y // g)
 
 

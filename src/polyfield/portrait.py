@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analysis import CURVE, Analysis, divisor_singularities
-from .charts import polar_field
-from .fields import FieldError, PlanarField, WeightVector
+from .fields import FieldError
 from .trig import TrigTable
 
 _MARKER_FILL = {
@@ -35,10 +34,10 @@ class PortraitSpec:
     Seeds are (theta, r) pairs of the polar field with r in (0, 1]: r = 1 is
     a finite-radius rim well inside the plane and r -> 0 approaches the
     divisor at infinity.  ``seeds=None`` selects the default grid of twelve
-    angular positions on four rings.
+    angular positions on four rings.  The portrait is drawn over the
+    weight of the ``Analysis`` it renders.
     """
 
-    weight: WeightVector
     seeds: Optional[Sequence[tuple[float, float]]] = None
     horizon: float = 8.0
     tolerance: float = 1e-9
@@ -224,14 +223,13 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def render_portrait(field: PlanarField, spec: PortraitSpec) -> str:
-    """The phase portrait of the compactified field as an SVG 1.1 document."""
+def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
+    """The phase portrait of the analysed field, over its weight, as an
+    SVG 1.1 document."""
     spec.validate()
-    if field.is_zero:
+    if a.field.is_zero:
         raise FieldError("empty support: the zero field has no portrait")
-    w = spec.weight
-    a = Analysis(field, w)
-    pf = polar_field(field, w)
+    pf = a.polar
     table = a.trig
     period = table.period
     terms_theta = _compiled_terms(pf.theta)
@@ -273,7 +271,7 @@ def render_portrait(field: PlanarField, spec: PortraitSpec) -> str:
                 f'u={m.chart_position:.6g})</title></circle>')
 
     divisor_stroke = "#b22222" if curve else "#222222"
-    alpha, beta = w.as_tuple()
+    alpha, beta = a.weight.as_tuple()
     note = (f"Poincare-Lyapunov disk for weight ({alpha},{beta}): plot "
             f"radius rho = 1/(1+r), so the unit circle is the divisor at "
             f"infinity (r=0); plot angle is 2*pi*theta/T with "

@@ -107,17 +107,16 @@ def _period_by_quadrature(alpha: int, beta: int) -> tuple[float, float]:
     return prefactor * (i0 + i1), err
 
 
-_CACHE: dict[tuple[int, int], tuple[float, TrigTable]] = {}
+#: weight -> its table, for the life of the process
+_CACHE: dict[tuple[int, int], TrigTable] = {}
 
 
-def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
+def build_trig(w: WeightVector) -> TrigTable:
     """Integrate the Cauchy problem and package a dense-output table."""
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError("tol must lie in (0, 1e-6]")
     key = w.as_tuple()
     hit = _CACHE.get(key)
-    if hit is not None and hit[0] <= tol:
-        return hit[1]
+    if hit is not None:
+        return hit
     from scipy.integrate import solve_ivp
 
     alpha, beta = key
@@ -134,7 +133,7 @@ def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
         return y[1]
 
     sol = solve_ivp(rhs, (0.0, 1.5 * period), [1.0, 0.0], method="DOP853",
-                    dense_output=True, rtol=max(min(tol, 1e-12), 1e-13),
+                    dense_output=True, rtol=1e-12,
                     atol=1e-14, events=[cs_zero, sn_zero])
     if not sol.success:
         raise QuadratureError(f"trig integration failed: {sol.message}")
@@ -148,7 +147,7 @@ def build_trig(w: WeightVector, tol: float = 1e-12) -> TrigTable:
     inside = tuple(t for t in crossings if t <= returns[0])
     table = TrigTable(key, period, inside, period_error, *_pieces(sol.sol))
     _check_against(table, sol.sol)
-    _CACHE[key] = (tol, table)
+    _CACHE[key] = table
     return table
 
 

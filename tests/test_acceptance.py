@@ -37,7 +37,6 @@ from polyfield.fields import (
 )
 from polyfield.polys import (
     det2,
-    ivec_gcd,
     real_roots,
     up_deriv,
     up_gcd,
@@ -225,7 +224,7 @@ def test_criterion_10b_sturm_matches_bisection():
 
 def test_criterion_10c_fan_completion_minimal_for_all_small_pairs():
     vecs = [(x, y) for x in range(-6, 7) for y in range(-6, 7)
-            if (x, y) != (0, 0) and ivec_gcd(x, y) == 1]
+            if (x, y) != (0, 0) and math.gcd(x, y) == 1]
     checked = 0
     for a in vecs:
         for b in vecs:

@@ -173,6 +173,38 @@ def test_degenerate_segment_produces_witness():
         assert abs(y + x * x) < 1e-9
 
 
+def test_witness_search_isolates_once_per_twist_parity(monkeypatch):
+    # quadrants whose twist t -> -t agrees share one gcd and its roots
+    calls = Counter()
+    for name in ("up_gcd", "real_roots"):
+        real = getattr(analysis, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, counting)
+    upp = Analysis(parse_field("dx = y^2 + x^2*y; dy = 0")).upper
+    ok, witnesses = check_nondegenerate(upp)
+    assert len(upp.per_segment) == 1
+    assert calls == {"up_gcd": 2, "real_roots": 2}
+    # the parabola y = -x^2 meets the two lower quadrants, in loop order
+    assert not ok
+    assert [w.quadrant for w in witnesses] == [(1, -1), (-1, -1)]
+
+
+def test_witness_coordinates_outside_the_float_range_are_none():
+    # y = +-sqrt(c) x^2 meets x = +-1 at irrational y far above, and with
+    # c inverted far below, the float range
+    c = 2 * 10**800
+    for text in (f"dx = y^2 - {c}*x^4; dy = 0", f"dx = {c}*y^2 - x^4; dy = 0"):
+        ok, witnesses = check_nondegenerate(Analysis(parse_field(text)).upper)
+        assert not ok and len(witnesses) == 4
+        for w in witnesses:
+            assert w.point_exact is None
+            assert w.point == (float(w.quadrant[0]), None)
+
+
 def test_common_factor_is_detected():
     f = parse_field("dx = x^2 - x*y; dy = x*y - y^2")
     assert not check_no_singularity_curve(Analysis(f).upper)
@@ -270,7 +302,8 @@ def _stage_counts(monkeypatch, argv) -> Counter:
     """How often each shared pipeline stage runs for one CLI call."""
     calls = Counter()
     stages = [(analysis, "chart_maps"), (analysis, "support_minima"),
-              (charts, "_branch_polys"), (polytope, "polytope_from_support")]
+              (analysis, "polar_field"), (charts, "_branch_polys"),
+              (polytope, "polytope_from_support")]
     # every binding of up_deriv, wherever a module calls it from
     stages += [(module, "up_deriv") for module in (analysis, charts, polys)
                if hasattr(module, "up_deriv")]
@@ -297,6 +330,12 @@ def test_each_stage_runs_once_per_call(monkeypatch, capsys):
     assert _stage_counts(monkeypatch, ["singularities", "--field", text]) \
         == {"polytope_from_support": 1, "chart_maps": 1, "support_minima": 1,
             "_branch_polys": 18, "up_deriv": 18}
+    # the portrait reads the polar chart and the directional charts of the
+    # markers from the command's one Analysis
+    assert _stage_counts(monkeypatch, [
+        "portrait", "--weight", "1,2", "--seed", "0.5,0.5", "--size", "64",
+        "--field", text]) == {"polar_field": 1, "_branch_polys": 4,
+                              "up_deriv": 4}
     capsys.readouterr()
 
 
@@ -388,6 +427,29 @@ def test_random_fields_obey_the_verdict_contract():
         if passing >= 12:
             break
     assert passing >= 12
+
+
+def test_chart_records_ascend_within_each_branch():
+    # the pairing of two inventories sorts by branch only, stably, so it
+    # relies on this order
+    rng = random.Random(31)
+    fields = [QUARTIC, PERTURBED] + [_random_field(rng) for _ in range(60)]
+    runs = 0
+    for f in fields:
+        if f.is_zero:
+            continue
+        rep = equivalence_verdict(f)
+        for inv in (rep.inventory_full, rep.inventory_principal):
+            for recs in inv.values():
+                for branch in {r.branch for r in recs}:
+                    pos = [r.position for r in recs if r.branch == branch]
+                    if len(pos) < 2:
+                        continue
+                    runs += 1
+                    assert None not in pos
+                    assert all(p < q and not p.equals(q)
+                               for p, q in zip(pos, pos[1:]))
+    assert runs >= 20
 
 
 def test_inventory_covers_fan_and_directional_charts():

@@ -195,9 +195,11 @@ def test_level_data_quartic():
     assert by_vec[(-1, -2)] == ((-1, 3), (1, 2))
     assert by_vec[(0, 1)] == ((3, -1),)
     # every skeleton argmin is exactly its segment's point set
-    for j, seg in enumerate(fan.segment_of):
-        if seg is not None:
-            assert set(data.argmins[j]) == set(seg.points)
+    skeleton_argmins = [m for m, f in zip(data.argmins, fan.skeleton_flags)
+                        if f]
+    assert len(skeleton_argmins) == len(p.upper)
+    for argmin, seg in zip(skeleton_argmins, p.upper):
+        assert set(argmin) == set(seg.points)
     # interior fan vectors have strictly negative minima
     assert all(m < 0 for m in data.minima[1:-1])
 

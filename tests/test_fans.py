@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,7 +17,7 @@ from polyfield.fans import (
     _unimodular_chain,
 )
 from polyfield.fields import parse_field
-from polyfield.polys import det2, ivec_gcd
+from polyfield.polys import det2
 from polyfield.polytope import build_polytope
 
 QUARTIC = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
@@ -25,13 +26,13 @@ NINE = [(0, 1), (-1, 0), (-2, -1), (-3, -2), (-1, -1),
         (-2, -3), (-1, -2), (0, -1), (1, 0)]
 
 
-def _check_fan(fan, adjacent_pairs=frozenset()):
+def _check_fan(fan, adjacent_pairs):
     vs = fan.vectors
     assert vs[0] == (0, 1) and vs[-1] == (1, 0)
     keys = [sweep_key(v) for v in vs]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     for j, v in enumerate(vs):
-        assert ivec_gcd(v[0], v[1]) == 1
+        assert gcd(*v) == 1
         if 0 < j < len(vs) - 1:
             assert not (v[0] > 0 and v[1] > 0)
     for a, b in zip(vs, vs[1:]):
@@ -87,20 +88,16 @@ def test_fan_from_quartic_polytope():
     assert skeleton(p) == [(-2, -1), (-1, -1), (-1, -2)]
     fan = build_fan(p)
     assert list(fan.vectors) == NINE
-    for j, v in enumerate(fan.vectors):
-        seg = fan.segment_of[j]
-        if fan.skeleton_flags[j]:
-            assert seg is not None and seg.inward_normal == v
-        else:
-            assert seg is None
+    # each skeleton vector is the inward normal of its upper segment
+    assert [s.inward_normal for s in p.upper] == list(fan.skeleton_vectors)
 
 
-def test_adjacency_controls_separation():
-    with_sep = complete_fan([(-2, -1), (-1, -1)], adjacency=[True])
-    assert (-3, -2) in with_sep.vectors
-    without = complete_fan([(-2, -1), (-1, -1)], adjacency=[False])
-    assert (-3, -2) not in without.vectors
-    assert without.vectors == ((0, 1), (-1, 0), (-2, -1), (-1, -1), (1, 0))
+def test_consecutive_normals_are_separated():
+    # (-2,-1), (-1,-1) is already unimodular, yet the normals of consecutive
+    # upper segments get their sum between them
+    fan = complete_fan([(-2, -1), (-1, -1)])
+    assert fan.vectors == ((0, 1), (-1, 0), (-2, -1), (-3, -2), (-1, -1),
+                           (1, 0))
 
 
 def test_skeleton_of_segment_polytope():
@@ -109,7 +106,7 @@ def test_skeleton_of_segment_polytope():
     assert skeleton(p) == [(-1, -1)]
     fan = build_fan(p)
     assert fan.vectors == ((0, 1), (-1, -1), (1, 0))
-    assert fan.segment_of[1] is not None
+    assert fan.skeleton_vectors == (p.upper[0].inward_normal,)
 
 
 def test_completion_errors():
@@ -121,8 +118,6 @@ def test_completion_errors():
         complete_fan([(-2, -2)])  # not primitive
     with pytest.raises(FanError):
         complete_fan([(0, 1)])  # endpoint ray
-    with pytest.raises(FanError):
-        complete_fan([(-1, -1)], adjacency=[True])  # adjacency length
     for entry in (1, (), (-1, -1, 0), (-1.0, -1), (True, False)):
         with pytest.raises(FanError, match="not a pair of integers"):
             complete_fan([entry])
@@ -146,7 +141,7 @@ def test_random_skeletons_give_valid_minimal_fans():
     pool = []
     for x in range(-5, 6):
         for y in range(-5, 6):
-            if (x, y) == (0, 0) or ivec_gcd(x, y) != 1:
+            if (x, y) == (0, 0) or gcd(x, y) != 1:
                 continue
             if x > 0 and y > 0:
                 continue
@@ -156,21 +151,14 @@ def test_random_skeletons_give_valid_minimal_fans():
     for _ in range(200):
         count = rng.randint(0, 4)
         sk = sorted(rng.sample(pool, count), key=sweep_key)
-        if rng.random() < 0.5 or len(sk) < 2:
-            adjacency = None
-            pairs = {(sk[i], sk[i + 1]) for i in range(len(sk) - 1)}
-        else:
-            adjacency = [rng.random() < 0.5 for _ in range(len(sk) - 1)]
-            pairs = {(sk[i], sk[i + 1])
-                     for i in range(len(sk) - 1) if adjacency[i]}
-        fan = complete_fan(sk, adjacency=adjacency)
+        fan = complete_fan(sk)
         assert fan.skeleton_vectors == tuple(sk)
-        _check_fan(fan, pairs)
+        _check_fan(fan, set(zip(sk, sk[1:])))
 
 
 def test_chain_matches_breadth_first_search():
     vecs = [(x, y) for x in range(-3, 4) for y in range(-3, 4)
-            if (x, y) != (0, 0) and ivec_gcd(x, y) == 1]
+            if (x, y) != (0, 0) and gcd(x, y) == 1]
     checked = 0
     for a in vecs:
         for b in vecs:

@@ -19,7 +19,6 @@ from oracles import (
 from polyfield.polys import (
     RealRoot,
     bp_gcd,
-    bp_is_zero,
     bp_strip_monomial,
     count_real_roots,
     det2,
@@ -239,7 +238,7 @@ def test_bp_gcd_random_products():
         f = bp_mul(c, bp({(1, 1): 1, (0, 0): rng.randint(-3, 3)}))
         g = bp_mul(c, bp({(2, 0): 1, (0, 1): rng.randint(-3, 3), (0, 0): 1}))
         h = bp_gcd(f, g)
-        assert not bp_is_zero(h)
+        assert h
         hs = _sympy_poly(h)
         assert sympy.rem(_sympy_poly(f), hs, X, Y) == 0
         assert sympy.rem(_sympy_poly(g), hs, X, Y) == 0

@@ -99,10 +99,10 @@ def test_rotation_has_no_markers():
 
 
 def test_rotation_portrait_deterministic_and_clean():
-    f = parse_field("dx = -y; dy = x")
-    spec = PortraitSpec(weight=WeightVector(1, 1))
-    svg = render_portrait(f, spec)
-    assert svg == render_portrait(f, spec)
+    f, w = parse_field("dx = -y; dy = x"), WeightVector(1, 1)
+    spec = PortraitSpec()
+    svg = render_portrait(Analysis(f, w), spec)
+    assert svg == render_portrait(Analysis(f, w), spec)
     assert svg.startswith('<?xml version="1.0"')
     assert 'version="1.1"' in svg
     assert svg.count("<polyline") == len(default_seeds(2 * math.pi))
@@ -112,21 +112,22 @@ def test_rotation_portrait_deterministic_and_clean():
 
 
 def test_quartic_portrait_has_markers():
-    svg = render_portrait(QUARTIC, PortraitSpec(weight=W12))
+    svg = render_portrait(Analysis(QUARTIC, W12), PortraitSpec())
     assert svg.count('class="singularity"') == 4
     assert svg.count('fill="#d62728"') == 2   # hyperbolic
     assert svg.count('fill="#9467bd"') == 2   # degenerate
 
 
 def test_curve_of_singularities_recolours_the_rim():
-    svg = render_portrait(parse_field("dx = x; dy = y"),
-                          PortraitSpec(weight=WeightVector(1, 1)))
+    svg = render_portrait(
+        Analysis(parse_field("dx = x; dy = y"), WeightVector(1, 1)),
+        PortraitSpec())
     assert 'stroke="#b22222"' in svg
     assert 'class="singularity"' not in svg
 
 
 def test_empty_seed_list_draws_boundary_and_markers_only():
-    svg = render_portrait(QUARTIC, PortraitSpec(weight=W12, seeds=()))
+    svg = render_portrait(Analysis(QUARTIC, W12), PortraitSpec(seeds=()))
     assert "<polyline" not in svg
     assert 'class="divisor"' in svg
     assert svg.count('class="singularity"') == 4
@@ -134,9 +135,8 @@ def test_empty_seed_list_draws_boundary_and_markers_only():
 
 def test_trajectory_truncation_is_annotated():
     # inward plane flow runs toward the centre of the disk and trips the cap
-    f = parse_field("dx = -x; dy = -y")
-    svg = render_portrait(f, PortraitSpec(
-        weight=WeightVector(1, 1), seeds=((0.3, 0.9),), horizon=30.0))
+    a = Analysis(parse_field("dx = -x; dy = -y"), WeightVector(1, 1))
+    svg = render_portrait(a, PortraitSpec(seeds=((0.3, 0.9),), horizon=30.0))
     assert 'class="trajectory truncated"' in svg
 
 
@@ -187,9 +187,9 @@ def _per_point_trajectory(terms_theta, terms_r, table, seed, horizon, tol,
     ("dx = -x; dy = -y", WeightVector(1, 1)),
 ])
 def test_portrait_matches_per_point_integrator(monkeypatch, text, w):
-    field = parse_field(text)
-    spec = PortraitSpec(weight=w)
-    svg = render_portrait(field, spec)
+    a = Analysis(parse_field(text), w)
+    spec = PortraitSpec()
+    svg = render_portrait(a, spec)
     fast = portrait._trajectory
     pairs = []
 
@@ -198,7 +198,7 @@ def test_portrait_matches_per_point_integrator(monkeypatch, text, w):
         return pairs[-1][1]
 
     monkeypatch.setattr(portrait, "_trajectory", both)
-    assert svg == render_portrait(field, spec)
+    assert svg == render_portrait(a, spec)
     assert len(pairs) == 2 * len(default_seeds(1.0))
     # every sample, not just its three-decimal SVG rendering
     assert all(new == old for new, old in pairs)
@@ -218,13 +218,13 @@ def test_trajectory_survives_a_trial_stage_overflow():
 
 
 def test_spec_validation():
-    w = WeightVector(1, 1)
+    a = Analysis(QUARTIC, WeightVector(1, 1))
     with pytest.raises(ValueError, match="radius"):
-        render_portrait(QUARTIC, PortraitSpec(weight=w, seeds=((0.0, 1.5),)))
+        render_portrait(a, PortraitSpec(seeds=((0.0, 1.5),)))
     with pytest.raises(ValueError, match="horizon"):
-        render_portrait(QUARTIC, PortraitSpec(weight=w, horizon=-1.0))
+        render_portrait(a, PortraitSpec(horizon=-1.0))
     with pytest.raises(ValueError, match="size"):
-        render_portrait(QUARTIC, PortraitSpec(weight=w, size=10))
+        render_portrait(a, PortraitSpec(size=10))
 
 
 @pytest.mark.parametrize("option", [
@@ -412,6 +412,49 @@ def test_cli_tiny_values_are_not_printed_as_zero(capsys):
     cells = [c for line in out.splitlines()[2:] for c in line.split()]
     assert cells.count("(0,5e-324)") == 6 and cells.count("(-5e-324,0)") == 6
     assert "-0" not in cells
+
+
+@pytest.mark.parametrize("scale,above,below", [
+    # eigenvalues near 10**-400 underflow, and near 10**400 they overflow
+    (Fraction(1, 10**400), "(0,5e-324)", "(-5e-324,0)"),
+    (Fraction(10**400), ">1e308", "<-1e308"),
+], ids=["tiny", "huge"])
+def test_cli_eigenvalues_at_irrational_points_keep_their_side(
+        capsys, scale, above, below):
+    c = [f"{k * scale}*" for k in range(4)]
+    text = (f"dx = {c[1]}x^3 - {c[2]}x*y^2 + {c[1]}y^3; "
+            f"dy = {c[1]}x^2*y + {c[3]}y^3 - {c[1]}x^3")
+    code, out, _ = _run(capsys, "singularities", "--json", "--field", text)
+    assert code == 0
+    charts = {c: iter(recs) for c, recs in json.loads(out)["charts"].items()}
+    code, out, _ = _run(capsys, "singularities", "--field", text)
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert len(rows) == 12
+    for row in rows:
+        rec = next(charts[row[0]])
+        assert rec["position"]["approx"] is not None
+        for k, cell in zip(("tangent", "transverse"), row[4:6]):
+            e = rec[k]
+            assert e["approx"] is None and e["exact"] is None
+            assert cell == (above if e["sign"] > 0 else below)
+
+
+def test_cli_witness_outside_the_float_range_gets_a_verdict(capsys):
+    # the parabola y = -10**400 x^2 leaves the float range at x = +-1
+    huge = "1" + "0" * 400
+    code, out, err = _run(capsys, "check-equivalence", "--field",
+                          f"dx = y^2 + {huge}*x^2*y; dy = 0")
+    assert code == 3 and err == ""
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "HypothesesFail"
+    assert not report["hypotheses"]["non_degenerate_upper_part"]
+    witnesses = report["witnesses"]
+    assert [w["quadrant"] for w in witnesses] == [[1, -1], [-1, -1]]
+    for w in witnesses:
+        x, y = (Fraction(v) for v in w["point_exact"])
+        assert y == -10**400 * x**2
+        assert w["point"] == [float(x), None]
 
 
 def test_cli_thirty_digit_coefficient_gets_a_verdict(capsys):

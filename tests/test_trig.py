@@ -80,11 +80,6 @@ def test_negative_theta_reduction():
     assert abs(cs) <= 1e-8 and abs(sn + 1.0) <= 1e-8
 
 
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        build_trig(WeightVector(1, 1), tol=0.5)
-
-
 def test_tables_are_cached():
     t1 = build_trig(WeightVector(2, 3))
     t2 = build_trig(WeightVector(2, 3))
