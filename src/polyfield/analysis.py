@@ -4,9 +4,15 @@ Every compactified chart field leaves the divisor invariant, so its
 singularities at infinity are the zeros of the one-variable restriction of
 the chart field to the divisor branch.  This module isolates those zeros
 exactly, classifies them through the (triangular) on-divisor Jacobian,
-assembles the per-chart inventories for a field and for its upper principal
-part, decides the three hypotheses of the equivalence criterion, and
-evaluates the linear-order return map along the divisor cycle.
+assembles the per-chart inventory of a field, decides the three hypotheses
+of the equivalence criterion, and evaluates the linear-order return map
+along the divisor cycle.
+
+Every chart reads its divisor data off one face of the Newton polytope, and
+each of those faces lies on the upper boundary (see
+:func:`_check_on_upper_boundary`).  The field and its upper principal part
+therefore share every chart's divisor data, so one inventory and one
+return-map integral serve both.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from typing import Optional
 
 from .charts import (
@@ -30,10 +35,12 @@ from .fields import (
     DIRECTIONS,
     FieldError,
     InternalConsistencyError,
+    LatticePoint,
     PlanarField,
     WeightVector,
     format_field,
     make_favorable,
+    max_level,
 )
 from .polys import (
     RealRoot,
@@ -383,10 +390,8 @@ def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
 class Analysis:
     """The pipeline stages of one field, each computed on first use.
 
-    ``weight`` overrides the weight read off the polytope.  ``principal``,
-    the upper principal part, is analysed over this field's weight, fan,
-    chart maps and root table, so the two inventories isolate each shared
-    divisor restriction once.  Every stage lives as long as this object.
+    ``weight`` overrides the weight read off the polytope.  Every stage
+    lives as long as this object.
     """
 
     def __init__(self, field: PlanarField,
@@ -418,20 +423,18 @@ class Analysis:
         return upper_principal_part(self.field, self.polytope)
 
     @cached_property
-    def principal(self) -> "Analysis":
-        part = Analysis(self.upper.field, self.weight)
-        part.fan, part.chart_maps = self.fan, self.chart_maps
-        part.roots = self.roots
-        return part
-
-    @cached_property
     def directional(self) -> dict[str, ChartField]:
         return {d: directional_plc(self.field, self.weight, d)
                 for d in DIRECTIONS}
 
     @cached_property
+    def fan_minima(self) -> tuple[list[int], list[tuple]]:
+        """:func:`support_minima` of the support over the fan vectors."""
+        return support_minima(self.field.support(), self.fan.vectors)
+
+    @cached_property
     def fan_charts(self) -> dict[str, ChartField]:
-        minima, _ = support_minima(self.field.support(), self.fan.vectors)
+        minima, _ = self.fan_minima
         return {f"fan:{j}": fan_chart_field(self.field, cmap,
                                             minima[j - 1:j + 1])
                 for j, cmap in enumerate(self.chart_maps) if j}
@@ -460,30 +463,49 @@ def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector
     return a.inventory
 
 
-def _chart_order(label: str):
-    if label.startswith("fan:"):
-        return (0, int(label.split(":")[1]))
-    return (1, DIRECTIONS.index(label))
+def _top_face(a: Analysis) -> tuple[LatticePoint, ...]:
+    """The support points of top weighted level."""
+    top = max_level(a.field, a.weight)
+    return tuple(p for p in a.field.support() if a.weight.level(p) == top)
+
+
+def _check_on_upper_boundary(a: Analysis, faces) -> None:
+    """Raise unless every face lies in the support of the upper principal part.
+
+    A chart reads its divisor restriction and transverse polynomial off one
+    face of the polytope: a fan chart off the argmin face of its interior
+    fan vector, a directional chart and the polar chart off the top weighted
+    level.  Each face has an inward normal outside the closed first
+    quadrant, so it lies on the upper boundary; then the charts of the field
+    and of its upper principal part share their divisor data, and so their
+    singularities and their return-map integrand.
+    """
+    upper = set(a.upper.field.support())
+    for face in faces:
+        if not upper.issuperset(face):
+            raise InternalConsistencyError(
+                f"the divisor face {list(face)} leaves the upper boundary")
 
 
 @dataclass(frozen=True)
 class MatchRow:
+    """One divisor singularity, as the field and its upper principal part
+    both carry it."""
+
     chart: str
     branch: str
     #: None for a curve of singularities or outside the float range
     position: Optional[float]
-    classification_field: Optional[str]
-    classification_principal: Optional[str]
-    matched: bool
+    classification: str
 
     def to_json(self) -> dict:
         return {
             "chart": self.chart,
             "branch": self.branch,
             "position": self.position,
-            "field": self.classification_field,
-            "principal_part": self.classification_principal,
-            "matched": self.matched,
+            "field": self.classification,
+            "principal_part": self.classification,
+            "matched": True,
         }
 
 
@@ -491,30 +513,14 @@ def _by_branch(rec: SingularityRecord) -> str:
     return rec.branch
 
 
-def _pair_inventories(inv_full, inv_prin):
-    """Pair two inventories chart by chart and branch by branch.
-
-    ``_chart_records`` lists each branch's roots in ascending order, so a
-    stable sort by branch puts both sides in the same order.
-    """
-    rows: list[MatchRow] = []
-    for chart in sorted(set(inv_full) | set(inv_prin), key=_chart_order):
-        a = sorted(inv_full.get(chart, []), key=_by_branch)
-        b = sorted(inv_prin.get(chart, []), key=_by_branch)
-        for ra, rb in zip_longest(a, b):
-            some = ra or rb
-            matched = (ra is not None and rb is not None
-                       and ra.branch == rb.branch
-                       and ra.is_curve == rb.is_curve
-                       and (ra.is_curve or ra.position.equals(rb.position))
-                       and ra.classification == rb.classification)
-            rows.append(MatchRow(
-                chart=chart, branch=some.branch,
-                position=None if some.is_curve else _float_or_none(some.position),
-                classification_field=ra.classification if ra else None,
-                classification_principal=rb.classification if rb else None,
-                matched=matched))
-    return tuple(rows), all(row.matched for row in rows)
+def _match_table(inv) -> tuple[MatchRow, ...]:
+    """The rows of an inventory chart by chart, stably sorted by branch
+    within each chart."""
+    return tuple(
+        MatchRow(chart=chart, branch=r.branch,
+                 position=None if r.is_curve else _float_or_none(r.position),
+                 classification=r.classification)
+        for chart, recs in inv.items() for r in sorted(recs, key=_by_branch))
 
 
 @dataclass(frozen=True)
@@ -525,16 +531,14 @@ class EquivalenceReport:
     shear: Fraction
     field_after_shear: PlanarField
     weight: Optional[WeightVector]
-    inventory_full: dict[str, list[SingularityRecord]]
-    inventory_principal: dict[str, list[SingularityRecord]]
+    #: the divisor singularities of the field and of its upper principal part
+    inventory: dict[str, list[SingularityRecord]]
     match_table: tuple[MatchRow, ...]
     witnesses: tuple[DegeneracyWitness, ...]
 
     def to_json(self) -> dict:
-        def inv_json(inv):
-            return {chart: [r.to_json() for r in recs]
-                    for chart, recs in sorted(inv.items())}
-
+        inv = {chart: [r.to_json() for r in recs]
+               for chart, recs in sorted(self.inventory.items())}
         return {
             "verdict": self.verdict,
             "reasons": list(self.reasons),
@@ -542,10 +546,7 @@ class EquivalenceReport:
             "shear": str(self.shear),
             "field_after_shear": format_field(self.field_after_shear),
             "weight": None if self.weight is None else list(self.weight.as_tuple()),
-            "inventory": {
-                "field": inv_json(self.inventory_full),
-                "principal_part": inv_json(self.inventory_principal),
-            },
+            "inventory": {"field": inv, "principal_part": inv},
             "match_table": [row.to_json() for row in self.match_table],
             "witnesses": [w.to_json() for w in self.witnesses],
         }
@@ -557,10 +558,9 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
     The field is sheared until its polytope is favorable; the three
     hypotheses (non-degenerate upper part, no curve of singularities,
     at least one characteristic orbit) are decided exactly; and the
-    singularity inventories of the field and of its upper principal part
-    are paired chart by chart.  When every hypothesis holds, a pairing
-    mismatch is impossible and is therefore raised as an internal error
-    rather than reported.
+    singularity inventory is read once, for the field and its upper
+    principal part alike, after checking that every divisor face the
+    charts read lies on the upper boundary.
     """
     if field.is_zero:
         raise FieldError("the zero field has no behaviour at infinity")
@@ -574,18 +574,17 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
             shear=Fraction(0),
             field_after_shear=field,
             weight=None,
-            inventory_full={},
-            inventory_principal={},
+            inventory={},
             match_table=(),
             witnesses=(),
         )
     a = Analysis(sheared)
     hyp_a, witnesses = check_nondegenerate(a.upper)
     hyp_b = check_no_singularity_curve(a.upper)
-    inv_full = a.inventory
-    inv_prin = a.principal.inventory
-    hyp_c = any(r.characteristic_orbit
-                for recs in inv_full.values() for r in recs)
+    _, argmins = a.fan_minima
+    _check_on_upper_boundary(a, argmins[1:-1] + [_top_face(a)])
+    inv = a.inventory
+    hyp_c = any(r.characteristic_orbit for recs in inv.values() for r in recs)
 
     hypotheses = {
         "non_degenerate_upper_part": hyp_a,
@@ -593,11 +592,6 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
         "has_characteristic_orbit": hyp_c,
     }
     reasons = tuple(name for name, ok in hypotheses.items() if not ok)
-    match_table, all_matched = _pair_inventories(inv_full, inv_prin)
-    if not reasons and not all_matched:
-        raise InternalConsistencyError(
-            "hypotheses hold but the singularity inventories of the field "
-            "and its upper principal part disagree")
     return EquivalenceReport(
         verdict="HypothesesFail" if reasons else "Equivalent",
         reasons=reasons,
@@ -605,9 +599,8 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
         shear=lam,
         field_after_shear=sheared,
         weight=a.weight,
-        inventory_full=inv_full,
-        inventory_principal=inv_prin,
-        match_table=match_table,
+        inventory=inv,
+        match_table=_match_table(inv),
         witnesses=witnesses,
     )
 
@@ -618,24 +611,24 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
 
 @dataclass(frozen=True)
 class ReturnMapResult:
+    """The linear-order return-map integral, shared by the field and its
+    upper principal part, and its strict sign."""
+
     weight: WeightVector
     period: float
-    integral_full: float
-    integral_principal: float
-    sign_full: int
-    sign_principal: int
-    agreement: bool
+    integral: float
+    sign: int
     conclusion: str
 
     def to_json(self) -> dict:
         return {
             "weight": list(self.weight.as_tuple()),
             "period": self.period,
-            "integral_full": self.integral_full,
-            "integral_principal": self.integral_principal,
-            "sign_full": self.sign_full,
-            "sign_principal": self.sign_principal,
-            "agreement": self.agreement,
+            "integral_full": self.integral,
+            "integral_principal": self.integral,
+            "sign_full": self.sign,
+            "sign_principal": self.sign,
+            "agreement": self.sign != 0,
             "conclusion": self.conclusion,
         }
 
@@ -676,12 +669,13 @@ def _linear_return_integrand(pf: PolarField):
 
 
 def return_map_test(a: Analysis) -> ReturnMapResult:
-    """Integrate the linear-order return map over one divisor cycle for the
-    field and for its upper principal part, and compare the signs.
+    """Integrate the linear-order return map over one divisor cycle.
 
-    The displacement of the return map at linear order is exp(integral) - 1,
-    so the two fields agree when both integrals carry the same strict sign;
-    a vanishing integral is reported as inconclusive.
+    The integrand reads the top weighted level only, which lies on the
+    upper boundary, so the field and its upper principal part share it.  The
+    displacement of the return map at linear order is exp(integral) - 1, so
+    both fields expand, or both contract, when the integral carries a strict
+    sign; a vanishing integral is reported as inconclusive.
     """
     from scipy.integrate import quad
 
@@ -690,45 +684,30 @@ def return_map_test(a: Analysis) -> ReturnMapResult:
     if a.field.is_zero:
         raise FieldError("the zero field has no return map")
     _assert_no_divisor_singularities(a)
+    _check_on_upper_boundary(a, [_top_face(a)])
     table = a.trig
     period = table.period
 
-    integrals = []
-    for pf in (a.polar, a.principal.polar):
-        g = _linear_return_integrand(pf)
-        if g is None:
-            integrals.append(0.0)
-            continue
-        val, err = quad(lambda th: g(*table.eval(th)), 0.0, period,
-                        epsabs=1e-11, epsrel=1e-11, limit=200)
+    integral = 0.0
+    g = _linear_return_integrand(a.polar)
+    if g is not None:
+        integral, err = quad(lambda th: g(*table.eval(th)), 0.0, period,
+                             epsabs=1e-11, epsrel=1e-11, limit=200)
         if err > 1e-8:
             raise FieldError(f"return-map quadrature error {err:g} too large")
-        integrals.append(val)
 
-    def strict_sign(v: float) -> int:
-        if abs(v) <= 1e-9:
-            return 0
-        return 1 if v > 0 else -1
-
-    s_full = strict_sign(integrals[0])
-    s_prin = strict_sign(integrals[1])
-    agreement = s_full == s_prin and s_full != 0
-    if s_full == 0 or s_prin == 0:
+    sign = 0 if abs(integral) <= 1e-9 else (1 if integral > 0 else -1)
+    if sign == 0:
         conclusion = "inconclusive: zero integral"
-    elif agreement:
-        side = "expands" if s_full > 0 else "contracts"
+    else:
+        side = "expands" if sign > 0 else "contracts"
         conclusion = (f"sign agreement at linear order: the return map {side} "
                       "for both fields, so no periodic orbit survives near "
                       "the divisor")
-    else:
-        conclusion = "the linear-order displacements disagree in sign"
     return ReturnMapResult(
         weight=w,
         period=period,
-        integral_full=integrals[0],
-        integral_principal=integrals[1],
-        sign_full=s_full,
-        sign_principal=s_prin,
-        agreement=agreement,
+        integral=integral,
+        sign=sign,
         conclusion=conclusion,
     )

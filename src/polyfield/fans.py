@@ -74,14 +74,6 @@ class ChartMap:
     inverse: tuple[tuple[int, int], tuple[int, int]]
     divisor: str
 
-    def apply_forward(self, u, v):
-        (a, b), (c, d) = self.forward
-        return (u ** a) * (v ** b), (u ** c) * (v ** d)
-
-    def apply_inverse(self, x, y):
-        (a, b), (c, d) = self.inverse
-        return (x ** a) * (y ** b), (x ** c) * (y ** d)
-
 
 @dataclass(frozen=True)
 class SimpleFan:

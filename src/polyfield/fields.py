@@ -198,13 +198,6 @@ class PlanarField:
         return ({k: v for k, v in P.items() if v != 0},
                 {k: v for k, v in Q.items() if v != 0})
 
-    def evaluate(self, x, y) -> tuple[Fraction, Fraction]:
-        x, y = Fraction(x), Fraction(y)
-        P, Q = self.components()
-        pv = sum((c * x**i * y**j for (i, j), c in P.items()), Fraction(0))
-        qv = sum((c * x**i * y**j for (i, j), c in Q.items()), Fraction(0))
-        return pv, qv
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "PlanarField") -> "PlanarField":

@@ -610,15 +610,17 @@ def _root_off_zero(f: Sequence[int]) -> bool:
 
 
 def has_real_branch(g: dict) -> bool:
-    """Does the curve g(x, y) = 0 have a real point off the coordinate axes?
+    """Does the real zero set of g(x, y) have a branch, a one-dimensional
+    piece, off the coordinate axes?  Isolated real points do not count.
 
-    Exact decision procedure on the monomial-stripped polynomial: a *True*
-    answer is always certified (vertical/horizontal line factors, odd degree
-    in one variable, or a pigeonhole count of exact real roots above the
-    degree bound on a rational sample grid).  A *False* answer can in
-    principle miss compact ovals avoiding both sample grids; the grids are
-    sized so that this does not occur for curves of the degrees produced
-    here.
+    Neither answer is certified.  A vertical line factor and an odd degree
+    in y are exact reasons for *True*.  The third reason is a pigeonhole
+    count, and it can be wrong: it answers *True* when more sample lines
+    x = k/7 (then y = k/7) carry an exact nonzero real root than the total
+    degree d, but a degree-d curve may have up to (d-1)**2 isolated real
+    points.  A *False* can miss a compact oval that avoids both sample
+    grids.  ROADMAP.md plans an exact one-level cylindrical decomposition
+    that certifies both answers.
     """
     g, _, _ = bp_strip_monomial(g)
     if not g or all(k == (0, 0) for k in g):

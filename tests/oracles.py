@@ -222,3 +222,60 @@ def reference_pullback(field, forward, signs, normalization):
         if radial:
             v_comp[(i, j + 1)] = radial
     return u_comp, v_comp
+
+
+def evaluate(field, x, y):
+    """The Cartesian components (P(x, y), Q(x, y)) of a field, in Fraction."""
+    x, y = Fraction(x), Fraction(y)
+    P, Q = field.components()
+    return (sum((c * x**i * y**j for (i, j), c in P.items()), Fraction(0)),
+            sum((c * x**i * y**j for (i, j), c in Q.items()), Fraction(0)))
+
+
+def _monomial_map(exps, a, b):
+    (p, q), (r, s) = exps
+    return a**p * b**q, a**r * b**s
+
+
+def apply_forward(cmap, u, v):
+    """The point (x, y) of the fan chart ``cmap`` at (u, v)."""
+    return _monomial_map(cmap.forward, u, v)
+
+
+def apply_inverse(cmap, x, y):
+    """The fan chart coordinates (u, v) of the point (x, y)."""
+    return _monomial_map(cmap.inverse, x, y)
+
+
+def principal_part(a):
+    """The upper principal part of ``a.field`` analysed on its own: a second
+    ``Analysis`` of ``a.upper.field`` over ``a``'s weight and fan, which
+    builds its own support minima, charts, branch polynomials, root table
+    and polar chart."""
+    from polyfield.analysis import Analysis
+
+    part = Analysis(a.upper.field, a.weight)
+    part.fan = a.fan
+    return part
+
+
+def inventory_json(inv):
+    """An inventory as the verdict report writes it."""
+    return {chart: [r.to_json() for r in recs]
+            for chart, recs in sorted(inv.items())}
+
+
+def principal_return_integral(a):
+    """The principal part's return-map integral over ``a``'s trig table,
+    with the quadrature settings of ``return_map_test``."""
+    from scipy.integrate import quad
+
+    from polyfield.analysis import _linear_return_integrand
+
+    g = _linear_return_integrand(principal_part(a).polar)
+    if g is None:
+        return 0.0
+    table = a.trig
+    val, _ = quad(lambda th: g(*table.eval(th)), 0.0, table.period,
+                  epsabs=1e-11, epsrel=1e-11, limit=200)
+    return val

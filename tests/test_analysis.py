@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -5,8 +6,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import up_eval, up_from_roots, up_mul
+from oracles import (
+    inventory_json,
+    principal_part,
+    principal_return_integral,
+    up_eval,
+    up_from_roots,
+    up_mul,
+)
 from polyfield import analysis, charts, cli, polys, polytope
 from polyfield.analysis import (
     CURVE,
@@ -26,6 +36,7 @@ from polyfield.charts import directional_plc
 from polyfield.fans import build_fan
 from polyfield.fields import (
     FieldError,
+    InternalConsistencyError,
     PlanarField,
     WeightVector,
     parse_field,
@@ -223,11 +234,12 @@ def test_quartic_verdict_equivalent():
     assert rep.shear == 0
     assert rep.weight == W12
     assert all(rep.hypotheses.values())
-    assert rep.match_table and all(row.matched for row in rep.match_table)
-    # here the upper principal part is the whole field
-    full = {c: [r.to_json() for r in rs] for c, rs in rep.inventory_full.items()}
-    prin = {c: [r.to_json() for r in rs] for c, rs in rep.inventory_principal.items()}
-    assert full == prin
+    assert len(rep.match_table) == sum(map(len, rep.inventory.values()))
+    # here the upper principal part is the whole field; a separate analysis
+    # of it finds the inventory the report writes for both sides
+    prin = principal_part(Analysis(rep.field_after_shear)).inventory
+    inv = rep.to_json()["inventory"]
+    assert inv["field"] == inv["principal_part"] == inventory_json(prin)
 
 
 # the field has lower-order terms, so its upper principal part differs
@@ -236,8 +248,8 @@ PERTURBED = parse_field("dx = y^3 - x^3*y + x^2 - 3*y; "
 
 
 def _positions(rep):
-    return [r.position for inv in (rep.inventory_full, rep.inventory_principal)
-            for recs in inv.values() for r in recs if r.position is not None]
+    return [r.position for recs in rep.inventory.values() for r in recs
+            if r.position is not None]
 
 
 def test_verdict_isolates_each_restriction_once(monkeypatch):
@@ -252,21 +264,34 @@ def test_verdict_isolates_each_restriction_once(monkeypatch):
     rep = equivalence_verdict(PERTURBED)
     a = Analysis(rep.field_after_shear)
     assert a.weight == rep.weight
-    restrictions = set()
-    for part in (a, a.principal):
-        charts = part.fan_charts | part.directional
-        for cf in charts.values():
-            for branch in cf.branches.values():
-                if branch.restriction:
-                    restrictions.add(branch.restriction)
+    restrictions = {branch.restriction
+                    for cf in (a.fan_charts | a.directional).values()
+                    for branch in cf.branches.values() if branch.restriction}
     assert restrictions
     assert {r: calls[r] for r in restrictions} == dict.fromkeys(restrictions, 1)
-    # both inventories hold the very same root objects
-    full = {id(r.position) for recs in rep.inventory_full.values()
-            for r in recs if r.position is not None}
-    prin = {id(r.position) for recs in rep.inventory_principal.values()
-            for r in recs if r.position is not None}
-    assert full and full == prin
+    # the upper principal part differs from the field here; a separate
+    # analysis of it finds the inventory the report writes for it
+    prin = principal_part(a).inventory
+    inv = rep.to_json()["inventory"]
+    assert prin and inv["principal_part"] == inventory_json(prin)
+
+
+def test_divisor_face_off_the_upper_boundary_is_an_internal_error(monkeypatch):
+    # drop the largest support point from the upper principal part: in both
+    # fields below it is a vertex of the upper boundary that a chart reads
+    real = analysis.upper_principal_part
+
+    def lossy(field, p):
+        upp = real(field, p)
+        kept = set(upp.field.support()) - {max(field.support())}
+        return dataclasses.replace(upp, field=upp.field.restricted(kept))
+
+    monkeypatch.setattr(analysis, "upper_principal_part", lossy)
+    with pytest.raises(InternalConsistencyError, match="upper boundary"):
+        equivalence_verdict(QUARTIC)
+    with pytest.raises(InternalConsistencyError, match="upper boundary"):
+        return_map_test(Analysis(_spiral_field(Fraction(3, 5)),
+                                 WeightVector(1, 1)))
 
 
 def test_root_table_lives_for_one_verdict():
@@ -321,12 +346,12 @@ def _stage_counts(monkeypatch, argv) -> Counter:
 def test_each_stage_runs_once_per_call(monkeypatch, capsys):
     text = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
     # one polytope for the shear search and one for the analysis; one atlas
-    # for the fan; one minima pass and one branch build per field and chart
-    # (8 fan charts with 14 branches and 4 directional ones, twice), each
-    # with its one derivative and none per root
+    # for the fan; one minima pass and one branch build per chart (8 fan
+    # charts with 14 branches and 4 directional ones), each with its one
+    # derivative and none per root; nothing again for the principal part
     assert _stage_counts(monkeypatch, ["check-equivalence", "--field", text]) \
-        == {"polytope_from_support": 2, "chart_maps": 1, "support_minima": 2,
-            "_branch_polys": 36, "up_deriv": 36}
+        == {"polytope_from_support": 2, "chart_maps": 1, "support_minima": 1,
+            "_branch_polys": 18, "up_deriv": 18}
     assert _stage_counts(monkeypatch, ["singularities", "--field", text]) \
         == {"polytope_from_support": 1, "chart_maps": 1, "support_minima": 1,
             "_branch_polys": 18, "up_deriv": 18}
@@ -336,6 +361,13 @@ def test_each_stage_runs_once_per_call(monkeypatch, capsys):
         "portrait", "--weight", "1,2", "--seed", "0.5,0.5", "--size", "64",
         "--field", text]) == {"polar_field": 1, "_branch_polys": 4,
                               "up_deriv": 4}
+    # the return map reads one polar chart, shared with the principal part,
+    # and the polytope of the face check
+    assert _stage_counts(monkeypatch, [
+        "return-map", "--weight", "1,1", "--field",
+        "dx = x^3 + x*y^2 - x^2*y - y^3 + x; dy = x^3 + x*y^2 + x^2*y + y^3"]) \
+        == {"polytope_from_support": 1, "polar_field": 1, "_branch_polys": 4,
+            "up_deriv": 4}
     capsys.readouterr()
 
 
@@ -389,7 +421,7 @@ def test_curve_of_singularities_fails_hypothesis():
 def test_segment_polytope_verdict():
     rep = equivalence_verdict(parse_field("dx = y; dy = x"))
     assert rep.verdict == "Equivalent"
-    assert all(row.matched for row in rep.match_table)
+    assert rep.match_table
 
 
 def _random_field(rng: random.Random) -> PlanarField:
@@ -419,19 +451,38 @@ def test_random_fields_obey_the_verdict_contract():
         if rep.verdict != "Equivalent":
             continue
         passing += 1
-        for inv in (rep.inventory_full, rep.inventory_principal):
-            for recs in inv.values():
-                for r in recs:
-                    if not r.is_curve and not r.at_chart_origin:
-                        assert r.classification != DEGENERATE
+        for recs in rep.inventory.values():
+            for r in recs:
+                if not r.is_curve and not r.at_chart_origin:
+                    assert r.classification != DEGENERATE
         if passing >= 12:
             break
     assert passing >= 12
 
 
+_COEF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_COMPONENT = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             _COEF, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_COMPONENT, _COMPONENT,
+       st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]))
+def test_report_inventory_matches_a_separate_principal_part_analysis(P, Q, lam):
+    f = shear(PlanarField.from_components(P, Q), lam)
+    assume(not f.is_zero)
+    rep = equivalence_verdict(f)
+    if rep.weight is None:
+        assert rep.inventory == {} and rep.match_table == ()
+        return
+    prin = principal_part(Analysis(rep.field_after_shear)).inventory
+    inv = rep.to_json()["inventory"]
+    assert inv["field"] == inv["principal_part"] == inventory_json(prin)
+
+
 def test_chart_records_ascend_within_each_branch():
-    # the pairing of two inventories sorts by branch only, stably, so it
-    # relies on this order
+    # each branch lists its roots in ascending order, which the match
+    # table keeps: it sorts by branch only, stably
     rng = random.Random(31)
     fields = [QUARTIC, PERTURBED] + [_random_field(rng) for _ in range(60)]
     runs = 0
@@ -439,16 +490,15 @@ def test_chart_records_ascend_within_each_branch():
         if f.is_zero:
             continue
         rep = equivalence_verdict(f)
-        for inv in (rep.inventory_full, rep.inventory_principal):
-            for recs in inv.values():
-                for branch in {r.branch for r in recs}:
-                    pos = [r.position for r in recs if r.branch == branch]
-                    if len(pos) < 2:
-                        continue
-                    runs += 1
-                    assert None not in pos
-                    assert all(p < q and not p.equals(q)
-                               for p, q in zip(pos, pos[1:]))
+        for recs in rep.inventory.values():
+            for branch in {r.branch for r in recs}:
+                pos = [r.position for r in recs if r.branch == branch]
+                if len(pos) < 2:
+                    continue
+                runs += 1
+                assert None not in pos
+                assert all(p < q and not p.equals(q)
+                           for p, q in zip(pos, pos[1:]))
     assert runs >= 20
 
 
@@ -468,10 +518,9 @@ def test_inventory_covers_fan_and_directional_charts():
 def test_rotation_return_map_is_inconclusive():
     res = return_map_test(Analysis(parse_field("dx = -y; dy = x"),
                                     WeightVector(1, 1)))
-    assert res.integral_full == 0.0
-    assert res.integral_principal == 0.0
-    assert res.sign_full == res.sign_principal == 0
-    assert not res.agreement
+    assert res.integral == 0.0
+    assert res.sign == 0
+    assert not res.to_json()["agreement"]
     assert res.conclusion == "inconclusive: zero integral"
     assert abs(res.period - 2 * math.pi) <= 1e-9
 
@@ -487,10 +536,24 @@ def test_return_map_integral_matches_closed_form():
     for c in (Fraction(3, 5), Fraction(-1, 3)):
         res = return_map_test(Analysis(_spiral_field(c), WeightVector(1, 1)))
         want = -2.0 * math.pi * float(c)
-        assert abs(res.integral_full - want) <= 1e-7
-        assert abs(res.integral_principal - want) <= 1e-7
-        assert res.sign_full == res.sign_principal == (-1 if c > 0 else 1)
-        assert res.agreement
+        assert abs(res.integral - want) <= 1e-7
+        assert res.sign == (-1 if c > 0 else 1)
+        assert res.to_json()["agreement"]
+
+
+def test_return_map_integral_matches_a_separate_principal_part():
+    # the lower-order terms make the upper principal part differ from the
+    # field, which the integral must not see
+    cases = [(_spiral_field(Fraction(3, 5)) + parse_field("dx = x^2 + 1; dy = y - x"),
+              WeightVector(1, 1), -1),
+             (parse_field("dx = -4*y + x^2 + x; dy = 4*x^3 + 2*x*y + y - 1"),
+              W12, 0)]
+    for f, w, sign in cases:
+        a = Analysis(f, w)
+        assert a.upper.field != f
+        res = return_map_test(a)
+        assert res.sign == sign
+        assert res.integral == principal_return_integral(a)
 
 
 def test_return_map_requires_a_clean_divisor():
