@@ -13,21 +13,30 @@ each of those faces lies on the upper boundary (see
 :func:`_check_on_upper_boundary`).  The field and its upper principal part
 therefore share every chart's divisor data, so one inventory and one
 return-map integral serve both.
+
+The return map reads the same data.  Near the divisor of an x-chart,
+u' = r(u) and v' = t(u) v + O(v**2) for the restriction r and transverse
+polynomial t, so log v gains the integral of t/r du across the chart.  One
+turn runs through Xpos with u increasing and through Xneg with u
+decreasing, so the log-displacement is PV(Xpos) - PV(Xneg), symmetric
+principal values over the real line.  They are exact: in Xpos, log v =
+log rho - (1/alpha) log Cs with rho the weighted polar radius, and the oval
+is symmetric under Sn -> -Sn, so log Cs agrees at u = R and u = -R and the
+symmetric cut-off loses nothing; Xneg is the mirror image.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 from .charts import (
     ChartField,
-    PolarField,
     directional_plc,
     fan_chart_field,
-    polar_field,
     support_minima,
 )
 from .fans import ChartMap, SimpleFan, build_fan, chart_maps
@@ -63,7 +72,7 @@ from .polytope import (
     plc_weight,
     upper_principal_part,
 )
-from .trig import TrigTable, build_trig
+from .trig import period
 
 HYPERBOLIC = "Hyperbolic"
 SEMI_HYPERBOLIC = "SemiHyperbolic"
@@ -108,6 +117,25 @@ def _float_or_none(q) -> Optional[float]:
         return None
     exact = q.exact if isinstance(q, RealRoot) else q
     return None if v == 0 and exact != 0 else v
+
+
+def outside_floats(sign: int, huge: bool) -> str:
+    """A value beyond the float range when ``huge``, else one underflowing."""
+    if huge:
+        return ">1e308" if sign > 0 else "<-1e308"
+    return "(0,5e-324)" if sign > 0 else "(-5e-324,0)"
+
+
+def position_text(root: RealRoot, digits: int) -> str:
+    """``root`` to ``digits`` significant digits, or how it leaves floats."""
+    try:
+        v = float(root)
+        if v or root.exact == 0:
+            return f"{v:.{digits}g}"
+        huge = False
+    except OverflowError:
+        huge = True
+    return outside_floats(root.sign_of((Fraction(0), Fraction(1))), huge)
 
 
 def _realroot_json(r: RealRoot) -> dict:
@@ -446,14 +474,6 @@ class Analysis:
         return {label: _chart_records(cf, self.roots)
                 for label, cf in charts.items()}
 
-    @cached_property
-    def polar(self) -> PolarField:
-        return polar_field(self.field, self.weight)
-
-    @cached_property
-    def trig(self) -> TrigTable:
-        return build_trig(self.weight)
-
 
 def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector
                           ) -> dict[str, list[SingularityRecord]]:
@@ -474,11 +494,11 @@ def _check_on_upper_boundary(a: Analysis, faces) -> None:
 
     A chart reads its divisor restriction and transverse polynomial off one
     face of the polytope: a fan chart off the argmin face of its interior
-    fan vector, a directional chart and the polar chart off the top weighted
-    level.  Each face has an inward normal outside the closed first
-    quadrant, so it lies on the upper boundary; then the charts of the field
-    and of its upper principal part share their divisor data, and so their
-    singularities and their return-map integrand.
+    fan vector, a directional chart off the top weighted level.  Each face
+    has an inward normal outside the closed first quadrant, so it lies on
+    the upper boundary; then the charts of the field and of its upper
+    principal part share their divisor data, and so their singularities and
+    their return-map integral.
     """
     upper = set(a.upper.field.support())
     for face in faces:
@@ -647,29 +667,47 @@ def _assert_no_divisor_singularities(a: Analysis) -> None:
                 f"{direction}: the divisor is a curve of singularities; "
                 "the return-map test does not apply")
         if count_real_roots(restriction) > 0:
-            spot = float(real_roots(restriction)[0])
+            spot = position_text(real_roots(restriction)[0], 6)
             raise FieldError(
-                f"{direction}: divisor singularity near u = {spot:.6g}; "
+                f"{direction}: divisor singularity near u = {spot}; "
                 "the return-map test does not apply")
 
 
-def _linear_return_integrand(pf: PolarField):
-    """G(theta) = (r-linear radial coefficient) / (on-divisor angular speed)."""
-    theta0 = {(i, j): c for (i, j, k), c in pf.theta.items() if k == 0}
-    r1 = {(i, j): c for (i, j, k), c in pf.r.items() if k == 1}
-    if not r1:
-        return None
+def _horner(coeffs: list[float], x: float) -> float:
+    return reduce(lambda acc, c: acc * x + c, reversed(coeffs), 0.0)
 
-    def g(cs: float, sn: float) -> float:
-        num = sum(float(c) * cs**i * sn**j for (i, j), c in r1.items())
-        den = sum(float(c) * cs**i * sn**j for (i, j), c in theta0.items())
-        return num / den
 
-    return g
+def _principal_value(cf: ChartField, beta: int) -> tuple[float, float]:
+    """PV over the real line of the integral of t/r du, and its error.
+
+    On a clean divisor deg t = deg r - 1 and lead(t)/lead(r) = 1/beta, both
+    checked exactly: t/r decays like 1/(beta*u), which is odd, so its even
+    part decays like 1/u**2 and is integrated over [0, inf)."""
+    from scipy.integrate import quad
+
+    r, _, t = cf.branches["v=0"]
+    if len(t) != len(r) - 1 or t[-1] / r[-1] != Fraction(1, beta):
+        raise InternalConsistencyError(
+            f"{cf.label}: t/r does not decay like 1/({beta}u) on the divisor")
+    # r made monic, so that both fit floats whenever the field's ratios do
+    rf, tf = ([float(c / r[-1]) for c in p] for p in (r, t))
+
+    def even(u: float) -> float:
+        return (_horner(tf, u) / _horner(rf, u)
+                + _horner(tf, -u) / _horner(rf, -u))
+
+    # a float zero of r, or a QUADPACK failure message, leaves no error bound
+    try:
+        val, err, _, *failure = quad(even, 0.0, math.inf, epsabs=1e-11,
+                                     epsrel=1e-11, limit=200, full_output=1)
+    except ZeroDivisionError:
+        return math.nan, math.inf
+    return val, math.inf if failure else err
 
 
 def return_map_test(a: Analysis) -> ReturnMapResult:
-    """Integrate the linear-order return map over one divisor cycle.
+    """Integrate the linear-order return map over one divisor cycle in the
+    x-charts (see the module docstring).
 
     The integrand reads the top weighted level only, which lies on the
     upper boundary, so the field and its upper principal part share it.  The
@@ -677,24 +715,19 @@ def return_map_test(a: Analysis) -> ReturnMapResult:
     both fields expand, or both contract, when the integral carries a strict
     sign; a vanishing integral is reported as inconclusive.
     """
-    from scipy.integrate import quad
-
     # without an override, a field with no favorable polytope fails here
     w = a.weight
     if a.field.is_zero:
         raise FieldError("the zero field has no return map")
     _assert_no_divisor_singularities(a)
     _check_on_upper_boundary(a, [_top_face(a)])
-    table = a.trig
-    period = table.period
 
-    integral = 0.0
-    g = _linear_return_integrand(a.polar)
-    if g is not None:
-        integral, err = quad(lambda th: g(*table.eval(th)), 0.0, period,
-                             epsabs=1e-11, epsrel=1e-11, limit=200)
-        if err > 1e-8:
-            raise FieldError(f"return-map quadrature error {err:g} too large")
+    (pos, e_pos), (neg, e_neg) = (_principal_value(a.directional[d], w.beta)
+                                  for d in ("Xpos", "Xneg"))
+    if not e_pos + e_neg <= 1e-8:
+        raise FieldError(
+            f"return-map quadrature error {e_pos + e_neg:g} too large")
+    integral = pos - neg
 
     sign = 0 if abs(integral) <= 1e-9 else (1 if integral > 0 else -1)
     if sign == 0:
@@ -706,7 +739,7 @@ def return_map_test(a: Analysis) -> ReturnMapResult:
                       "the divisor")
     return ReturnMapResult(
         weight=w,
-        period=period,
+        period=period(w),
         integral=integral,
         sign=sign,
         conclusion=conclusion,

@@ -14,10 +14,15 @@ import ast
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import Analysis, equivalence_verdict, return_map_test
+from .analysis import (
+    Analysis,
+    equivalence_verdict,
+    outside_floats,
+    position_text,
+    return_map_test,
+)
 from .fans import FanError, complete_fan
 from .fields import (
     DIRECTIONS,
@@ -152,28 +157,11 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
     return 0
 
 
-def _outside_floats(sign: int, huge: bool) -> str:
-    if huge:
-        return ">1e308" if sign > 0 else "<-1e308"
-    return "(0,5e-324)" if sign > 0 else "(-5e-324,0)"
-
-
-def _position_text(root) -> str:
-    try:
-        v = float(root)
-        if v or root.exact == 0:
-            return f"{v:.8g}"
-        huge = False
-    except OverflowError:
-        huge = True
-    return _outside_floats(root.sign_of((Fraction(0), Fraction(1))), huge)
-
-
 def _eigenvalue_text(e) -> str:
     if e is None:
         return ""
     if e.approx is None:
-        return _outside_floats(e.sign, e.huge)
+        return outside_floats(e.sign, e.huge)
     return f"{e.approx:.4g}"
 
 
@@ -195,7 +183,7 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for chart, recs in inv.items():
         for r in recs:
-            pos = "curve" if r.is_curve else _position_text(r.position)
+            pos = "curve" if r.is_curve else position_text(r.position, 8)
             tan = _eigenvalue_text(r.tangent)
             tra = _eigenvalue_text(r.transverse)
             orbit = "yes" if r.characteristic_orbit else "no"

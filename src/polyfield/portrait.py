@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analysis import CURVE, Analysis, divisor_singularities
+from .charts import polar_field
 from .fields import FieldError
-from .trig import TrigTable
+from .trig import TrigTable, build_trig
 
 _MARKER_FILL = {
     "Hyperbolic": "#d62728",
@@ -118,7 +119,7 @@ def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
     Returns the markers sorted by angle together with a flag telling whether
     some chart saw the whole divisor as a curve of singularities.
     """
-    table = a.trig
+    table = build_trig(a.weight)
     curve = False
     raw: list[DiskMarker] = []
     for chart, cf in a.directional.items():
@@ -229,8 +230,8 @@ def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
     spec.validate()
     if a.field.is_zero:
         raise FieldError("empty support: the zero field has no portrait")
-    pf = a.polar
-    table = a.trig
+    pf = polar_field(a.field, a.weight)
+    table = build_trig(a.weight)
     period = table.period
     terms_theta = _compiled_terms(pf.theta)
     terms_r = _compiled_terms(pf.r)

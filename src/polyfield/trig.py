@@ -6,13 +6,14 @@ For a weight (alpha, beta) the functions Cs, Sn solve
     Cs(0) = 1, Sn(0) = 0,
 
 conserve beta*Sn**(2*alpha) + alpha*Cs**(2*beta) = alpha, and are periodic.
-The period is computed by quadrature of the closed-form integral (with the
-endpoint power singularities removed by substitution) and cross-checked
-against the orbit return time of the integrated Cauchy problem.
+The period is a Beta integral, evaluated in closed form through the Gamma
+function (:func:`period`), and cross-checked against the orbit return time
+of the integrated Cauchy problem.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .fields import InternalConsistencyError, WeightVector
 
 
 class QuadratureError(ArithmeticError):
-    """Period quadrature failed to reach the requested accuracy."""
+    """A numerical integration failed or missed its accuracy check."""
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,6 @@ class TrigTable:
     #: theta values in (0, period] where Cs or Sn crosses zero; the last
     #: entry is the return time, an independent estimate of the period
     axis_crossings: tuple[float, ...]
-    #: error estimate of the period quadrature
-    period_error: float
     #: right end of each piece, ascending; the last one lies past the period
     _ends: list[float] = field(repr=False, compare=False)
     #: per piece: t_old, h, the interpolant rows of Cs in Horner order and
@@ -82,29 +81,12 @@ def _pieces(dense) -> tuple[list[float], list[tuple[float, ...]]]:
     return dense.ts[1:].tolist(), pieces
 
 
-def _period_by_quadrature(alpha: int, beta: int) -> tuple[float, float]:
-    """Evaluate the closed-form period integral; returns (T, error estimate).
-
-    The raw integrand (1-t)**(1/(2a)-1) * t**(1/(2b)-1) blows up at both
-    endpoints; substituting t = s**(2*beta) on [0, 1/2] and 1-t = s**(2*alpha)
-    on [1/2, 1] bounds it, after which ordinary adaptive quadrature applies.
-    """
-    from scipy.integrate import quad
-
-    qa = 1.0 / (2.0 * alpha)
-    qb = 1.0 / (2.0 * beta)
-    prefactor = 2.0 * alpha ** ((1.0 - 2.0 * alpha) / (2.0 * alpha)) \
-        / beta ** (1.0 / (2.0 * alpha))
-    i0, e0 = quad(lambda s: 2.0 * beta * (1.0 - s ** (2 * beta)) ** (qa - 1.0),
-                  0.0, 0.5 ** (1.0 / (2 * beta)), epsabs=1e-13, epsrel=1e-12)
-    i1, e1 = quad(lambda s: 2.0 * alpha * (1.0 - s ** (2 * alpha)) ** (qb - 1.0),
-                  0.0, 0.5 ** (1.0 / (2 * alpha)), epsabs=1e-13, epsrel=1e-12)
-    err = prefactor * (e0 + e1)
-    if err > 1e-9:
-        raise QuadratureError(
-            f"period quadrature for weight ({alpha},{beta}) reached only "
-            f"{err:.3e}")
-    return prefactor * (i0 + i1), err
+def period(w: WeightVector) -> float:
+    """The period of (Cs, Sn): four equal quarter-orbits along the oval give
+    prefactor * B(qa, qb), with the Beta function B from ``math.gamma``."""
+    qa, qb = 1.0 / (2.0 * w.alpha), 1.0 / (2.0 * w.beta)
+    prefactor = 2.0 * w.alpha ** (qa - 1.0) / w.beta ** qa
+    return prefactor * math.gamma(qa) * math.gamma(qb) / math.gamma(qa + qb)
 
 
 #: weight -> its table, for the life of the process
@@ -120,32 +102,27 @@ def build_trig(w: WeightVector) -> TrigTable:
     from scipy.integrate import solve_ivp
 
     alpha, beta = key
-    period, period_error = _period_by_quadrature(alpha, beta)
+    t_period = period(w)
 
     def rhs(_, y):
         cs, sn = y
         return [-(sn ** (2 * alpha - 1)), cs ** (2 * beta - 1)]
 
-    def cs_zero(_, y):
-        return y[0]
-
-    def sn_zero(_, y):
-        return y[1]
-
-    sol = solve_ivp(rhs, (0.0, 1.5 * period), [1.0, 0.0], method="DOP853",
-                    dense_output=True, rtol=1e-12,
-                    atol=1e-14, events=[cs_zero, sn_zero])
+    # events: Cs = 0 and Sn = 0
+    sol = solve_ivp(rhs, (0.0, 1.5 * t_period), [1.0, 0.0], method="DOP853",
+                    dense_output=True, rtol=1e-12, atol=1e-14,
+                    events=[lambda _, y: y[0], lambda _, y: y[1]])
     if not sol.success:
         raise QuadratureError(f"trig integration failed: {sol.message}")
     crossings = sorted(t for ev in sol.t_events for t in ev if t > 1e-12)
     # the oval meets {Sn = 0, Cs > 0} only at (1, 0), so the first such
     # crossing is the orbit's own measurement of the period
     returns = [t for t in sol.t_events[1] if t > 1e-9 and sol.sol(t)[0] > 0]
-    if not returns or abs(returns[0] - period) > 1e-7:
+    if not returns or abs(returns[0] - t_period) > 1e-7:
         raise QuadratureError(
-            f"orbit return time disagrees with the period integral for {key}")
+            f"orbit return time disagrees with the Beta period for {key}")
     inside = tuple(t for t in crossings if t <= returns[0])
-    table = TrigTable(key, period, inside, period_error, *_pieces(sol.sol))
+    table = TrigTable(key, t_period, inside, *_pieces(sol.sol))
     _check_against(table, sol.sol)
     _CACHE[key] = table
     return table

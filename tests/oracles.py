@@ -250,8 +250,8 @@ def apply_inverse(cmap, x, y):
 def principal_part(a):
     """The upper principal part of ``a.field`` analysed on its own: a second
     ``Analysis`` of ``a.upper.field`` over ``a``'s weight and fan, which
-    builds its own support minima, charts, branch polynomials, root table
-    and polar chart."""
+    builds its own support minima, charts, branch polynomials and root
+    table."""
     from polyfield.analysis import Analysis
 
     part = Analysis(a.upper.field, a.weight)
@@ -265,17 +265,59 @@ def inventory_json(inv):
             for chart, recs in sorted(inv.items())}
 
 
+def reference_period(alpha, beta):
+    """The period of (Cs, Sn) as the time of four quarter-orbits, by mpmath
+    quadrature along the conserved oval.
+
+    From (1, 0) to the oval point with beta*Sn**(2*alpha) = alpha/2 the time
+    is the integral of dSn / Cs**(2*beta-1), and from there to Cs = 0 the
+    integral of dCs / Sn**(2*alpha-1); neither integrand is singular.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        sn_mid = (a / (2 * b)) ** (1 / (2 * a))
+        cs_mid = mpmath.mpf(2) ** (-1 / (2 * b))
+        along_sn = mpmath.quad(
+            lambda s: (1 - b / a * s ** (2 * a)) ** ((1 - 2 * b) / (2 * b)),
+            [0, sn_mid])
+        along_cs = mpmath.quad(
+            lambda c: (a / b * (1 - c ** (2 * b))) ** ((1 - 2 * a) / (2 * a)),
+            [0, cs_mid])
+        return float(4 * (along_sn + along_cs))
+
+
+def linear_return_integrand(pf):
+    """G(theta) = (r-linear radial coefficient) / (on-divisor angular speed)
+    of a polar chart, as a function of (Cs, Sn); None when the radial
+    component has no r-linear term."""
+    theta0 = {(i, j): c for (i, j, k), c in pf.theta.items() if k == 0}
+    r1 = {(i, j): c for (i, j, k), c in pf.r.items() if k == 1}
+    if not r1:
+        return None
+
+    def g(cs: float, sn: float) -> float:
+        num = sum(float(c) * cs**i * sn**j for (i, j), c in r1.items())
+        den = sum(float(c) * cs**i * sn**j for (i, j), c in theta0.items())
+        return num / den
+
+    return g
+
+
 def principal_return_integral(a):
-    """The principal part's return-map integral over ``a``'s trig table,
-    with the quadrature settings of ``return_map_test``."""
+    """The return-map integral of ``a``'s upper principal part in the polar
+    chart: :func:`linear_return_integrand` over one period of the trig
+    table, with the quadrature settings of ``return_map_test``."""
     from scipy.integrate import quad
 
-    from polyfield.analysis import _linear_return_integrand
+    from polyfield.charts import polar_field
+    from polyfield.trig import build_trig
 
-    g = _linear_return_integrand(principal_part(a).polar)
+    g = linear_return_integrand(polar_field(a.upper.field, a.weight))
     if g is None:
         return 0.0
-    table = a.trig
+    table = build_trig(a.weight)
     val, _ = quad(lambda th: g(*table.eval(th)), 0.0, table.period,
                   epsabs=1e-11, epsrel=1e-11, limit=200)
     return val

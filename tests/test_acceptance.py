@@ -20,9 +20,9 @@ from oracles import (
     inventory_json,
     principal_part,
     principal_return_integral,
+    reference_period,
     shortest_unimodular_chain_length,
 )
-from scipy.special import beta as beta_integral
 from test_polytope import _brute_hull
 
 from polyfield.analysis import (
@@ -176,10 +176,12 @@ def test_criterion_08_trig_invariants():
             cs, sn = table.eval(table.period * i / 400.0)
             drift = beta * sn ** (2 * alpha) + alpha * cs ** (2 * beta) - alpha
             assert abs(drift) <= 1e-9
-        reference = (2.0 * alpha ** ((1.0 - 2 * alpha) / (2 * alpha))
-                     * beta ** (-1.0 / (2 * alpha))
-                     * beta_integral(1.0 / (2 * alpha), 1.0 / (2 * beta)))
-        assert abs(table.period - reference) <= 1e-8
+    # the closed-form period against quadrature of the quarter-orbit time
+    for alpha, beta in ((1, 1), (1, 2), (1, 9), (2, 1), (2, 3), (3, 2),
+                        (3, 5), (2, 5), (5, 7)):
+        want = reference_period(alpha, beta)
+        got = build_trig(WeightVector(alpha, beta)).period
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_criterion_09_return_map_closed_form():
@@ -190,7 +192,10 @@ def test_criterion_09_return_map_closed_form():
     res = return_map_test(a)
     want = -2.0 * math.pi * float(c)
     assert abs(res.integral - want) <= 1e-7
-    assert res.integral == principal_return_integral(a)
+    # the principal part's own chart-form analysis, bit for bit, and its
+    # polar-form integral over the trig table
+    assert res.integral == return_map_test(principal_part(a)).integral
+    assert abs(res.integral - principal_return_integral(a)) <= 1e-9 * abs(want)
     assert res.to_json()["agreement"]
     assert res.sign == -1
 

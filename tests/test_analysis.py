@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import json
 import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from oracles import (
     up_from_roots,
     up_mul,
 )
-from polyfield import analysis, charts, cli, polys, polytope
+from polyfield import analysis, charts, cli, polys, polytope, portrait, trig
 from polyfield.analysis import (
     CURVE,
     Analysis,
@@ -327,7 +329,7 @@ def _stage_counts(monkeypatch, argv) -> Counter:
     """How often each shared pipeline stage runs for one CLI call."""
     calls = Counter()
     stages = [(analysis, "chart_maps"), (analysis, "support_minima"),
-              (analysis, "polar_field"), (charts, "_branch_polys"),
+              (portrait, "polar_field"), (charts, "_branch_polys"),
               (polytope, "polytope_from_support")]
     # every binding of up_deriv, wherever a module calls it from
     stages += [(module, "up_deriv") for module in (analysis, charts, polys)
@@ -361,13 +363,12 @@ def test_each_stage_runs_once_per_call(monkeypatch, capsys):
         "portrait", "--weight", "1,2", "--seed", "0.5,0.5", "--size", "64",
         "--field", text]) == {"polar_field": 1, "_branch_polys": 4,
                               "up_deriv": 4}
-    # the return map reads one polar chart, shared with the principal part,
-    # and the polytope of the face check
+    # the return map reads the directional charts, shared with the principal
+    # part, and the polytope of the face check; it builds no polar chart
     assert _stage_counts(monkeypatch, [
         "return-map", "--weight", "1,1", "--field",
         "dx = x^3 + x*y^2 - x^2*y - y^3 + x; dy = x^3 + x*y^2 + x^2*y + y^3"]) \
-        == {"polytope_from_support": 1, "polar_field": 1, "_branch_polys": 4,
-            "up_deriv": 4}
+        == {"polytope_from_support": 1, "_branch_polys": 4, "up_deriv": 4}
     capsys.readouterr()
 
 
@@ -553,7 +554,119 @@ def test_return_map_integral_matches_a_separate_principal_part():
         assert a.upper.field != f
         res = return_map_test(a)
         assert res.sign == sign
-        assert res.integral == principal_return_integral(a)
+        assert res.integral == return_map_test(principal_part(a)).integral
+        assert abs(res.integral - principal_return_integral(a)) \
+            <= 1e-9 * max(1.0, abs(res.integral))
+
+
+#: weights of the chart-form/polar-form comparison
+_RETURN_WEIGHTS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2),
+                   (3, 5), (2, 5)]
+
+
+def _perturbed_rotation(rng: random.Random, alpha: int, beta: int) -> PlanarField:
+    """dx = -y^(2 alpha-1), dy = x^(2 beta-1), quasi-homogeneous for the
+    weight (alpha, beta), with random terms at its level and below."""
+    top = 2 * alpha * beta - alpha - beta
+    terms = {(-1, 2 * alpha - 1): (Fraction(-1), Fraction(0)),
+             (2 * beta - 1, -1): (Fraction(0), Fraction(1))}
+    points = [(m, n) for m in range(-1, top + 2) for n in range(-1, top + 2)
+              if alpha * m + beta * n <= top]
+    upper = [p for p in points if alpha * p[0] + beta * p[1] == top]
+    lower = [p for p in points if p not in upper]
+    for (m, n) in upper + rng.sample(lower, 2):
+        # the field is polynomial: x^(m+1) y^n dx and x^m y^(n+1) dy
+        a = Fraction(rng.randint(-6, 6), rng.randint(2, 5)) if n >= 0 else 0
+        b = Fraction(rng.randint(-6, 6), rng.randint(2, 5)) if m >= 0 else 0
+        old_a, old_b = terms.get((m, n), (0, 0))
+        terms[(m, n)] = (old_a + a, old_b + b)
+    return PlanarField({p: c for p, c in terms.items() if any(c)})
+
+
+def test_return_map_chart_form_matches_the_polar_form():
+    # an independent derivation of the integral: the polar chart of the
+    # upper principal part over the trig table, with the period of the table
+    rng = random.Random(271828)
+    seen = Counter()
+    signs = Counter()
+    while sum(seen.values()) < 216:
+        alpha, beta = _RETURN_WEIGHTS[sum(seen.values()) % len(_RETURN_WEIGHTS)]
+        f = _perturbed_rotation(rng, alpha, beta)
+        a = Analysis(f, WeightVector(alpha, beta))
+        try:
+            res = return_map_test(a)
+        except FieldError as exc:
+            assert "does not apply" in str(exc)
+            continue
+        seen[(alpha, beta)] += 1
+        signs[res.sign] += 1
+        want = principal_return_integral(a)
+        assert abs(res.integral - want) <= 1e-9 * max(1.0, abs(want)), f
+        assert res.sign == (0 if abs(want) <= 1e-9 else (1 if want > 0 else -1)), f
+    assert set(seen) == set(_RETURN_WEIGHTS)
+    assert signs[1] and signs[-1]
+
+
+def test_return_map_builds_no_polar_chart_and_no_trig_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the return map built a polar chart or a trig "
+                             "table")
+
+    for module in (analysis, charts, trig, portrait):
+        for name in ("polar_field", "build_trig"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    res = return_map_test(Analysis(_spiral_field(Fraction(3, 5)),
+                                   WeightVector(1, 1)))
+    assert res.sign == -1
+
+
+@pytest.mark.parametrize("argv,spot", [
+    # the root -10**800 overflows a float
+    (["--weight", "1,1", "--field", "dx = 1/1" + "0" * 800 + "*y; dy = x"],
+     "<-1e308"),
+    # a negative root near 10**-400 underflows to -0.0
+    (["--field", "dx = -1" + "0" * 400 + "*y; dy = x + x^2*y"],
+     "(-5e-324,0)"),
+])
+def test_return_map_names_divisor_points_outside_the_float_range(
+        capsys, argv, spot):
+    assert cli.main(["return-map", *argv]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FieldError"
+    assert err["message"] == (f"Xpos: divisor singularity near u = {spot}; "
+                              "the return-map test does not apply")
+
+
+def test_return_map_checks_the_decay_of_t_over_r():
+    a = Analysis(_spiral_field(Fraction(3, 5)), WeightVector(1, 1))
+    assert analysis._principal_value(a.directional["Xpos"], 1)[0] != 0.0
+    # at weight (1,1) t/r decays like 1/u, not 1/(2u)
+    with pytest.raises(InternalConsistencyError, match="decay"):
+        analysis._principal_value(a.directional["Xpos"], 2)
+
+
+def test_return_map_of_a_huge_linear_centre():
+    # r = 1 + 10**400 u^2 leaves the float range, its monic form does not
+    f = parse_field("dx = -1" + "0" * 400 + "*y; dy = x")
+    assert return_map_test(Analysis(f, WeightVector(1, 1))).integral == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    # r = u^2 + (2 - 2*10**-100) u + 1 has no real root, but its float
+    # form (u + 1)^2 vanishes at u = -1
+    "dx = 1/5" + "0" * 99 + "*x - y; dy = x + 2*y",
+    # r = u^2 + 2*10**-12 u + 10**-12 peaks within 10**-6 of u = 0, where
+    # the quadrature cannot see it; the integral is -2*pi*10**-6, not 0
+    "dx = -1000000000000*y; dy = x + 2*y",
+])
+def test_return_map_refuses_an_unreliable_quadrature(capsys, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["return-map", "--weight", "1,1", "--field", text]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "FieldError",
+        "message": "return-map quadrature error inf too large"}
 
 
 def test_return_map_requires_a_clean_divisor():

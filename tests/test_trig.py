@@ -1,17 +1,11 @@
 import math
 
 import pytest
-from scipy.special import beta as beta_integral
 
-from oracles import reference_trig
+from oracles import reference_period, reference_trig
 from polyfield import trig
 from polyfield.fields import InternalConsistencyError, WeightVector
-from polyfield.trig import _period_by_quadrature, build_trig
-
-
-def _reference_period(a, b):
-    return 2.0 * a ** ((1 - 2 * a) / (2 * a)) / b ** (1 / (2 * a)) \
-        * beta_integral(1 / (2 * a), 1 / (2 * b))
+from polyfield.trig import build_trig, period
 
 
 def test_circular_case():
@@ -24,10 +18,11 @@ def test_circular_case():
     assert abs(cs - 1.0) <= 1e-8 and abs(sn) <= 1e-8
 
 
-def test_period_matches_beta_reference():
-    for a, b in [(1, 2), (2, 3), (3, 1)]:
-        t = build_trig(WeightVector(a, b))
-        assert abs(t.period - _reference_period(a, b)) <= 1e-8
+def test_period_matches_the_quarter_orbit_quadrature():
+    for a, b in [(1, 1), (1, 2), (1, 5), (1, 9), (2, 1), (3, 1), (2, 3),
+                 (3, 2), (3, 5), (2, 5), (5, 7)]:
+        want = reference_period(a, b)
+        assert abs(period(WeightVector(a, b)) - want) <= 1e-12 * want, (a, b)
 
 
 def test_conservation_along_orbit():
@@ -101,12 +96,6 @@ def test_eval_is_bit_identical_to_scipy_dense_output(a, b):
         assert all(type(v) is float for v in got)
         # hex tells -0.0 from 0.0
         assert [v.hex() for v in got] == [v.hex() for v in lookup(theta)], theta
-
-
-def test_period_error_is_kept():
-    t = build_trig(WeightVector(3, 5))
-    assert t.period_error == _period_by_quadrature(3, 5)[1]
-    assert 0.0 < t.period_error <= 1e-9
 
 
 def test_table_refuses_pieces_that_depart_from_scipy(monkeypatch):
