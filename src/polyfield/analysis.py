@@ -54,7 +54,6 @@ from .fields import (
 from .polys import (
     RealRoot,
     bp_gcd,
-    bp_strip_monomial,
     count_real_roots,
     has_real_branch,
     int_multiple,
@@ -81,6 +80,51 @@ CURVE = "CurveOfSingularities"
 
 
 # ---------------------------------------------------------------------------
+# the float boundary: exact values leave the exact core only through here
+
+
+def _stand_in(q) -> Fraction:
+    """The rational value whose float reports ``q``: ``q`` itself, or the
+    midpoint of an isolating interval of the RealRoot ``q`` narrower than
+    1e-12.  No isolating interval holds 0 inside, so that midpoint has the
+    sign of the root."""
+    if not isinstance(q, RealRoot):
+        return q
+    if q.is_rational:
+        return q.exact
+    return Fraction(*q.midpoint(Fraction(1, 10**12)))
+
+
+def approximate(q) -> Optional[float]:
+    """The float of an exact value ``q`` (a Fraction or a RealRoot), or None
+    when it lies outside the float range: it overflows, or it is nonzero and
+    underflows to zero.  Every exact value a report prints as a float goes
+    through here or through :func:`approximate_text`."""
+    q = _stand_in(q)
+    try:
+        v = float(q)
+    except OverflowError:
+        return None
+    return v if v or not q else None
+
+
+def approximate_text(q, digits: int, sign: Optional[int] = None) -> str:
+    """``approximate(q)`` to ``digits`` significant digits; outside the
+    float range ``>1e308`` or ``<-1e308`` when |q| >= 1, else ``(0,5e-324)``
+    or ``(-5e-324,0)``.  The side is the sign of ``q``, or ``sign`` where
+    ``q`` stands in for a value whose exact sign was decided apart."""
+    q = _stand_in(q)
+    v = approximate(q)
+    if v is not None:
+        return f"{v:.{digits}g}"
+    if sign is None:
+        sign = 1 if q > 0 else -1
+    if abs(q) >= 1:
+        return ">1e308" if sign > 0 else "<-1e308"
+    return "(0,5e-324)" if sign > 0 else "(-5e-324,0)"
+
+
+# ---------------------------------------------------------------------------
 # records
 
 
@@ -89,16 +133,17 @@ class Eigenvalue:
     """One eigenvalue of the on-divisor Jacobian.
 
     The sign is decided exactly; ``exact`` is filled when the base point is
-    rational, and ``approx`` is a float for reporting, None when the value
-    lies outside the float range (overflows, or is nonzero and underflows).
-    ``huge`` tells the two apart: it is True when the value approximated
-    overflows.
+    rational.  ``value`` is the value reported: the exact one, or the one at
+    a refined midpoint of an irrational base point.
     """
 
     sign: int
-    approx: Optional[float]
+    value: Fraction
     exact: Optional[Fraction] = None
-    huge: bool = False
+
+    @property
+    def approx(self) -> Optional[float]:
+        return approximate(self.value)
 
     def to_json(self) -> dict:
         return {
@@ -108,41 +153,11 @@ class Eigenvalue:
         }
 
 
-def _float_or_none(q) -> Optional[float]:
-    """``float(q)``, or None when ``q`` lies outside the float range: it
-    overflows, or it is nonzero and underflows to zero."""
-    try:
-        v = float(q)
-    except OverflowError:
-        return None
-    exact = q.exact if isinstance(q, RealRoot) else q
-    return None if v == 0 and exact != 0 else v
-
-
-def outside_floats(sign: int, huge: bool) -> str:
-    """A value beyond the float range when ``huge``, else one underflowing."""
-    if huge:
-        return ">1e308" if sign > 0 else "<-1e308"
-    return "(0,5e-324)" if sign > 0 else "(-5e-324,0)"
-
-
-def position_text(root: RealRoot, digits: int) -> str:
-    """``root`` to ``digits`` significant digits, or how it leaves floats."""
-    try:
-        v = float(root)
-        if v or root.exact == 0:
-            return f"{v:.{digits}g}"
-        huge = False
-    except OverflowError:
-        huge = True
-    return outside_floats(root.sign_of((Fraction(0), Fraction(1))), huge)
-
-
 def _realroot_json(r: RealRoot) -> dict:
     return {
         "poly": [str(c) for c in r.poly],
         "interval": [str(r.lo), str(r.hi)],
-        "approx": _float_or_none(r),
+        "approx": approximate(r),
     }
 
 
@@ -195,13 +210,11 @@ def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
     else:
         sign = root.sign_of(poly)
         if sign == 0:
-            return Eigenvalue(sign=0, approx=0.0)
+            return Eigenvalue(sign=0, value=Fraction(0))
         # the value at a refined midpoint stands in for the irrational one
         n, d = root.midpoint(Fraction(1, 10**15))
         val, exact = up_value(poly, n, d), None
-    approx = _float_or_none(val)
-    return Eigenvalue(sign=sign, approx=approx, exact=exact,
-                      huge=approx is None and abs(val) >= 1)
+    return Eigenvalue(sign=sign, value=val, exact=exact)
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
@@ -339,19 +352,6 @@ def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
             if root.sign_of((Fraction(0), Fraction(1))) > 0]
 
 
-def _power_or_none(sign: int, root: RealRoot, k: int) -> Optional[float]:
-    """``sign * float(root) ** k`` for a positive root, or None when that
-    power leaves the float range."""
-    if k == 0:
-        return float(sign)
-    try:
-        v = sign * float(root) ** k
-    except (OverflowError, ZeroDivisionError):
-        return None
-    # the exact value is nonzero, so a zero here underflowed
-    return v or None
-
-
 def check_nondegenerate(upp: UpperPrincipalPart):
     """Decide whether the upper principal part vanishes anywhere off the axes.
 
@@ -378,20 +378,15 @@ def check_nondegenerate(upp: UpperPrincipalPart):
                 # negative coordinate carries an odd exponent: use f(-t)
                 odd = (s1 < 0 and dx % 2 == 1) != (s2 < 0 and dy % 2 == 1)
                 for root in positive[odd]:
-                    if root.is_rational:
-                        sval = root.exact
-                        exact = (s1 * sval**wu, s2 * sval**wv)
-                        point = tuple(_float_or_none(c) for c in exact)
-                    else:
-                        exact = None
-                        point = (_power_or_none(s1, root, wu),
-                                 _power_or_none(s2, root, wv))
+                    # an irrational root is read at its float's midpoint
+                    m = _stand_in(root)
+                    point = (s1 * m**wu, s2 * m**wv)
                     witnesses.append(DegeneracyWitness(
                         segment_normal=seg.inward_normal,
                         quadrant=(s1, s2),
                         parameter=root,
-                        point=point,
-                        point_exact=exact,
+                        point=(approximate(point[0]), approximate(point[1])),
+                        point_exact=point if root.is_rational else None,
                     ))
     return not witnesses, tuple(witnesses)
 
@@ -404,11 +399,7 @@ def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
     """True when the components of the upper principal part share no
     nonconstant factor whose zero set meets the plane off the axes."""
     P, Q = upp.field.components()
-    g = bp_gcd(P, Q)
-    g, _, _ = bp_strip_monomial(g)
-    if not g or all(k == (0, 0) for k in g):
-        return True
-    return not has_real_branch(g)
+    return not has_real_branch(bp_gcd(P, Q))
 
 
 # ---------------------------------------------------------------------------
@@ -508,42 +499,6 @@ def _check_on_upper_boundary(a: Analysis, faces) -> None:
 
 
 @dataclass(frozen=True)
-class MatchRow:
-    """One divisor singularity, as the field and its upper principal part
-    both carry it."""
-
-    chart: str
-    branch: str
-    #: None for a curve of singularities or outside the float range
-    position: Optional[float]
-    classification: str
-
-    def to_json(self) -> dict:
-        return {
-            "chart": self.chart,
-            "branch": self.branch,
-            "position": self.position,
-            "field": self.classification,
-            "principal_part": self.classification,
-            "matched": True,
-        }
-
-
-def _by_branch(rec: SingularityRecord) -> str:
-    return rec.branch
-
-
-def _match_table(inv) -> tuple[MatchRow, ...]:
-    """The rows of an inventory chart by chart, stably sorted by branch
-    within each chart."""
-    return tuple(
-        MatchRow(chart=chart, branch=r.branch,
-                 position=None if r.is_curve else _float_or_none(r.position),
-                 classification=r.classification)
-        for chart, recs in inv.items() for r in sorted(recs, key=_by_branch))
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     verdict: str
     reasons: tuple[str, ...]
@@ -553,7 +508,6 @@ class EquivalenceReport:
     weight: Optional[WeightVector]
     #: the divisor singularities of the field and of its upper principal part
     inventory: dict[str, list[SingularityRecord]]
-    match_table: tuple[MatchRow, ...]
     witnesses: tuple[DegeneracyWitness, ...]
 
     def to_json(self) -> dict:
@@ -567,7 +521,15 @@ class EquivalenceReport:
             "field_after_shear": format_field(self.field_after_shear),
             "weight": None if self.weight is None else list(self.weight.as_tuple()),
             "inventory": {"field": inv, "principal_part": inv},
-            "match_table": [row.to_json() for row in self.match_table],
+            # each record, as the field and its upper principal part both
+            # carry it, chart by chart and stably sorted by branch
+            "match_table": [
+                {"chart": chart, "branch": r["branch"],
+                 "position": r["position"] and r["position"]["approx"],
+                 "field": r["classification"],
+                 "principal_part": r["classification"], "matched": True}
+                for chart in self.inventory
+                for r in sorted(inv[chart], key=lambda rec: rec["branch"])],
             "witnesses": [w.to_json() for w in self.witnesses],
         }
 
@@ -595,7 +557,6 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
             field_after_shear=field,
             weight=None,
             inventory={},
-            match_table=(),
             witnesses=(),
         )
     a = Analysis(sheared)
@@ -620,7 +581,6 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
         field_after_shear=sheared,
         weight=a.weight,
         inventory=inv,
-        match_table=_match_table(inv),
         witnesses=witnesses,
     )
 
@@ -667,7 +627,7 @@ def _assert_no_divisor_singularities(a: Analysis) -> None:
                 f"{direction}: the divisor is a curve of singularities; "
                 "the return-map test does not apply")
         if count_real_roots(restriction) > 0:
-            spot = position_text(real_roots(restriction)[0], 6)
+            spot = approximate_text(real_roots(restriction)[0], 6)
             raise FieldError(
                 f"{direction}: divisor singularity near u = {spot}; "
                 "the return-map test does not apply")
@@ -689,7 +649,8 @@ def _principal_value(cf: ChartField, beta: int) -> tuple[float, float]:
     if len(t) != len(r) - 1 or t[-1] / r[-1] != Fraction(1, beta):
         raise InternalConsistencyError(
             f"{cf.label}: t/r does not decay like 1/({beta}u) on the divisor")
-    # r made monic, so that both fit floats whenever the field's ratios do
+    # r made monic, so that both fit floats whenever the field's ratios do;
+    # a ratio beyond the float range raises OverflowError, exit 4
     rf, tf = ([float(c / r[-1]) for c in p] for p in (r, t))
 
     def even(u: float) -> float:
@@ -724,7 +685,7 @@ def return_map_test(a: Analysis) -> ReturnMapResult:
 
     (pos, e_pos), (neg, e_neg) = (_principal_value(a.directional[d], w.beta)
                                   for d in ("Xpos", "Xneg"))
-    if not e_pos + e_neg <= 1e-8:
+    if not e_pos + e_neg <= 1e-8 * max(1.0, abs(pos - neg)):
         raise FieldError(
             f"return-map quadrature error {e_pos + e_neg:g} too large")
     integral = pos - neg

@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 from .analysis import (
     Analysis,
+    approximate_text,
     equivalence_verdict,
-    outside_floats,
-    position_text,
     return_map_test,
 )
 from .fans import FanError, complete_fan
@@ -158,11 +157,7 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
 
 
 def _eigenvalue_text(e) -> str:
-    if e is None:
-        return ""
-    if e.approx is None:
-        return outside_floats(e.sign, e.huge)
-    return f"{e.approx:.4g}"
+    return "" if e is None else approximate_text(e.value, 4, e.sign)
 
 
 def _cmd_singularities(args: argparse.Namespace) -> int:
@@ -183,7 +178,7 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for chart, recs in inv.items():
         for r in recs:
-            pos = "curve" if r.is_curve else position_text(r.position, 8)
+            pos = "curve" if r.is_curve else approximate_text(r.position, 8)
             tan = _eigenvalue_text(r.tangent)
             tra = _eigenvalue_text(r.transverse)
             orbit = "yes" if r.characteristic_orbit else "no"

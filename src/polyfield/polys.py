@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
-from weakref import ref
 
 from .fields import InternalConsistencyError
 
@@ -244,30 +243,19 @@ def count_real_roots(f) -> int:
 # real algebraic numbers
 
 
-def _no_root() -> None:
-    return None
-
-
 class _RootMemo:
     """What one real algebraic number has learned about itself: its
     defining polynomial as a positive integer multiple, its narrowest
     isolating interval [a/q, b/q] with the sign ``sa`` of that polynomial at
-    a/q, the signs already decided at it, and ``root``, a weak reference to
-    the :class:`RealRoot` for the narrowest interval.  The reference is weak
-    so that a root and its memo form no cycle and are freed by reference
-    counting alone."""
+    a/q, and the signs already decided at it.  It holds no reference to a
+    root, so roots and memos are freed by reference counting alone."""
 
-    __slots__ = ("ipoly", "a", "b", "q", "sa", "signs", "root")
+    __slots__ = ("ipoly", "a", "b", "q", "sa", "signs")
 
     def __init__(self, ipoly, a: int, b: int, q: int, sa: int):
         self.ipoly = ipoly
         self.a, self.b, self.q, self.sa = a, b, q, sa
         self.signs: dict = {}
-        self.root = _no_root
-
-    def narrow(self, a: int, b: int, q: int) -> None:
-        self.a, self.b, self.q = a, b, q
-        self.root = _no_root
 
 
 @dataclass(frozen=True)
@@ -286,16 +274,13 @@ class RealRoot:
     memo: Optional[_RootMemo] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        m = self.memo
-        if m is None:
+        if self.memo is None:
             q = lcm(self.lo.denominator, self.hi.denominator)
             a = self.lo.numerator * (q // self.lo.denominator)
             b = self.hi.numerator * (q // self.hi.denominator)
             ip = int_multiple(self.poly) if a != b else None
             m = _RootMemo(ip, a, b, q, _sign_at(ip, a, q) if ip else 0)
             object.__setattr__(self, "memo", m)
-        if m.root() is None:
-            m.root = ref(self)
 
     @property
     def is_rational(self) -> bool:
@@ -319,8 +304,8 @@ class RealRoot:
     def refine(self, width) -> "RealRoot":
         """Shrink the isolating interval below the requested width.
 
-        Returns the narrowest interval known so far when it is narrow
-        enough, and otherwise bisects on from it.
+        Returns a root over the narrowest interval known so far when that
+        is narrow enough, and otherwise bisects on from it.
         """
         if self.is_rational:
             return self
@@ -340,15 +325,8 @@ class RealRoot:
                     a = c
                 else:
                     b = c
-            m.narrow(a, b, q)
-        return self._narrowest()
-
-    def _narrowest(self) -> "RealRoot":
-        m = self.memo
-        r = m.root()
-        if r is None:
-            r = RealRoot(self.poly, Fraction(m.a, m.q), Fraction(m.b, m.q), m)
-        return r
+            m.a, m.b, m.q = a, b, q
+        return RealRoot(self.poly, Fraction(m.a, m.q), Fraction(m.b, m.q), m)
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
         """Exact sign of g at this algebraic number, remembered per g."""
@@ -378,8 +356,7 @@ class RealRoot:
                 if chain is None:
                     chain = _isturm(_isquarefree(g))
                 if _variations(chain, a, q) == _variations(chain, b, q):
-                    if q != m.q or a != m.a or b != m.b:
-                        m.narrow(a, b, q)
+                    m.a, m.b, m.q = a, b, q
                     return sg
             c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
             s = _sign_at(f, c, q)
@@ -418,7 +395,7 @@ class RealRoot:
     def __lt__(self, other: "RealRoot") -> bool:
         if self is other or self.equals(other):
             return False
-        a, b = self._narrowest(), other._narrowest()
+        a, b = self, other
         while not (a.hi < b.lo or b.hi < a.lo):
             a = a.refine((a.hi - a.lo) / 4 if not a.is_rational else 1)
             b = b.refine((b.hi - b.lo) / 4 if not b.is_rational else 1)

@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import CURVE, Analysis, divisor_singularities
+from .analysis import (
+    CURVE,
+    Analysis,
+    approximate,
+    approximate_text,
+    divisor_singularities,
+)
 from .charts import polar_field
 from .fields import FieldError
 from .trig import TrigTable, build_trig
@@ -110,14 +116,17 @@ class DiskMarker:
     theta: float
     classification: str
     chart: str
-    chart_position: float
+    #: the chart coordinate u to 6 digits, or how it leaves the float range
+    chart_position: str
 
 
 def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
     """All divisor singularities as (theta, class) markers, deduplicated.
 
     Returns the markers sorted by angle together with a flag telling whether
-    some chart saw the whole divisor as a curve of singularities.
+    some chart saw the whole divisor as a curve of singularities.  A point
+    beyond the float range in one chart lies near u = 0 of the perpendicular
+    chart, which draws it; a nonzero u that underflows is drawn at u = 0.
     """
     table = build_trig(a.weight)
     curve = False
@@ -127,9 +136,12 @@ def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
             if rec.classification == CURVE:
                 curve = True
                 continue
-            u = float(rec.position)
-            theta = marker_theta(table, chart, u)
-            raw.append(DiskMarker(theta, rec.classification, chart, u))
+            u = approximate(rec.position)
+            text = approximate_text(rec.position, 6)
+            if u is None and text.endswith("1e308"):
+                continue
+            theta = marker_theta(table, chart, u or 0.0)
+            raw.append(DiskMarker(theta, rec.classification, chart, text))
     raw.sort(key=lambda m: m.theta)
     out: list[DiskMarker] = []
     for m in raw:
@@ -155,6 +167,7 @@ def solve_ivp(*args, **kwargs):
 
 
 def _compiled_terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
+    # a coefficient beyond the float range raises OverflowError, exit 4
     return tuple((float(c), i, j, k)
                  for (i, j, k), c in sorted(comp.items()))
 
@@ -269,7 +282,7 @@ def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
                 f'    <circle class="singularity" cx="{_fmt(x)}" '
                 f'cy="{_fmt(y)}" r="4" fill="{fill}">'
                 f'<title>{m.classification} ({m.chart} chart, '
-                f'u={m.chart_position:.6g})</title></circle>')
+                f'u={m.chart_position})</title></circle>')
 
     divisor_stroke = "#b22222" if curve else "#222222"
     alpha, beta = a.weight.as_tuple()

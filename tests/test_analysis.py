@@ -161,8 +161,12 @@ def test_eigenvalues_match_fraction_horner_at_the_refined_midpoint():
                     val = up_eval(poly, (r.lo + r.hi) / 2)
                     assert e.exact is None
                 assert e.sign == (val > 0) - (val < 0)
-                expected = analysis._float_or_none(val)
-                assert e.approx == expected or e.approx is expected is None
+                assert e.value == val
+                # no value here comes near either end of the float range
+                if val == 0 or 1e-300 < abs(val) < 1e300:
+                    assert e.approx == float(val)
+                else:
+                    assert e.approx is None
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +212,10 @@ def test_witness_search_isolates_once_per_twist_parity(monkeypatch):
 
 def test_witness_coordinates_outside_the_float_range_are_none():
     # y = +-sqrt(c) x^2 meets x = +-1 at irrational y far above, and with
-    # c inverted far below, the float range
+    # c inverted far below, the float range; so do the lines y = +-sqrt(c) x
     c = 2 * 10**800
-    for text in (f"dx = y^2 - {c}*x^4; dy = 0", f"dx = {c}*y^2 - x^4; dy = 0"):
+    for text in (f"dx = y^2 - {c}*x^4; dy = 0", f"dx = {c}*y^2 - x^4; dy = 0",
+                 f"dx = y^3 - {c}*x^2*y; dy = 0"):
         ok, witnesses = check_nondegenerate(Analysis(parse_field(text)).upper)
         assert not ok and len(witnesses) == 4
         for w in witnesses:
@@ -236,7 +241,8 @@ def test_quartic_verdict_equivalent():
     assert rep.shear == 0
     assert rep.weight == W12
     assert all(rep.hypotheses.values())
-    assert len(rep.match_table) == sum(map(len, rep.inventory.values()))
+    assert len(rep.to_json()["match_table"]) \
+        == sum(map(len, rep.inventory.values()))
     # here the upper principal part is the whole field; a separate analysis
     # of it finds the inventory the report writes for both sides
     prin = principal_part(Analysis(rep.field_after_shear)).inventory
@@ -422,7 +428,7 @@ def test_curve_of_singularities_fails_hypothesis():
 def test_segment_polytope_verdict():
     rep = equivalence_verdict(parse_field("dx = y; dy = x"))
     assert rep.verdict == "Equivalent"
-    assert rep.match_table
+    assert rep.to_json()["match_table"]
 
 
 def _random_field(rng: random.Random) -> PlanarField:
@@ -474,7 +480,7 @@ def test_report_inventory_matches_a_separate_principal_part_analysis(P, Q, lam):
     assume(not f.is_zero)
     rep = equivalence_verdict(f)
     if rep.weight is None:
-        assert rep.inventory == {} and rep.match_table == ()
+        assert rep.inventory == {} and rep.to_json()["match_table"] == []
         return
     prin = principal_part(Analysis(rep.field_after_shear)).inventory
     inv = rep.to_json()["inventory"]
@@ -636,6 +642,19 @@ def test_return_map_names_divisor_points_outside_the_float_range(
     assert err["error"] == "FieldError"
     assert err["message"] == (f"Xpos: divisor singularity near u = {spot}; "
                               "the return-map test does not apply")
+
+
+def test_return_map_bounds_the_quadrature_error_relative_to_the_integral():
+    # the spiral dx = c x - y, dy = x + c y has the integral -2 pi c; at
+    # c = 3*10**100 the error estimate is about 1e87, 1e-14 of it
+    c = 3 * 10**100
+    res = return_map_test(Analysis(
+        parse_field(f"dx = {c}*x - y; dy = x + {c}*y"), WeightVector(1, 1)))
+    assert res.sign == -1
+    assert abs(res.integral + 2 * math.pi * c) <= 1e-9 * 2 * math.pi * c
+    res = return_map_test(Analysis(
+        parse_field("dx = 3000*x - y; dy = x + 3000*y"), WeightVector(1, 1)))
+    assert abs(res.integral + 6000 * math.pi) <= 1e-9 * 6000 * math.pi
 
 
 def test_return_map_checks_the_decay_of_t_over_r():

@@ -363,6 +363,24 @@ def test_cli_float_overflow_is_a_numeric_failure(capsys):
     assert json.loads(err)["error"] == "OverflowError"
 
 
+def test_portrait_markers_outside_the_float_range(capsys):
+    # the saddle dx = 10**-800 y, dy = x has its separatrices at
+    # u = +-10**400 in the x-charts, beyond the float range, and at
+    # u = +-10**-400 in the y-charts, which underflow: both y-charts draw
+    # their pair at u = 0, the top and the bottom of the disk
+    code, out, err = _run(capsys, "portrait", "--weight", "1,1", "--size",
+                          "64", "--seed", "0.5,0.5", "--field",
+                          "dx = 1/1" + "0" * 800 + "*y; dy = x")
+    assert code == 0 and err == ""
+    markers = [line.strip() for line in out.splitlines()
+               if 'class="singularity"' in line]
+    assert markers == [
+        f'<circle class="singularity" cx="32.000" cy="{cy}" r="4" '
+        f'fill="#d62728"><title>Hyperbolic ({chart} chart, '
+        f'u=(-5e-324,0))</title></circle>'
+        for cy, chart in (("12.000", "Ypos"), ("52.000", "Yneg"))]
+
+
 def test_cli_huge_exact_values_get_a_verdict(capsys):
     huge = "1" + "0" * 400
     code, out, _ = _run(capsys, "check-equivalence",
