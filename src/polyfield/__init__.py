@@ -14,6 +14,7 @@ from .analysis import (
     EquivalenceReport,
     ReturnMapResult,
     SingularityRecord,
+    approximate,
     check_no_singularity_curve,
     check_nondegenerate,
     divisor_singularities,
@@ -70,6 +71,7 @@ __all__ = [
     "SingularityRecord",
     "TrigTable",
     "WeightVector",
+    "approximate",
     "build_fan",
     "build_polytope",
     "build_trig",

@@ -83,16 +83,27 @@ CURVE = "CurveOfSingularities"
 # the float boundary: exact values leave the exact core only through here
 
 
+#: below this, an exact value underflows to 0.0 with room to spare, so it
+#: is read only to its sign
+_TINY = Fraction(1, 2**1100)
+
+
 def _stand_in(q) -> Fraction:
     """The rational value whose float reports ``q``: ``q`` itself, or the
     midpoint of an isolating interval of the RealRoot ``q`` narrower than
-    1e-12.  No isolating interval holds 0 inside, so that midpoint has the
-    sign of the root."""
+    1e-12 that is also narrower than 1e-9 of its nearer end's distance from
+    0, or lies inside (-_TINY, _TINY).  Isolation bisects at 0 first, so no
+    isolating interval holds 0 inside: that midpoint has the sign of the
+    root and, above _TINY, a relative error below 1e-9."""
     if not isinstance(q, RealRoot):
         return q
     if q.is_rational:
         return q.exact
-    return Fraction(*q.midpoint(Fraction(1, 10**12)))
+    r = q.refine(Fraction(1, 10**12))
+    while ((r.hi - r.lo) * 10**9 > min(abs(r.lo), abs(r.hi))
+           and max(abs(r.lo), abs(r.hi)) >= _TINY):
+        r = q.refine((r.hi - r.lo) ** 2)
+    return (r.lo + r.hi) / 2
 
 
 def approximate(q) -> Optional[float]:
@@ -133,8 +144,11 @@ class Eigenvalue:
     """One eigenvalue of the on-divisor Jacobian.
 
     The sign is decided exactly; ``exact`` is filled when the base point is
-    rational.  ``value`` is the value reported: the exact one, or the one at
-    a refined midpoint of an irrational base point.
+    rational.  ``value`` is the value reported: the exact one, or, at an
+    irrational base point, the value at a point of an isolating interval
+    narrower than 1e-15 where the polynomial has the exact sign and varies
+    by at most 1e-9 of that value, or, below _TINY, any value with the exact
+    sign (see :func:`_value_with_sign`).
     """
 
     sign: int
@@ -211,10 +225,28 @@ def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
         sign = root.sign_of(poly)
         if sign == 0:
             return Eigenvalue(sign=0, value=Fraction(0))
-        # the value at a refined midpoint stands in for the irrational one
-        n, d = root.midpoint(Fraction(1, 10**15))
-        val, exact = up_value(poly, n, d), None
+        val, exact = _value_with_sign(root, poly, sign), None
     return Eigenvalue(sign=sign, value=val, exact=exact)
+
+
+def _value_with_sign(root: RealRoot, poly, sign: int) -> Fraction:
+    """The value of ``poly`` at the midpoint of an isolating interval of the
+    irrational ``root`` narrower than 1e-15 on which ``poly`` has, at the
+    midpoint and at both ends, the sign ``sign`` it has at the root, and the
+    values at the ends differ by at most 1e-9 of the midpoint's.  Once all
+    three values lie inside (-_TINY, _TINY), the first of them with that
+    sign will do.  Such an interval exists, since ``poly`` is nonzero at
+    the root."""
+    r = root.refine(Fraction(1, 10**15))
+    while True:
+        vals = mid, lo, hi = [up_value(poly, p.numerator, p.denominator)
+                              for p in ((r.lo + r.hi) / 2, r.lo, r.hi)]
+        signed = [v for v in vals if (v > 0) - (v < 0) == sign]
+        if len(signed) == 3 and abs(hi - lo) * 10**9 <= abs(mid):
+            return mid
+        if signed and max(map(abs, vals)) < _TINY:
+            return signed[0]
+        r = root.refine((r.hi - r.lo) ** 2)
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:

@@ -11,22 +11,21 @@ polynomials in x indexed by the degree in y.
 The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
 Signs are evaluated by homogeneous Horner, and gcds, univariate and
-bivariate, run as primitive integer pseudo-remainder sequences.  Algebraic
-numbers are represented by :class:`RealRoot`: a squarefree defining
-polynomial together with an isolating rational interval; each remembers its
-narrowest interval and the signs decided at it.
+bivariate, run as primitive integer pseudo-remainder sequences.  An
+algebraic number is one :class:`RealRoot`: a squarefree defining polynomial
+together with an isolating rational interval, its narrowest interval so far
+and the signs decided at it.  The sign of a polynomial there is one Tarski
+query, the sign variations of one signed remainder sequence at the two ends
+of that interval, whatever the distance to the polynomial's own roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .fields import InternalConsistencyError
-
-Poly = "tuple[Fraction, ...]"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -195,11 +194,13 @@ def _isquarefree(f: Sequence[int]) -> tuple[int, ...]:
     return q if q[-1] > 0 else tuple(-c for c in q)
 
 
-def _isturm(f: Sequence[int]) -> list[tuple[int, ...]]:
-    """Positive integer multiples of the Sturm sequence of f."""
+def _isturm(f: Sequence[int],
+            g: Sequence[int] = (1,)) -> list[tuple[int, ...]]:
+    """Positive integer multiples of the signed remainder sequence of
+    (f, f'g); for g = 1 it is the Sturm sequence of f."""
     if len(f) < 2:
         return [tuple(f)] if f else []
-    chain = [tuple(f), _iprimitive(_ideriv(f))]
+    chain = [tuple(f), _iprimitive(_imul(_ideriv(f), g))]
     while len(chain[-1]) > 1:
         r = _iprem(chain[-2], chain[-1])
         if not r:
@@ -243,63 +244,37 @@ def count_real_roots(f) -> int:
 # real algebraic numbers
 
 
-class _RootMemo:
-    """What one real algebraic number has learned about itself: its
-    defining polynomial as a positive integer multiple, its narrowest
-    isolating interval [a/q, b/q] with the sign ``sa`` of that polynomial at
-    a/q, and the signs already decided at it.  It holds no reference to a
-    root, so roots and memos are freed by reference counting alone."""
-
-    __slots__ = ("ipoly", "a", "b", "q", "sa", "signs")
-
-    def __init__(self, ipoly, a: int, b: int, q: int, sa: int):
-        self.ipoly = ipoly
-        self.a, self.b, self.q, self.sa = a, b, q, sa
-        self.signs: dict = {}
-
-
-@dataclass(frozen=True)
 class RealRoot:
     """A real algebraic number: squarefree defining polynomial plus an
-    isolating rational interval.  For rational values lo == hi.
+    isolating rational interval [lo, hi].  For rational values lo == hi.
 
     An irrational root's interval is open at both ends: neither endpoint is a
-    zero of ``poly``.  Roots that share ``memo`` stand for the same number;
-    refinements and sign queries are kept there and reused.
+    zero of ``poly``.  Such a root also keeps ``poly`` as a positive integer
+    multiple, its narrowest isolating interval [a/q, b/q] so far with the
+    sign of that polynomial at a/q, and the signs already decided at it.
     """
 
-    poly: tuple[Fraction, ...]
-    lo: Fraction
-    hi: Fraction
-    memo: Optional[_RootMemo] = field(default=None, compare=False, repr=False)
+    __slots__ = ("poly", "lo", "hi", "_f", "_a", "_b", "_q", "_sa", "_signs")
 
-    def __post_init__(self):
-        if self.memo is None:
-            q = lcm(self.lo.denominator, self.hi.denominator)
-            a = self.lo.numerator * (q // self.lo.denominator)
-            b = self.hi.numerator * (q // self.hi.denominator)
-            ip = int_multiple(self.poly) if a != b else None
-            m = _RootMemo(ip, a, b, q, _sign_at(ip, a, q) if ip else 0)
-            object.__setattr__(self, "memo", m)
+    def __init__(self, poly: tuple[Fraction, ...], lo: Fraction,
+                 hi: Fraction):
+        self.poly, self.lo, self.hi = poly, lo, hi
+        q = lcm(lo.denominator, hi.denominator)
+        self._a = a = lo.numerator * (q // lo.denominator)
+        self._b = hi.numerator * (q // hi.denominator)
+        self._q = q
+        # only an irrational root keeps a defining polynomial
+        self._f = f = None if lo == hi else int_multiple(poly)
+        self._sa = _sign_at(f, a, q) if f else 0
+        self._signs: dict = {}
 
     @property
     def is_rational(self) -> bool:
-        # only an irrational root keeps a defining polynomial in its memo
-        return self.memo.ipoly is None
+        return self._f is None
 
     @property
     def exact(self) -> Fraction | None:
-        return self.lo if self.is_rational else None
-
-    def __float__(self) -> float:
-        n, d = self.midpoint(Fraction(1, 10**12))
-        return n / d
-
-    def midpoint(self, width) -> tuple[int, int]:
-        """The midpoint n/d, d > 0, of an isolating interval narrower than
-        ``width`` (see :meth:`refine`)."""
-        m = self.refine(width).memo
-        return m.a + m.b, 2 * m.q
+        return self.lo if self._f is None else None
 
     def refine(self, width) -> "RealRoot":
         """Shrink the isolating interval below the requested width.
@@ -307,14 +282,14 @@ class RealRoot:
         Returns a root over the narrowest interval known so far when that
         is narrow enough, and otherwise bisects on from it.
         """
-        if self.is_rational:
+        f = self._f
+        if f is None:
             return self
-        m = self.memo
         width = Fraction(width)
         wn, wd = width.numerator, width.denominator
-        a, b, q = m.a, m.b, m.q
+        a, b, q = self._a, self._b, self._q
         if (b - a) * wd > wn * q:
-            f, sa = m.ipoly, m.sa
+            sa = self._sa
             while (b - a) * wd > wn * q:
                 c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
                 s = _sign_at(f, c, q)
@@ -325,51 +300,31 @@ class RealRoot:
                     a = c
                 else:
                     b = c
-            m.a, m.b, m.q = a, b, q
-        return RealRoot(self.poly, Fraction(m.a, m.q), Fraction(m.b, m.q), m)
+            self._a, self._b, self._q = a, b, q
+        return RealRoot(self.poly, Fraction(a, q), Fraction(b, q))
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
         """Exact sign of g at this algebraic number, remembered per g."""
         key = tuple(g)
-        signs = self.memo.signs
-        s = signs.get(key)
+        s = self._signs.get(key)
         if s is None:
-            s = signs[key] = self._sign_of(int_multiple(key))
+            s = self._signs[key] = self._sign_of(int_multiple(key))
         return s
 
     def _sign_of(self, g: tuple[int, ...]) -> int:
-        m = self.memo
-        if not g:
-            return 0
-        if self.is_rational:
-            return _sign_at(g, m.a, m.q)
-        f, a, b, q, sa = m.ipoly, m.a, m.b, m.q, m.sa
-        h = _igcd(f, g)
-        if len(h) > 1 and _sign_at(h, a, q) != _sign_at(h, b, q):
-            # h divides the defining polynomial, so its one simple root in
-            # the interval is this number
-            return 0
-        chain = None
-        for _ in range(20000):
-            sg = _sign_at(g, a, q)
-            if sg and sg == _sign_at(g, b, q):
-                if chain is None:
-                    chain = _isturm(_isquarefree(g))
-                if _variations(chain, a, q) == _variations(chain, b, q):
-                    m.a, m.b, m.q = a, b, q
-                    return sg
-            c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
-            s = _sign_at(f, c, q)
-            if s == 0:
-                return _sign_at(g, c, q)
-            if s == sa:
-                a = c
-            else:
-                b = c
-        raise InternalConsistencyError("sign refinement did not converge")
+        """The Tarski query of g at the one root of f in (a/q, b/q): the
+        drop in sign variations, from a/q to b/q, of the signed remainder
+        sequence of (f, f'g) counts the roots of f there where g > 0 minus
+        those where g < 0 (Basu, Pollack & Roy, Algorithms in Real
+        Algebraic Geometry, 2006, section 2.2)."""
+        if self._f is None:
+            return _sign_at(g, self._a, self._q)
+        chain = _isturm(self._f, g)
+        return (_variations(chain, self._a, self._q)
+                - _variations(chain, self._b, self._q))
 
     def equals(self, other: "RealRoot") -> bool:
-        if self is other or self.memo is other.memo:
+        if self is other:
             return True
         if self.is_rational and other.is_rational:
             return self.lo == other.lo
@@ -378,13 +333,12 @@ class RealRoot:
             # rational roots deflated away, so the two can never coincide
             rat, irr = (self, other) if self.is_rational else (other, self)
             return (irr.lo < rat.lo < irr.hi
-                    and _sign_at(irr.memo.ipoly, rat.memo.a, rat.memo.q) == 0)
-        s, o = self.memo, other.memo
-        lo = max(Fraction(s.a, s.q), Fraction(o.a, o.q))
-        hi = min(Fraction(s.b, s.q), Fraction(o.b, o.q))
+                    and _sign_at(irr._f, rat._a, rat._q) == 0)
+        lo = max(Fraction(self._a, self._q), Fraction(other._a, other._q))
+        hi = min(Fraction(self._b, self._q), Fraction(other._b, other._q))
         if lo >= hi:
             return False
-        h = _igcd(s.ipoly, o.ipoly)
+        h = _igcd(self._f, other._f)
         if len(h) < 2:
             return False
         # lo and hi are endpoints of isolating intervals, so not zeros of h,
@@ -483,8 +437,7 @@ def real_roots(f) -> list[RealRoot]:
         if v is not None:
             out.append(rational_root(v))
         else:
-            m = _RootMemo(h, a, b, q, _sign_at(h, a, q))
-            out.append(RealRoot(poly, Fraction(a, q), Fraction(b, q), m))
+            out.append(RealRoot(poly, Fraction(a, q), Fraction(b, q)))
     return out
 
 

@@ -28,6 +28,7 @@ from test_polytope import _brute_hull
 from polyfield.analysis import (
     DEGENERATE,
     Analysis,
+    approximate,
     equivalence_verdict,
     return_map_test,
 )
@@ -224,7 +225,7 @@ def test_criterion_10b_sturm_matches_bisection():
             continue
         if len(up_gcd(restriction, up_deriv(restriction))) > 1:
             continue  # the bisection oracle assumes simple roots
-        exact = [float(r) for r in real_roots(restriction)]
+        exact = [approximate(r) for r in real_roots(restriction)]
         bound = float(cauchy_bound(restriction)) + 1.0
         if any(abs(a - b) < 8.0 * bound / 4096 for a, b in
                zip(exact, exact[1:])):

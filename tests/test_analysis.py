@@ -26,6 +26,7 @@ from polyfield.analysis import (
     DEGENERATE,
     HYPERBOLIC,
     SEMI_HYPERBOLIC,
+    approximate,
     check_no_singularity_curve,
     check_nondegenerate,
     classify,
@@ -80,7 +81,7 @@ def test_quartic_y_chart_records():
         assert not r.position.is_rational
         assert r.classification == HYPERBOLIC
         assert r.characteristic_orbit
-        assert abs(float(r.position) - sign * math.sqrt(2)) < 1e-9
+        assert abs(approximate(r.position) - sign * math.sqrt(2)) < 1e-9
         assert abs(r.tangent.approx + sign * math.sqrt(2)) < 1e-9
         assert abs(r.transverse.approx + sign * math.sqrt(2) / 2) < 1e-9
 
@@ -308,12 +309,18 @@ def test_root_table_lives_for_one_verdict():
     a, b = _positions(first), _positions(second)
     assert a and len(a) == len(b)
     assert not {id(p) for p in a} & {id(p) for p in b}
-    assert not {id(p.memo) for p in a} & {id(p.memo) for p in b}
+    # nor do they share what they learned: refining the first verdict's
+    # roots far leaves the second's intervals as they were
+    for p in a:
+        p.refine(Fraction(1, 10**40))
+    for p in b:
+        r = p.refine(1)
+        assert p.is_rational or r.hi - r.lo > Fraction(1, 10**40)
 
 
 def test_verdicts_leave_no_root_cycles():
-    # a root and its memo must be freed by reference counting alone, so a
-    # long process does not hold them until the cyclic collector runs
+    # a root must be freed by reference counting alone, so a long process
+    # does not hold it until the cyclic collector runs
     rng = random.Random(8)
     fields = [QUARTIC, PERTURBED] + [_random_field(rng) for _ in range(12)]
     gc.collect()
@@ -328,7 +335,7 @@ def test_verdicts_leave_no_root_cycles():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert cyclic["RealRoot"] == 0 and cyclic["_RootMemo"] == 0
+    assert cyclic["RealRoot"] == 0
 
 
 def _stage_counts(monkeypatch, argv) -> Counter:
@@ -445,6 +452,59 @@ def _random_field(rng: random.Random) -> PlanarField:
         if a or b:
             terms[p] = (a, b)
     return PlanarField(terms)
+
+
+def _reported_eigenvalues(rep):
+    return [e for recs in rep.inventory.values() for r in recs
+            for e in (r.tangent, r.transverse) if e is not None]
+
+
+def test_eigenvalue_floats_have_the_exact_sign():
+    # c is a convergent of sqrt(2) with a 2000-bit denominator: the divisor
+    # points sit at +-sqrt(2), and the transverse polynomial has a root
+    # within 2^-4000 of them: on that side of a divisor point, it has the
+    # wrong sign across any 1e-15 interval
+    p, q = 1, 1
+    while q.bit_length() < 2000:
+        p, q = p + 2 * q, p + q
+    c = Fraction(p, q)
+    near = parse_field(f"dx = -x*y + {c}*x^2; dy = -2*x^2 + {c}*x*y")
+    rng = random.Random(1018)
+    fields = [near] + [f for f in (_random_field(rng) for _ in range(40))
+                       if not f.is_zero]
+    for f in fields:
+        for e in _reported_eigenvalues(equivalence_verdict(f)):
+            assert e.approx is None or (e.approx > 0) - (e.approx < 0) == e.sign
+    assert any(e.sign and e.exact is None
+               for e in _reported_eigenvalues(equivalence_verdict(near)))
+
+
+def test_floats_next_to_zero_keep_their_relative_accuracy():
+    # divisor points at about +-2e-120 and transverse eigenvalues of about
+    # 9e-121: an absolute width of 1e-12 or 1e-15 would print the width
+    zeros = "0" * 120
+    checked = 0
+    for text in (f"dx = 3/7*y; dy = 4*x + 2{zeros}*y + 4",
+                 "dx = 3/7*y; dy = 4*x + 2000000000000000000000000000000*y"
+                 " + 4",
+                 "dx = x*y - 2*x^2; dy = y^2 - 2*x^2"):
+        a = Analysis(parse_field(text))
+        charts = a.fan_charts | a.directional
+        for label, recs in a.inventory.items():
+            for rec in recs:
+                if rec.position is None or rec.position.is_rational:
+                    continue
+                branch = charts[label].branches[rec.branch]
+                reported = [(approximate(rec.position), None),
+                            (rec.tangent.approx, branch.derivative),
+                            (rec.transverse.approx, branch.transverse)]
+                r = rec.position.refine(Fraction(1, 10**700))
+                x = (r.lo + r.hi) / 2
+                for approx, poly in reported:
+                    true = float(x if poly is None else up_eval(poly, x))
+                    assert abs(approx - true) <= 1e-9 * abs(true)
+                    checked += 1
+    assert checked >= 30
 
 
 def test_random_fields_obey_the_verdict_contract():

@@ -16,6 +16,7 @@ from oracles import (
     up_from_roots,
     up_mul,
 )
+from polyfield.analysis import approximate
 from polyfield.polys import (
     RealRoot,
     bp_gcd,
@@ -27,6 +28,7 @@ from polyfield.polys import (
     rational_root,
     real_roots,
     up,
+    up_deriv,
     up_gcd,
 )
 
@@ -43,7 +45,7 @@ def test_real_roots_mixed_rational_irrational():
     f = up_mul(up_from_roots([F(1, 2)]), up([-2, 0, 1]))
     roots = real_roots(f)
     assert len(roots) == 3
-    vals = sorted(float(r) for r in roots)
+    vals = sorted(approximate(r) for r in roots)
     assert abs(vals[0] + 2**0.5) < 1e-9
     assert vals[1] == 0.5
     assert abs(vals[2] - 2**0.5) < 1e-9
@@ -61,8 +63,8 @@ def test_real_roots_against_bisection_oracle():
         roots = real_roots(f)
         oracle = _bisection_roots(f)
         assert len(roots) == len(oracle)
-        for r, o in zip(sorted(roots, key=float), sorted(oracle)):
-            assert abs(float(r) - o) < 1e-7
+        for r, o in zip(sorted(roots, key=approximate), sorted(oracle)):
+            assert abs(approximate(r) - o) < 1e-7
 
 
 def _bisection_roots(f):
@@ -114,13 +116,14 @@ def test_count_real_roots():
 
 
 def test_realroot_sign_of_and_equals():
-    sqrt2 = [r for r in real_roots(up([-2, 0, 1])) if float(r) > 0][0]
+    sqrt2 = [r for r in real_roots(up([-2, 0, 1])) if approximate(r) > 0][0]
     # sign of t^2 - 2 at sqrt(2) is 0
     assert sqrt2.sign_of(up([-2, 0, 1])) == 0
     # sign of t - 1 at sqrt(2) is +1, of t - 2 is -1
     assert sqrt2.sign_of(up([-1, 1])) == 1
     assert sqrt2.sign_of(up([-2, 1])) == -1
-    again = [r for r in real_roots(up_mul(up([-2, 0, 1]), up([1, 1]))) if float(r) > 0][0]
+    again = [r for r in real_roots(up_mul(up([-2, 0, 1]), up([1, 1])))
+             if approximate(r) > 0][0]
     assert sqrt2.equals(again)
     assert not sqrt2.equals(rational_root(F(3, 2)))
     assert rational_root(F(1, 3)).equals(rational_root(F(1, 3)))
@@ -135,7 +138,7 @@ def test_realroot_sign_of_and_equals():
 
 def test_realroot_ordering():
     roots = real_roots(up_mul(up([-2, 0, 1]), up_from_roots([0, F(7, 5)])))
-    vals = [float(r) for r in roots]
+    vals = [approximate(r) for r in roots]
     assert vals == sorted(vals)
 
 
@@ -153,7 +156,98 @@ def test_real_roots_ascending_with_a_rational_root_beside_an_irrational_one():
     assert low < mid < high
 
 
+def test_sign_of_next_to_a_root_needs_no_bisection():
+    # p/q, a convergent of sqrt(2) from below with a 10010-bit denominator,
+    # lies within 2^-20000 of sqrt(2): an isolating interval would have to
+    # be bisected some 20000 times before it left p/q out
+    p, q = 1, 1
+    while q.bit_length() < 10010 or p * p > 2 * q * q:
+        p, q = p + 2 * q, p + q
+    assert q.bit_length() == 10010
+    sqrt2 = real_roots(up([-2, 0, 1]))[1]
+    assert sqrt2.sign_of((F(-p, q), F(1))) == 1
+    assert sqrt2.sign_of(up_mul((F(-p, q), F(1)), (F(-p - 1, q), F(1)))) == -1
+
+
 T = sympy.symbols("t")
+
+
+def _sympy_up(f):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(f)] or [0], T, domain="QQ")
+
+
+def _sympy_signs(f, g) -> list[int]:
+    """The exact signs of g at the real roots of the squarefree f, ascending:
+    sympy's isolating interval of each root is narrowed until it holds a
+    root of gcd(f, g) (sign 0) or no root of g (the sign of g at an end)."""
+    pf, pg = _sympy_up(f), _sympy_up(g)
+    common = sympy.gcd(pf, pg)
+    signs = []
+    for (a, b), _ in pf.intervals():
+        while not (common.degree() > 0 and common.count_roots(a, b) > 0):
+            if pg.count_roots(a, b) == 0:
+                signs.append(int(sympy.sign(pg.eval(a))))
+                break
+            a, b = pf.refine_root(a, b, eps=(b - a) / 2**20)
+        else:
+            signs.append(0)
+    return signs
+
+
+def _irrational_squarefree(rng: random.Random):
+    """A random squarefree integer polynomial with real roots, none of them
+    rational, and its irreducible factors."""
+    while True:
+        deg = rng.randint(2, 5)
+        big = rng.random() < 0.2
+        f = up([rng.randint(-9, 9) * (10**20 if big and rng.random() < 0.5
+                                      else 1) for _ in range(deg + 1)])
+        if len(f) < 3:
+            continue
+        _, factors = _sympy_up(f).factor_list()
+        if any(m > 1 or p.degree() == 1 for p, m in factors):
+            continue
+        if count_real_roots(f):
+            return f, [up(F(int(c.p), int(c.q))
+                          for c in reversed(p.all_coeffs()))
+                       for p, _ in factors]
+
+
+def _near_root_factors(f, rng: random.Random):
+    """Linear factors t - c with c rational and within 2^-60 of a root of f,
+    below or above it."""
+    intervals = _sympy_up(f).intervals(eps=sympy.Rational(1, 2**64))
+    (a, b), _ = rng.choice(intervals)
+    return [(F(-int(e.p), int(e.q)), F(1)) for e in (a, b)]
+
+
+def test_sign_of_matches_sympy():
+    """``RealRoot.sign_of`` against sympy exact arithmetic on 300 pairs
+    (f, g): g random, sharing a factor with f, f' itself, or with rational
+    roots within 2^-60 of a root of f."""
+    rng = random.Random(20261018)
+    for case in range(300):
+        f, factors = _irrational_squarefree(rng)
+        rand = up(F(rng.randint(-20, 20), rng.randint(1, 5))
+                  for _ in range(rng.randint(1, 7)))
+        kind = case % 4
+        if kind == 0:
+            g = rand
+        elif kind == 1:
+            g = up_mul(rng.choice(factors), rand or (F(1),))
+        elif kind == 2:
+            g = up_deriv(f)
+        else:
+            below, above = _near_root_factors(f, rng)
+            g = rng.choice([below, above, up_mul(below, above),
+                            up_mul(below, below),
+                            up_mul(above, rand or (F(1),))])
+        roots = real_roots(f)
+        assert not any(r.is_rational for r in roots)
+        assert [r.sign_of(g) for r in roots] == _sympy_signs(f, g), (f, g)
+
+
 _COEF = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
 _LEAD = _COEF.filter(lambda c: c != 0)
 _FACTOR = st.tuples(st.one_of(st.tuples(_COEF, _LEAD),
@@ -187,11 +281,11 @@ def test_real_roots_match_sympy(factors):
         # one root of f in [lo, hi]; with the intervals ascending and
         # disjoint and the counts equal, it is the sympy root of this rank
         assert squarefree.count_roots(lo, hi) == 1
-        assert abs(float(r) - float(s)) <= 1e-9 * max(1.0, abs(float(s)))
+        assert abs(approximate(r) - float(s)) <= 1e-9 * max(1.0, abs(float(s)))
 
 
 def test_refine_narrows():
-    r = [q for q in real_roots(up([-2, 0, 1])) if float(q) > 0][0]
+    r = [q for q in real_roots(up([-2, 0, 1])) if approximate(q) > 0][0]
     s = r.refine(F(1, 10**9))
     assert s.hi - s.lo <= F(1, 10**9)
     assert s.lo <= s.hi
