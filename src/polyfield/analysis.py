@@ -57,10 +57,10 @@ from .polys import (
     count_real_roots,
     has_real_branch,
     int_multiple,
+    ival,
     real_roots,
     up,
     up_gcd,
-    up_value,
     xgcd,
 )
 from .polytope import (
@@ -87,23 +87,58 @@ CURVE = "CurveOfSingularities"
 #: is read only to its sign
 _TINY = Fraction(1, 2**1100)
 
+#: the polynomial u, whose value at a root is the root
+_U = (0, 1)
+#: the widths from below which positions and eigenvalues are read
+_POSITION_WIDTH = Fraction(1, 10**12)
+_EIGENVALUE_WIDTH = Fraction(1, 10**15)
+
+
+def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
+    """The value that reports g at ``root``: exact at a rational root, 0
+    where g's exact sign there (``sign``, or a Tarski query) is 0, else g at
+    the midpoint of an isolating interval, refined from below ``width``, on
+    which g has that sign at the midpoint and both ends and its end values
+    differ by at most 1e-9 of the smaller; inside (-_TINY, _TINY), the first
+    of the three with that sign.  g is evaluated on one integer multiple."""
+    f = int_multiple(g)
+    if not f:
+        return Fraction(0)
+    n = len(f) - 1
+    # g = f * sn / sd, and g[n], f[n] have one sign
+    sn, sd = abs(g[n].numerator), g[n].denominator * abs(f[n])
+    if root.is_rational:
+        x = root.exact
+        return Fraction(sn * ival(f, x.numerator, x.denominator),
+                        sd * x.denominator ** n)
+    if sign is None:
+        sign = root.sign_of(g)
+    if sign == 0:
+        return Fraction(0)
+    r = root.refine(width)
+    while True:
+        q = math.lcm(r.lo.denominator, r.hi.denominator)
+        a = r.lo.numerator * (q // r.lo.denominator)
+        b = r.hi.numerator * (q // r.hi.denominator)
+        # the values at the midpoint and the ends, times (2q)^n sd / sn
+        den = (2 * q) ** n
+        vals = mid, lo, hi = [ival(f, t, 2 * q)
+                              for t in (a + b, 2 * a, 2 * b)]
+        signed = [v for v in vals if (v > 0) - (v < 0) == sign]
+        if len(signed) == 3 and abs(hi - lo) * 10**9 <= min(abs(lo), abs(hi)):
+            return Fraction(sn * mid, sd * den)
+        if signed and max(map(abs, vals)) * sn < _TINY * sd * den:
+            return Fraction(sn * signed[0], sd * den)
+        r = root.refine((r.hi - r.lo) ** 2)
+
 
 def _stand_in(q) -> Fraction:
-    """The rational value whose float reports ``q``: ``q`` itself, or the
-    midpoint of an isolating interval of the RealRoot ``q`` narrower than
-    1e-12 that is also narrower than 1e-9 of its nearer end's distance from
-    0, or lies inside (-_TINY, _TINY).  Isolation bisects at 0 first, so no
-    isolating interval holds 0 inside: that midpoint has the sign of the
-    root and, above _TINY, a relative error below 1e-9."""
+    """``q`` itself, or the reading of u at the RealRoot ``q`` from below
+    1e-12.  Isolation bisects at 0 first, so the root has the sign of its
+    isolating interval."""
     if not isinstance(q, RealRoot):
         return q
-    if q.is_rational:
-        return q.exact
-    r = q.refine(Fraction(1, 10**12))
-    while ((r.hi - r.lo) * 10**9 > min(abs(r.lo), abs(r.hi))
-           and max(abs(r.lo), abs(r.hi)) >= _TINY):
-        r = q.refine((r.hi - r.lo) ** 2)
-    return (r.lo + r.hi) / 2
+    return _reading(q, _U, _POSITION_WIDTH, 1 if q.hi > 0 else -1)
 
 
 def approximate(q) -> Optional[float]:
@@ -119,20 +154,17 @@ def approximate(q) -> Optional[float]:
     return v if v or not q else None
 
 
-def approximate_text(q, digits: int, sign: Optional[int] = None) -> str:
+def approximate_text(q, digits: int) -> str:
     """``approximate(q)`` to ``digits`` significant digits; outside the
     float range ``>1e308`` or ``<-1e308`` when |q| >= 1, else ``(0,5e-324)``
-    or ``(-5e-324,0)``.  The side is the sign of ``q``, or ``sign`` where
-    ``q`` stands in for a value whose exact sign was decided apart."""
+    or ``(-5e-324,0)``, on the side of the sign of ``q``."""
     q = _stand_in(q)
     v = approximate(q)
     if v is not None:
         return f"{v:.{digits}g}"
-    if sign is None:
-        sign = 1 if q > 0 else -1
     if abs(q) >= 1:
-        return ">1e308" if sign > 0 else "<-1e308"
-    return "(0,5e-324)" if sign > 0 else "(-5e-324,0)"
+        return ">1e308" if q > 0 else "<-1e308"
+    return "(0,5e-324)" if q > 0 else "(-5e-324,0)"
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +176,10 @@ class Eigenvalue:
     """One eigenvalue of the on-divisor Jacobian.
 
     The sign is decided exactly; ``exact`` is filled when the base point is
-    rational.  ``value`` is the value reported: the exact one, or, at an
-    irrational base point, the value at a point of an isolating interval
-    narrower than 1e-15 where the polynomial has the exact sign and varies
-    by at most 1e-9 of that value, or, below _TINY, any value with the exact
-    sign (see :func:`_value_with_sign`).
+    rational.  ``value`` is the reading of the polynomial there from below
+    1e-15 (see :func:`_reading`): the exact value at a rational point, else
+    a value with the exact sign, above _TINY from an isolating interval
+    whose end values differ by at most 1e-9 of the smaller.
     """
 
     sign: int
@@ -218,35 +249,10 @@ class SingularityRecord:
 
 
 def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
-    if root.is_rational:
-        val = exact = up_value(poly, root.lo.numerator, root.lo.denominator)
-        sign = (val > 0) - (val < 0)
-    else:
-        sign = root.sign_of(poly)
-        if sign == 0:
-            return Eigenvalue(sign=0, value=Fraction(0))
-        val, exact = _value_with_sign(root, poly, sign), None
-    return Eigenvalue(sign=sign, value=val, exact=exact)
-
-
-def _value_with_sign(root: RealRoot, poly, sign: int) -> Fraction:
-    """The value of ``poly`` at the midpoint of an isolating interval of the
-    irrational ``root`` narrower than 1e-15 on which ``poly`` has, at the
-    midpoint and at both ends, the sign ``sign`` it has at the root, and the
-    values at the ends differ by at most 1e-9 of the midpoint's.  Once all
-    three values lie inside (-_TINY, _TINY), the first of them with that
-    sign will do.  Such an interval exists, since ``poly`` is nonzero at
-    the root."""
-    r = root.refine(Fraction(1, 10**15))
-    while True:
-        vals = mid, lo, hi = [up_value(poly, p.numerator, p.denominator)
-                              for p in ((r.lo + r.hi) / 2, r.lo, r.hi)]
-        signed = [v for v in vals if (v > 0) - (v < 0) == sign]
-        if len(signed) == 3 and abs(hi - lo) * 10**9 <= abs(mid):
-            return mid
-        if signed and max(map(abs, vals)) < _TINY:
-            return signed[0]
-        r = root.refine((r.hi - r.lo) ** 2)
+    value = _reading(root, poly, _EIGENVALUE_WIDTH)
+    n = value.numerator
+    return Eigenvalue(sign=(n > 0) - (n < 0), value=value,
+                      exact=value if root.is_rational else None)
 
 
 def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
@@ -348,24 +354,10 @@ def _segment_parameter_polys(seg: Segment, field: PlanarField):
     """Coefficient polynomials along a segment, indexed by primitive steps."""
     dx, dy = seg.direction
     start = seg.points[0]
-    acoef: dict[int, Fraction] = {}
-    bcoef: dict[int, Fraction] = {}
-    for p in seg.points:
-        if dx != 0:
-            k = (p[0] - start[0]) // dx
-        else:
-            k = (p[1] - start[1]) // dy
-        a, b = field.coeffs(p)
-        if a:
-            acoef[k] = a
-        if b:
-            bcoef[k] = b
-    if not acoef and not bcoef:
-        return (), ()
-    deg = max(acoef | bcoef)
-    pa = up(acoef.get(k, 0) for k in range(deg + 1))
-    pb = up(bcoef.get(k, 0) for k in range(deg + 1))
-    return pa, pb
+    coeffs = {(p[0] - start[0]) // dx if dx else (p[1] - start[1]) // dy:
+              field.coeffs(p) for p in seg.points}
+    pairs = [coeffs.get(k, (0, 0)) for k in range(max(coeffs) + 1)]
+    return up(a for a, _ in pairs), up(b for _, b in pairs)
 
 
 def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
@@ -380,8 +372,8 @@ def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
     g = g[shift:]
     if len(g) < 2:
         return []
-    return [root for root in real_roots(g)
-            if root.sign_of((Fraction(0), Fraction(1))) > 0]
+    # isolation bisects at 0 first, so no interval holds 0 inside
+    return [root for root in real_roots(g) if root.hi > 0]
 
 
 def check_nondegenerate(upp: UpperPrincipalPart):
@@ -394,8 +386,8 @@ def check_nondegenerate(upp: UpperPrincipalPart):
     singularity of the segment field in (R*)^2.  Returns ``(ok, witnesses)``.
     """
     witnesses: list[DegeneracyWitness] = []
-    for seg, part in upp.per_segment:
-        pa, pb = _segment_parameter_polys(seg, part)
+    for seg in upp.polytope.upper:
+        pa, pb = _segment_parameter_polys(seg, upp.field)
         if not pa and not pb:
             raise InternalConsistencyError(
                 "an upper segment with empty coefficient data")

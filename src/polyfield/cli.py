@@ -151,13 +151,13 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
     upp = _analysis(args).upper
     _emit({
         "field": format_field(upp.field),
-        "upper_segments": [_segment_json(s) for s, _ in upp.per_segment],
+        "upper_segments": [_segment_json(s) for s in upp.polytope.upper],
     })
     return 0
 
 
 def _eigenvalue_text(e) -> str:
-    return "" if e is None else approximate_text(e.value, 4, e.sign)
+    return "" if e is None else approximate_text(e.value, 4)
 
 
 def _cmd_singularities(args: argparse.Namespace) -> int:

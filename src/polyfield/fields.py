@@ -473,8 +473,8 @@ def make_favorable(f: PlanarField) -> tuple[PlanarField, Fraction]:
     whose arrival vertex sits in column m = -1 or m = 0.
 
     Returns ``(field, lambda)`` with lambda = 0 when the input already
-    qualifies.  Raises :class:`FieldError` when no shear can help (fields
-    of the form a*y^n d/dx keep a one-point support under every shear).
+    qualifies.  Raises :class:`FieldError` when no shear can help; fields
+    of the form a*y^n d/dx are fixed by every shear.
     """
     from . import polytope as _polytope
 
@@ -493,6 +493,10 @@ def make_favorable(f: PlanarField) -> tuple[PlanarField, Fraction]:
     for k in range(1, 51):
         for lam in (Fraction(k), Fraction(-k)):
             g = shear(f, lam)
+            if g == f:
+                # shears compose by adding their lambda and are polynomial
+                # in it: a field fixed by one nonzero shear is fixed by all
+                raise FieldError("the field is fixed by every shear")
             if favorable_with_vertex(g):
                 return g, lam
     raise FieldError("no shear with |lambda| <= 50 makes the polytope favorable")

@@ -43,16 +43,6 @@ def up(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def up_value(f: Sequence[Fraction], a: int, q: int) -> Fraction:
-    """The exact value f(a/q), q > 0: q^n f(a/q) by homogeneous Horner on
-    the integer numerators of f over their common denominator."""
-    if not f:
-        return ZERO
-    den = lcm(*(c.denominator for c in f))
-    ints = [c.numerator * (den // c.denominator) for c in f]
-    return Fraction(_ival(ints, a, q), den * q ** (len(f) - 1))
-
-
 def up_deriv(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return up(i * c for i, c in enumerate(f) if i > 0)
 
@@ -94,7 +84,7 @@ def _monic(f: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, f[-1]) for c in f) if f else ()
 
 
-def _ival(f: Sequence[int], a: int, q: int) -> int:
+def ival(f: Sequence[int], a: int, q: int) -> int:
     """q^n f(a/q) for the integer polynomial f of degree n: sum c_i a^i
     q^(n-i) by homogeneous Horner."""
     if not f:
@@ -108,7 +98,7 @@ def _ival(f: Sequence[int], a: int, q: int) -> int:
 
 def _sign_at(f: Sequence[int], a: int, q: int) -> int:
     """Sign of the integer polynomial f at a/q, q > 0."""
-    v = _ival(f, a, q)
+    v = ival(f, a, q)
     return (v > 0) - (v < 0)
 
 
@@ -575,7 +565,7 @@ def has_real_branch(g: dict) -> bool:
         while seen < need and k < 8 * need:
             # the line x = k/7 avoids most small-denominator root loci; fy
             # is a positive multiple of f(k/7, y)
-            fy = [_ival(r, k, 7) * 7 ** (top - len(r)) for r in frows]
+            fy = [ival(r, k, 7) * 7 ** (top - len(r)) for r in frows]
             k += 1
             if not fy[-1]:
                 continue

@@ -201,24 +201,20 @@ def plc_weight(p: Polytope) -> tuple[WeightVector, int]:
 
 @dataclass(frozen=True)
 class UpperPrincipalPart:
+    """The field restricted to the upper boundary of its polytope, whose
+    segments are ``polytope.upper``."""
+
     field: PlanarField
     polytope: Polytope
-    per_segment: tuple[tuple[Segment, PlanarField], ...]
 
 
 def upper_principal_part(field: PlanarField, p: Polytope) -> UpperPrincipalPart:
     """The restriction of ``field`` to the upper boundary of its polytope ``p``."""
     if p.is_point:
         # a one-point polytope is its own boundary on both sides
-        return UpperPrincipalPart(field=field, polytope=p, per_segment=())
-    keep: set[LatticePoint] = set()
-    per = []
-    for s in p.upper:
-        keep.update(s.points)
-        per.append((s, field.restricted(s.points)))
-    return UpperPrincipalPart(
-        field=field.restricted(keep), polytope=p, per_segment=tuple(per)
-    )
+        return UpperPrincipalPart(field=field, polytope=p)
+    keep = {q for s in p.upper for q in s.points}
+    return UpperPrincipalPart(field=field.restricted(keep), polytope=p)
 
 
 def polytope_after_plc(p: Polytope, w: WeightVector, direction: str) -> Polytope:

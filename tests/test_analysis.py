@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,7 @@ from polyfield.fields import (
     InternalConsistencyError,
     PlanarField,
     WeightVector,
+    make_favorable,
     parse_field,
     shear,
 )
@@ -204,7 +206,7 @@ def test_witness_search_isolates_once_per_twist_parity(monkeypatch):
         monkeypatch.setattr(analysis, name, counting)
     upp = Analysis(parse_field("dx = y^2 + x^2*y; dy = 0")).upper
     ok, witnesses = check_nondegenerate(upp)
-    assert len(upp.per_segment) == 1
+    assert len(upp.polytope.upper) == 1
     assert calls == {"up_gcd": 2, "real_roots": 2}
     # the parabola y = -x^2 meets the two lower quadrants, in loop order
     assert not ok
@@ -505,6 +507,106 @@ def test_floats_next_to_zero_keep_their_relative_accuracy():
                     assert abs(approx - true) <= 1e-9 * abs(true)
                     checked += 1
     assert checked >= 30
+
+
+def _mp_root(root):
+    """The irrational RealRoot ``root`` to 350 significant digits, by mpmath
+    at 600 digits on its isolating interval; the sign change of its
+    polynomial across that interval cut to a relative 1e-350 of the result
+    is checked."""
+    coeffs = [mpmath.mpf(c.numerator) / c.denominator
+              for c in reversed(root.poly)]
+
+    def p(t):
+        return mpmath.polyval(coeffs, t)
+
+    lo, hi = (mpmath.mpf(e.numerator) / e.denominator
+              for e in (root.lo, root.hi))
+    x = mpmath.findroot(p, (lo, hi), solver="anderson", maxsteps=500,
+                        tol=mpmath.mpf(10) ** -590, verify=False)
+    a, b = sorted((x * (1 - mpmath.mpf(10) ** -350),
+                   x * (1 + mpmath.mpf(10) ** -350)))
+    assert p(max(a, lo)) * p(min(b, hi)) < 0
+    return x
+
+
+def _scaled(f: PlanarField, rng: random.Random) -> PlanarField:
+    """f with one coefficient pair scaled by 10^+-30 or 10^+-120."""
+    terms = f.terms()
+    k = rng.choice(sorted(terms))
+    s = Fraction(10) ** rng.choice((-120, -30, 30, 120))
+    terms[k] = tuple(s * c for c in terms[k])
+    return PlanarField(terms)
+
+
+def test_readings_match_mpmath_on_seeded_fields():
+    """Every printed position, witness parameter and eigenvalue ``approx``
+    of 200 seeded fields, a third of them with a coefficient scaled far from
+    1, is None outside the float range and otherwise within 1e-9 relative
+    of the value mpmath computes at 600 digits, with its exact sign."""
+    rng = random.Random(14)
+    fields = [parse_field("dx = 3/7*y; dy = 4*x + 2" + "0" * 120 + "*y + 4"),
+              parse_field("dx = 3/7*y; dy = 4*x + 2/1" + "0" * 120
+                          + "*y + 4")]
+    while len(fields) < 200:
+        f = _random_field(rng)
+        if not f.is_zero:
+            fields.append(_scaled(f, rng) if len(fields) % 3 == 0 else f)
+    checked = Counter()
+
+    def check(approx, true, sign):
+        # true is exact or good to 300 digits; approx must carry its sign
+        assert sign == (true > 0) - (true < 0)
+        if approx is None:
+            assert not 1e-300 < abs(true) < 1e300
+        else:
+            assert (approx > 0) - (approx < 0) == sign
+            assert abs(approx - true) <= 1e-9 * abs(true)
+
+    with mpmath.workdps(600):
+        for f in fields:
+            try:
+                sheared, _ = make_favorable(f)
+            except FieldError:
+                continue
+            a = Analysis(sheared)
+            charts = a.fan_charts | a.directional
+            for label, recs in a.inventory.items():
+                for rec in recs:
+                    if rec.position is None:
+                        continue
+                    pos = rec.position
+                    x = pos.exact if pos.is_rational else _mp_root(pos)
+                    check(approximate(pos), x, 1 if x > 0 else -1 if x else 0)
+                    branch = charts[label].branches[rec.branch]
+                    for e, poly in ((rec.tangent, branch.derivative),
+                                    (rec.transverse, branch.transverse)):
+                        if pos.is_rational:
+                            check(e.approx, up_eval(poly, x), e.sign)
+                            continue
+                        coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(poly)]
+                        true = mpmath.polyval(coeffs, x)
+                        size = mpmath.polyval([abs(c) for c in coeffs],
+                                              abs(x))
+                        # exact zeros vanish to the root's precision, and
+                        # the others stand far above it
+                        if pos.sign_of(poly) == 0:
+                            assert abs(true) <= mpmath.mpf(10) ** -340 * size
+                            true = 0
+                        else:
+                            assert abs(true) > mpmath.mpf(10) ** -320 * size
+                        check(e.approx, true, e.sign)
+                        checked["eigenvalue", pos.is_rational] += 1
+                    checked["position", pos.is_rational] += 1
+            for w in check_nondegenerate(a.upper)[1]:
+                root = w.parameter
+                x = root.exact if root.is_rational else _mp_root(root)
+                check(approximate(root), x, 1)
+                checked["witness", root.is_rational] += 1
+    assert checked["position", False] >= 250
+    assert checked["eigenvalue", False] >= 500
+    assert checked["witness", False] >= 5
 
 
 def test_random_fields_obey_the_verdict_contract():

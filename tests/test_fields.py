@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import evaluate
+from polyfield import fields
 from polyfield.fields import (
     AdmissibilityError,
     FieldError,
@@ -209,10 +210,16 @@ def test_make_favorable_x_cubed():
     assert main_features(build_polytope(g)).ph[1] == 3
 
 
-def test_make_favorable_impossible():
+def test_make_favorable_impossible(monkeypatch):
+    # y^2 d/dx is fixed by every shear: the search stops after the first
+    calls = []
+    real = fields.shear
+    monkeypatch.setattr(fields, "shear",
+                        lambda f, lam: calls.append(lam) or real(f, lam))
     f = parse_field("dx = y^2; dy = 0")
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="fixed by every shear"):
         make_favorable(f)
+    assert calls == [1]
 
 
 def test_zero_field_rejected_by_make_favorable():

@@ -178,9 +178,9 @@ def test_upper_principal_part_quartic():
     upp = upper_principal_part(f, build_polytope(f))
     # all four support points lie on the upper boundary
     assert upp.field == f
-    assert len(upp.per_segment) == 3
-    for seg, part in upp.per_segment:
-        assert part.support() == tuple(sorted(seg.points))
+    assert len(upp.polytope.upper) == 3
+    assert set(upp.field.support()) == {q for seg in upp.polytope.upper
+                                         for q in seg.points}
 
 
 def test_upper_principal_part_drops_interior():
@@ -194,7 +194,7 @@ def test_upper_principal_part_point():
     f = parse_field("dx = x; dy = y")
     upp = upper_principal_part(f, build_polytope(f))
     assert upp.field == f
-    assert upp.per_segment == ()
+    assert upp.polytope.upper == ()
 
 
 def test_polytope_after_plc_quartic_images():
