@@ -133,11 +133,13 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
 
 
 def _stand_in(q) -> Fraction:
-    """``q`` itself, or the reading of u at the RealRoot ``q`` from below
-    1e-12.  Isolation bisects at 0 first, so the root has the sign of its
-    isolating interval."""
+    """``q`` itself, the exact value of a rational RealRoot ``q``, or the
+    reading of u at an irrational one from below 1e-12.  Isolation bisects
+    at 0 first, so the root has the sign of its isolating interval."""
     if not isinstance(q, RealRoot):
         return q
+    if q.is_rational:
+        return q.exact
     return _reading(q, _U, _POSITION_WIDTH, 1 if q.hi > 0 else -1)
 
 

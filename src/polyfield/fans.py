@@ -80,9 +80,6 @@ class SimpleFan:
     vectors: tuple[IVec, ...]
     skeleton_flags: tuple[bool, ...]
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     @property
     def skeleton_vectors(self) -> tuple[IVec, ...]:
         return tuple(v for v, f in zip(self.vectors, self.skeleton_flags) if f)
