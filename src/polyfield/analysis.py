@@ -423,7 +423,7 @@ def check_nondegenerate(upp: UpperPrincipalPart):
 
 def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
     """True when the components of the upper principal part share no
-    nonconstant factor whose zero set meets the plane off the axes."""
+    factor with a branch (a one-dimensional piece) off the axes."""
     P, Q = upp.field.components()
     return not has_real_branch(bp_gcd(P, Q))
 

@@ -199,15 +199,17 @@ def _isturm(f: Sequence[int],
     return chain
 
 
-def _variations(chain: Sequence[Sequence[int]], a: int, q: int) -> int:
-    """Sign variations of a Sturm sequence at a/q."""
-    v = last = 0
-    for p in chain:
-        s = _sign_at(p, a, q)
-        if s:
-            if s != last and last:
-                v += 1
-            last = s
+def _variations(chains: Sequence, a: int, q: int) -> int:
+    """Sign variations at a/q of integer Sturm sequences, summed."""
+    v = 0
+    for chain in chains:
+        last = 0
+        for p in chain:
+            s = _sign_at(p, a, q)
+            if s:
+                if s != last and last:
+                    v += 1
+                last = s
     return v
 
 
@@ -225,9 +227,9 @@ def count_real_roots(f) -> int:
     g = _isquarefree(int_multiple(f))
     if len(g) < 2:
         return 0
-    chain = _isturm(g)
+    chains = [_isturm(g)]
     bound = _root_bound(g)
-    return _variations(chain, -bound, 1) - _variations(chain, bound, 1)
+    return _variations(chains, -bound, 1) - _variations(chains, bound, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +311,9 @@ class RealRoot:
         Algebraic Geometry, 2006, section 2.2)."""
         if self._f is None:
             return _sign_at(g, self._a, self._q)
-        chain = _isturm(self._f, g)
-        return (_variations(chain, self._a, self._q)
-                - _variations(chain, self._b, self._q))
+        chains = [_isturm(self._f, g)]
+        return (_variations(chains, self._a, self._q)
+                - _variations(chains, self._b, self._q))
 
     def equals(self, other: "RealRoot") -> bool:
         if self is other:
@@ -351,21 +353,22 @@ def rational_root(value) -> RealRoot:
     return RealRoot((-v, ONE), v, v)
 
 
-def _isolate(f: Sequence[int]) -> list[tuple[int, int, int]]:
+def _isolate(*fs: Sequence[int]) -> list[tuple[int, int, int]]:
     """Ascending disjoint intervals (a/q, b/q], each holding one root of the
-    squarefree integer polynomial f, by Sturm bisection of (-B, B]."""
-    chain = _isturm(f)
-    bound = _root_bound(f)
+    product of the squarefree, pairwise coprime integer polynomials fs, by
+    Sturm bisection of (-B, B] on the sum of the factors' root counts."""
+    chains = [_isturm(f) for f in fs]
+    bound = max(map(_root_bound, fs))
     out = []
-    stack = [(-bound, bound, 1, _variations(chain, -bound, 1),
-              _variations(chain, bound, 1))]
+    stack = [(-bound, bound, 1, _variations(chains, -bound, 1),
+              _variations(chains, bound, 1))]
     while stack:
         a, b, q, va, vb = stack.pop()
         if va - vb == 1:
             out.append((a, b, q))
         elif va - vb > 1:
             c, q = a + b, 2 * q
-            vc = _variations(chain, c, q)
+            vc = _variations(chains, c, q)
             stack.append((c, 2 * b, q, vc, vb))
             stack.append((2 * a, c, q, va, vc))
     return out
@@ -524,60 +527,54 @@ def bp_gcd(F: dict, G: dict) -> dict:
             for j, r in enumerate(rows) for i, c in enumerate(r) if c}
 
 
-def _root_off_zero(f: Sequence[int]) -> bool:
-    """Does the nonzero integer polynomial f have a real root other than 0?"""
-    return count_real_roots(f) > (f[0] == 0)
-
-
 def has_real_branch(g: dict) -> bool:
     """Does the real zero set of g(x, y) have a branch, a one-dimensional
     piece, off the coordinate axes?  Isolated real points do not count.
 
-    Neither answer is certified.  A vertical line factor and an odd degree
-    in y are exact reasons for *True*.  The third reason is a pigeonhole
-    count, and it can be wrong: it answers *True* when more sample lines
-    x = k/7 (then y = k/7) carry an exact nonzero real root than the total
-    degree d, but a degree-d curve may have up to (d-1)**2 isolated real
-    points.  A *False* can miss a compact oval that avoids both sample
-    grids.  ROADMAP.md plans an exact one-level cylindrical decomposition
-    that certifies both answers.
+    Both answers are exact.  A real root c != 0 of the x-content is a
+    vertical line.  The rest is a one-level cylindrical algebraic
+    decomposition (Collins 1975): off the real roots of B, x times the
+    leading coefficients in y of the primitive remainder sequence of
+    (g, g_y) over Z[x], each taken before its content goes, the sequence
+    specializes.  So between consecutive roots of B the fibre g(x0, y)
+    keeps its degree and number of distinct real roots, and a branch
+    exists iff the fibre at some rational sample has a real root; it is
+    not in y = 0, which does not divide g.
     """
     g, _, _ = bp_strip_monomial(g)
     if not g or all(k == (0, 0) for k in g):
         return False  # a monomial or a nonzero constant: zero set in the axes
     rows = _rows(g)
-    if len(rows) == 1:
-        # univariate in x: real nonzero root <-> vertical line branch
-        return _root_off_zero(rows[0])
-    cont = _content(rows)
-    if len(cont) > 1 and _root_off_zero(cont):
-        return True  # vertical line x = c with c a real nonzero root
-    if len(rows) % 2 == 0:
-        return True  # odd y-degree: a real y exists for all large x
-    # pigeonhole sampling in x, then symmetrically in y
-    for f in (g, {(j, i): c for (i, j), c in g.items()}):
-        frows = _rows(f)
-        top = max(len(r) for r in frows)
-        total_deg = max(i + j for i, j in f)
-        need = total_deg * total_deg + 3
-        hits = seen = 0
-        k = 1
-        while seen < need and k < 8 * need:
-            # the line x = k/7 avoids most small-denominator root loci; fy
-            # is a positive multiple of f(k/7, y)
-            fy = [ival(r, k, 7) * 7 ** (top - len(r)) for r in frows]
-            k += 1
-            if not fy[-1]:
-                continue
-            seen += 1
-            if _root_off_zero(fy):
-                hits += 1
-                if hits > total_deg:
-                    # more sample lines carry a nonzero root than a curve of
-                    # this degree could meet in isolated points: a
-                    # 1-dimensional branch exists
-                    return True
-    return False
+    if count_real_roots(_content(rows)):
+        return True
+    # B as coprime squarefree factors, far cheaper to isolate together than
+    # by one Sturm chain of their product
+    factors, boundary = [(0, 1)], (0, 1)
+    a, b = rows, [tuple(j * c for c in r) for j, r in enumerate(rows)][1:]
+    while b:
+        lc = _isquarefree(b[-1])
+        new = _iquo(lc, _igcd(lc, boundary))
+        if len(new) > 1:
+            factors.append(new)
+            boundary = _imul(boundary, new)
+        b = _primitive_rows(b, _content(b))
+        a, b = b, _prem_rows(a, b)
+    # one sample per interval: the root bound for the last, and each
+    # isolating interval's left end, moved right off a root it sits on
+    samples = [(_root_bound(boundary), 1)]
+    for lo, hi, q in _isolate(*factors):
+        if not _sign_at(boundary, lo, q):
+            # between the root lo and the one root in (lo, hi], B has the
+            # sign of B'(lo)
+            side = _sign_at(_ideriv(boundary), lo, q)
+            while _sign_at(boundary, lo + hi, 2 * q) != side:
+                lo, hi, q = 2 * lo, lo + hi, 2 * q
+            lo, q = lo + hi, 2 * q
+        samples.append((lo, q))
+    top = max(map(len, rows))
+    return any(count_real_roots([ival(r, x, q) * q ** (top - len(r))
+                                 for r in rows])
+               for x, q in samples)
 
 
 # ---------------------------------------------------------------------------

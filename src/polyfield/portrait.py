@@ -54,8 +54,9 @@ class PortraitSpec:
     def validate(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("integration horizon must be finite and positive")
-        if not 0 < self.tolerance <= 1e-3:
-            raise ValueError("step tolerance must lie in (0, 1e-3]")
+        # scipy raises an rtol below 100 eps (2.2e-14), with a warning
+        if not 1e-13 <= self.tolerance <= 1e-3:
+            raise ValueError("step tolerance must lie in [1e-13, 1e-3]")
         if self.size < 64:
             raise ValueError("image size must be at least 64 pixels")
         for seed in self.seeds or ():

@@ -28,6 +28,12 @@ PERTURBED = "dx = y^3 - x^3*y + x^2 - 3*y; dy = -x^3 + x*y^3 + 2*x*y - 1"
 # a one-point polytope: not favorable, so it has no default weight
 RADIAL = "dx = x; dy = y"
 ZERO = "dx = 0; dy = 0"
+# x S d/dx + 2 y S d/dy with S = x^2 y^2 E(y/x, 1/y), E the circle
+# (X-3)^2 + (Y-3)^2 = 1: every monomial lies on the two upper segments, and
+# the components share S, whose real zero set has an oval off the axes, a
+# curve of singularities (hypothesis (b) fails)
+OVAL = ("dx = x*y^4 - 6*x^2*y^3 + x^3 - 6*x^3*y + 17*x^3*y^2; "
+        "dy = 2*y^5 - 12*x*y^4 + 2*x^2*y - 12*x^2*y^2 + 34*x^2*y^3")
 HUGE = "1" + "0" * 400
 
 CASES = {
@@ -84,6 +90,7 @@ CASES = {
     "check-equivalence-sheared": ("check-equivalence", "--field", SHEARED),
     "check-equivalence-radial": ("check-equivalence", "--field", RADIAL),
     "check-equivalence-zero": ("check-equivalence", "--field", ZERO),
+    "check-equivalence-oval": ("check-equivalence", "--field", OVAL),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -394,18 +394,12 @@ def test_has_real_branch_point_only():
     assert not has_real_branch(bp({(2, 0): 1, (0, 2): 1}))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "sampling gap: the sample lines x = k/7 and y = k/7 stop at k = 7, "
-    "short of the circle, which spans [2, 4] in both coordinates"))
 def test_has_real_branch_circle_off_the_sample_grid():
     # (x-3)^2 + (y-3)^2 - 1
     circle = bp({(2, 0): 1, (1, 0): -6, (0, 2): 1, (0, 1): -6, (0, 0): 17})
     assert has_real_branch(circle)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "pigeonhole gap: the nine isolated real points lie on nine sample lines "
-    "x = k/7, more than the degree 6, which the count takes for a branch"))
 def test_has_real_branch_nine_isolated_points():
     # A^2 + B^2 vanishes where A = (y-1)(y-2)(y-3) and
     # B = (y-7x+10)(y-7x+20)(y+7x-40) both do: nine points, no branch
@@ -416,6 +410,78 @@ def test_has_real_branch_nine_isolated_points():
                 {(0, 1): 1, (1, 0): -7, (0, 0): 20},
                 {(0, 1): 1, (1, 0): 7, (0, 0): -40}):
         b = bp_mul(b, bp(lin))
+    g = bp_mul(a, a)
+    for k, c in bp_mul(b, b).items():
+        g[k] = g.get(k, 0) + c
+    assert not has_real_branch(bp(g))
+
+
+def _from_sympy(expr) -> dict:
+    return bp({k: F(int(c.p), int(c.q))
+               for k, c in sympy.Poly(sympy.expand(expr), X, Y).terms()})
+
+
+@pytest.mark.parametrize("expr, branch", [
+    ("x**2 + y**2", False),  # an isolated point at the origin
+    ("(x - 1)**2 + y**2", False),  # an isolated point on the x-axis
+    ("(x - 1)**2 + (y - 2)**2", False),  # an isolated point off the axes
+    ("((x - 1)**2 + (y + 1)**2) * ((x + 2)**2 + (y - 3)**2)", False),
+    # isolated points at (-1/2, 9/4) and (0, 2), over the roots -1/2 and 0
+    # of B, each the right end of its isolating interval
+    ("((2*x + 1) * (y - 2))**2 + (x + 2*y - 4)**2", False),
+    ("y**2 - x**3", True),  # a cusp at the origin
+    ("(y - 1)**2 - (x - 2)**3", True),  # a cusp off the axes
+    ("y**2 - x**2 * (x + 1)", True),  # a node
+    # an isolated point at (3, 2) and a branch over x >= 4
+    ("(y - 2)**2 - (x - 3)**2 * (x - 4)", True),
+    # a node at (1, 1) and an isolated point at (-3, 5)
+    ("((y - 1)**2 - (x - 1)**2 * (x + 1)) * ((x + 3)**2 + (y - 5)**2)", True),
+    ("x*y - 1", True),  # a hyperbola, asymptotic to both axes
+    ("x**2 - y**2 - 1", True),
+    ("(x - 5) * (y - 5) + 1", True),
+    ("x**2 + y**2 + 1", False),  # empty conics
+    ("2 * (x - 3)**2 + (y + 1)**2 + 5", False),
+    ("x**2 + x*y + y**2 + 1", False),
+    ("(x - 2) * (x - 3) * ((x - 5)**2 + 1)", True),  # two vertical lines
+    ("x**2 * y**3 * (x**2 + 3)", False),  # inside the axes
+    # the leading coefficient in y vanishes at x = -1
+    ("y**2 * (x + 1)**2 - x**4 * (y + 1)", True),
+])
+def test_has_real_branch_hand_cases(expr, branch):
+    assert has_real_branch(_from_sympy(sympy.sympify(expr))) is branch
+
+
+_SMALL = st.integers(-4, 4)
+# a x + b y + c, never 0 = 0 and never an axis
+_LINE = st.tuples(_SMALL, _SMALL, _SMALL).filter(
+    lambda t: t[:2] != (0, 0) and (t[2] or (t[0] and t[1]))).map(
+    lambda t: bp({(1, 0): t[0], (0, 1): t[1], (0, 0): t[2]}))
+# (s x - p)^2 + (t y - q)^2 - r^2
+_ELLIPSE = st.tuples(st.integers(1, 3), st.integers(-6, 6), st.integers(1, 3),
+                     st.integers(-6, 6), st.integers(1, 4)).map(
+    lambda t: bp({(2, 0): t[0] ** 2, (1, 0): -2 * t[0] * t[1],
+                  (0, 2): t[2] ** 2, (0, 1): -2 * t[2] * t[3],
+                  (0, 0): t[1] ** 2 + t[3] ** 2 - t[4] ** 2}))
+_SMALL_POLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              _SMALL.filter(bool), min_size=1,
+                              max_size=4).map(bp)
+_LINES = st.lists(_LINE, min_size=1, max_size=2).map(
+    lambda ls: ls[0] if len(ls) == 1 else bp_mul(*ls))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_LINE, _ELLIPSE), _SMALL_POLY)
+def test_has_real_branch_on_a_real_factor(factor, cofactor):
+    """A real line or ellipse off the axes times anything is a branch."""
+    assert has_real_branch(bp_mul(factor, cofactor))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_LINES, _SMALL_POLY), st.one_of(_LINES, _SMALL_POLY))
+def test_has_real_branch_not_on_a_sum_of_squares(a, b):
+    """A^2 + B^2 with A and B coprime vanishes only at their finitely many
+    common real zeros: no branch."""
+    assume(set(bp_gcd(a, b)) == {(0, 0)})
     g = bp_mul(a, a)
     for k, c in bp_mul(b, b).items():
         g[k] = g.get(k, 0) + c

@@ -225,11 +225,14 @@ def test_spec_validation():
         render_portrait(a, PortraitSpec(horizon=-1.0))
     with pytest.raises(ValueError, match="size"):
         render_portrait(a, PortraitSpec(size=10))
+    for tolerance in (0.0, 9e-14, 1e-300, 2e-3):
+        with pytest.raises(ValueError, match=r"tolerance must lie in \[1e-13"):
+            render_portrait(a, PortraitSpec(tolerance=tolerance))
 
 
 @pytest.mark.parametrize("option", [
     "--horizon=nan", "--horizon=inf", "--horizon=-inf",
-    "--seed=nan,0.5", "--seed=inf,0.5",
+    "--seed=nan,0.5", "--seed=inf,0.5", "--tolerance=1e-20",
 ])
 def test_cli_portrait_rejects_unbounded_options(capsys, monkeypatch, option):
     def integrate(*args):
@@ -242,7 +245,8 @@ def test_cli_portrait_rejects_unbounded_options(capsys, monkeypatch, option):
     assert err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "ValueError"
-    want = "horizon" if option.startswith("--horizon") else "seed angle"
+    want = {"--horizon": "horizon", "--seed": "seed angle",
+            "--tolerance": "tolerance"}[option.split("=")[0]]
     assert want in error["message"]
 
 
