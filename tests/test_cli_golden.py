@@ -34,6 +34,11 @@ ZERO = "dx = 0; dy = 0"
 # curve of singularities (hypothesis (b) fails)
 OVAL = ("dx = x*y^4 - 6*x^2*y^3 + x^3 - 6*x^3*y + 17*x^3*y^2; "
         "dy = 2*y^5 - 12*x*y^4 + 2*x^2*y - 12*x^2*y^2 + 34*x^2*y^3")
+# halves, a shear of 1, four irrational divisor points and records in the
+# Y charts: pins the exact values that leave the core for rational input
+RATIONAL = "dx = 1/2*x*y; dy = 2*y^2 - 1"
+# its field after the shear: unsheared, its polytope is not favorable
+RATIONAL_SHEARED = "dx = 1/2*x*y - 3/2*y^2 + 1; dy = 2*y^2 - 1"
 HUGE = "1" + "0" * 400
 
 CASES = {
@@ -77,6 +82,8 @@ CASES = {
     "singularities-rotation-weighted": ("singularities", "--weight", "1,1",
                                         "--field", ROTATION),
     "singularities-sheared": ("singularities", "--field", SHEARED),
+    "singularities-rational-json": ("singularities", "--json",
+                                    "--field", RATIONAL_SHEARED),
     "singularities-radial-no-weight": ("singularities", "--field", RADIAL),
     "singularities-radial-weighted": ("singularities", "--weight", "1,1",
                                       "--field", RADIAL),
@@ -91,6 +98,7 @@ CASES = {
     "check-equivalence-radial": ("check-equivalence", "--field", RADIAL),
     "check-equivalence-zero": ("check-equivalence", "--field", ZERO),
     "check-equivalence-oval": ("check-equivalence", "--field", OVAL),
+    "check-equivalence-rational": ("check-equivalence", "--field", RATIONAL),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
