@@ -59,7 +59,6 @@ from .polys import (
     int_multiple,
     ival,
     real_roots,
-    up,
     up_gcd,
     xgcd,
 )
@@ -87,8 +86,8 @@ CURVE = "CurveOfSingularities"
 #: is read only to its sign
 _TINY = Fraction(1, 2**1100)
 
-#: the polynomial u, whose value at a root is the root
-_U = (0, 1)
+#: the polynomial u, whose value at a root is the root, as a reading form
+_U = ((0, 1), 1, 1)
 #: the widths from below which positions and eigenvalues are read
 _POSITION_WIDTH = Fraction(1, 10**12)
 _EIGENVALUE_WIDTH = Fraction(1, 10**15)
@@ -100,19 +99,19 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
     the midpoint of an isolating interval, refined from below ``width``, on
     which g has that sign at the midpoint and both ends and its end values
     differ by at most 1e-9 of the smaller; inside (-_TINY, _TINY), the first
-    of the three with that sign.  g is evaluated on one integer multiple."""
-    f = int_multiple(g)
+    of the three with that sign.  ``g = (f, sn, sd)`` stands for f * sn / sd
+    with f a primitive integer polynomial and sn / sd > 0 (see
+    ``charts.Branch``)."""
+    f, sn, sd = g
     if not f:
         return Fraction(0)
     n = len(f) - 1
-    # g = f * sn / sd, and g[n], f[n] have one sign
-    sn, sd = abs(g[n].numerator), g[n].denominator * abs(f[n])
     if root.is_rational:
         x = root.exact
         return Fraction(sn * ival(f, x.numerator, x.denominator),
                         sd * x.denominator ** n)
     if sign is None:
-        sign = root.sign_of(g)
+        sign = root.sign_of(f)
     if sign == 0:
         return Fraction(0)
     r = root.refine(width)
@@ -275,8 +274,8 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
             classification=CURVE,
             characteristic_orbit=bool(branch.transverse),
         )
-    tangent = _eigenvalue_at(rec.position, branch.derivative)
-    trans = _eigenvalue_at(rec.position, branch.transverse)
+    tangent = _eigenvalue_at(rec.position, branch.tangent_reading)
+    trans = _eigenvalue_at(rec.position, branch.transverse_reading)
     zeros = (tangent.sign == 0) + (trans.sign == 0)
     if zeros == 0:
         cls = HYPERBOLIC
@@ -298,20 +297,23 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
 
 def _chart_records(cf: ChartField, roots: dict) -> list[SingularityRecord]:
     """The singularities on the divisor of one chart.  ``roots`` maps each
-    restriction polynomial already isolated to its roots, and is filled in.
+    restriction polynomial already isolated, as its integer numerators and
+    scale in lowest terms, to its roots, and is filled in.
 
     Interior fan charts carry two divisor branches meeting at the chart
     origin; the origin is reported once, on the {v = 0} branch (where it is
     always a zero of the restriction).
     """
     recs = []
-    for branch, (restriction, _, _) in cf.branches.items():
+    for branch, (restriction, *_) in cf.branches.items():
         if not restriction:
             positions = (None,)
         else:
-            positions = roots.get(restriction)
+            g = math.gcd(cf.scale, *restriction)
+            key = tuple(c // g for c in restriction), cf.scale // g
+            positions = roots.get(key)
             if positions is None:
-                positions = roots[restriction] = real_roots(restriction)
+                positions = roots[key] = real_roots(restriction)
         for position in positions:
             bare = SingularityRecord(chart=cf.label, branch=branch,
                                      position=position)
@@ -353,13 +355,14 @@ class DegeneracyWitness:
 
 
 def _segment_parameter_polys(seg: Segment, field: PlanarField):
-    """Coefficient polynomials along a segment, indexed by primitive steps."""
+    """Coefficient polynomials along a segment, indexed by primitive steps,
+    as integer numerators over ``field.den``."""
     dx, dy = seg.direction
     start = seg.points[0]
     coeffs = {(p[0] - start[0]) // dx if dx else (p[1] - start[1]) // dy:
-              field.coeffs(p) for p in seg.points}
+              field.numerators.get(p, (0, 0)) for p in seg.points}
     pairs = [coeffs.get(k, (0, 0)) for k in range(max(coeffs) + 1)]
-    return up(a for a, _ in pairs), up(b for _, b in pairs)
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
@@ -389,13 +392,12 @@ def check_nondegenerate(upp: UpperPrincipalPart):
     """
     witnesses: list[DegeneracyWitness] = []
     for seg in upp.polytope.upper:
-        pa, pb = _segment_parameter_polys(seg, upp.field)
-        if not pa and not pb:
+        ia, ib = map(int_multiple, _segment_parameter_polys(seg, upp.field))
+        if not ia and not ib:
             raise InternalConsistencyError(
                 "an upper segment with empty coefficient data")
         dx, dy = seg.direction
         _, wu, wv = xgcd(dx, dy)
-        ia, ib = int_multiple(pa), int_multiple(pb)
         # the direction is primitive, so some quadrant has each parity
         positive = {odd: _positive_roots(ia, ib, odd) for odd in (False, True)}
         for s1 in (1, -1):
@@ -424,8 +426,7 @@ def check_nondegenerate(upp: UpperPrincipalPart):
 def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
     """True when the components of the upper principal part share no
     factor with a branch (a one-dimensional piece) off the axes."""
-    P, Q = upp.field.components()
-    return not has_real_branch(bp_gcd(P, Q))
+    return not has_real_branch(bp_gcd(*upp.field.int_components()))
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +672,14 @@ def _principal_value(cf: ChartField, beta: int) -> tuple[float, float]:
     part decays like 1/u**2 and is integrated over [0, inf)."""
     from scipy.integrate import quad
 
-    r, _, t = cf.branches["v=0"]
-    if len(t) != len(r) - 1 or t[-1] / r[-1] != Fraction(1, beta):
+    branch = cf.branches["v=0"]
+    r, t = branch.restriction, branch.transverse
+    if len(t) != len(r) - 1 or t[-1] * beta != r[-1]:
         raise InternalConsistencyError(
             f"{cf.label}: t/r does not decay like 1/({beta}u) on the divisor")
     # r made monic, so that both fit floats whenever the field's ratios do;
     # a ratio beyond the float range raises OverflowError, exit 4
-    rf, tf = ([float(c / r[-1]) for c in p] for p in (r, t))
+    rf, tf = ([float(Fraction(c, r[-1])) for c in p] for p in (r, t))
 
     def even(u: float) -> float:
         return (_horner(tf, u) / _horner(rf, u)

@@ -1,8 +1,9 @@
 """Exact compactified vector fields in directional, fan and polar charts.
 
 Everything here is symbolic: chart components are dictionaries mapping
-exponent tuples to rational coefficients.  Directional and fan charts use
-keys (i, j) for u**i * v**j; the polar chart uses keys (c, s, k) for
+exponent tuples to coefficients.  Directional and fan charts hold integer
+numerators over one positive scale, with keys (i, j) for u**i * v**j; the
+polar chart holds rationals, with keys (c, s, k) for
 Cs(theta)**c * Sn(theta)**s * r**k, where Cs/Sn are the generalized
 trigonometric functions attached to the weight.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .fans import ChartMap, SimpleFan
@@ -26,7 +28,7 @@ from .fields import (
     max_level,
     monomial_pullback,
 )
-from .polys import ZERO, up, up_deriv
+from .polys import up_deriv
 from .polytope import Polytope
 
 TrigKey = tuple[int, int, int]
@@ -36,30 +38,45 @@ _BRANCHES = {"v": ("v=0",), "u": ("u=0",), "uv": ("v=0", "u=0")}
 
 
 class Branch(NamedTuple):
-    """The polynomials of one divisor branch (see :func:`_branch_polys`)."""
+    """The integer polynomials of one divisor branch over the chart's
+    ``scale`` (see :func:`_branch_polys`), and the derivative and the
+    transverse polynomial as the readings evaluate them: ``(f, c, scale)``
+    for the polynomial f * c / scale, with f primitive and c > 0."""
 
     restriction: tuple
     derivative: tuple
     transverse: tuple
+    tangent_reading: tuple
+    transverse_reading: tuple
 
 
 @dataclass
 class ChartField:
     """A compactified field in one directional or fan chart.
 
-    ``u_comp``/``v_comp`` are the du/dv polynomial components.
-    ``normalization`` records the monomial the raw pullback was multiplied
-    by to clear denominators.
+    ``u_num``/``v_num`` are the du/dv polynomial components as integer
+    numerators over the positive ``scale``; ``u_comp``/``v_comp`` give them
+    as rationals.  ``normalization`` records the monomial the raw pullback
+    was multiplied by to clear denominators.
     """
 
     label: str
-    u_comp: dict
-    v_comp: dict
+    u_num: dict
+    v_num: dict
+    scale: int
     divisor: str
     normalization: dict[str, int]
     weight: Optional[WeightVector] = None
     chart: Optional[ChartMap] = None
     delta: Optional[int] = None
+
+    @property
+    def u_comp(self) -> dict:
+        return {k: Fraction(c, self.scale) for k, c in self.u_num.items()}
+
+    @property
+    def v_comp(self) -> dict:
+        return {k: Fraction(c, self.scale) for k, c in self.v_num.items()}
 
     @cached_property
     def branches(self) -> dict[str, Branch]:
@@ -113,9 +130,16 @@ class PolarField:
 
 def _slice(comp: dict, along: int, across: int, level: int) -> tuple:
     """The polynomial, in the ``along`` exponent, of the terms of ``comp``
-    whose ``across`` exponent equals ``level``."""
+    whose ``across`` exponent equals ``level``; ``comp`` has no zero
+    values, so neither has its top coefficient."""
     coeffs = {k[along]: c for k, c in comp.items() if k[across] == level}
-    return up(coeffs.get(e, ZERO) for e in range(max(coeffs, default=-1) + 1))
+    return tuple(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1))
+
+
+def _reading_form(f: tuple, scale: int) -> tuple:
+    """``(f / c, c, scale)`` with c > 0 the content of f, or ((), 0, scale)."""
+    c = gcd(*f)
+    return tuple(x // c for x in f), c, scale
 
 
 def _branch_polys(cf: ChartField, branch: str) -> Branch:
@@ -128,23 +152,26 @@ def _branch_polys(cf: ChartField, branch: str) -> Branch:
     branch; that structural fact is re-checked here rather than assumed.
     """
     if branch == "v=0":
-        tangent, normal, along, across = cf.u_comp, cf.v_comp, 0, 1
+        tangent, normal, along, across = cf.u_num, cf.v_num, 0, 1
     else:
-        tangent, normal, along, across = cf.v_comp, cf.u_comp, 1, 0
+        tangent, normal, along, across = cf.v_num, cf.u_num, 1, 0
     if any(k[across] == 0 for k in normal):
         raise InternalConsistencyError(
             f"{cf.label}: divisor branch {branch} is not invariant")
     restriction = _slice(tangent, along, across, 0)
-    return Branch(restriction, up_deriv(restriction),
-                  _slice(normal, along, across, 1))
+    derivative = up_deriv(restriction)
+    transverse = _slice(normal, along, across, 1)
+    return Branch(restriction, derivative, transverse,
+                  _reading_form(derivative, cf.scale),
+                  _reading_form(transverse, cf.scale))
 
 
 def _strip_zeros(comp: dict) -> dict:
     return {k: c for k, c in comp.items() if c != 0}
 
 
-def _check_nonnegative(u_comp: dict, v_comp: dict, where: str) -> None:
-    for (i, j) in list(u_comp) + list(v_comp):
+def _check_nonnegative(u_num: dict, v_num: dict, where: str) -> None:
+    for (i, j) in list(u_num) + list(v_num):
         if i < 0 or j < 0:
             raise InternalConsistencyError(
                 f"negative exponent ({i},{j}) in {where}")
@@ -168,9 +195,10 @@ def directional_plc(f: PlanarField, w: WeightVector, direction: str) -> ChartFie
     if f.is_zero:
         raise FieldError("cannot compactify the zero field")
     delta = max_level(f, w) + 1
-    u_comp, v_comp = monomial_pullback(f, forward, signs, (0, delta - 1))
-    _check_nonnegative(u_comp, v_comp, f"{direction} chart")
-    return ChartField(direction, u_comp, v_comp, divisor="v",
+    u_num, v_num, scale = monomial_pullback(f.numerators, f.den, forward,
+                                            signs, (0, delta - 1))
+    _check_nonnegative(u_num, v_num, f"{direction} chart")
+    return ChartField(direction, u_num, v_num, scale, divisor="v",
                       normalization={"v": delta - 1}, weight=w, delta=delta)
 
 
@@ -221,10 +249,12 @@ def fan_chart_field(f: PlanarField, cmap: ChartMap,
     """
     eu = max(0, -minima[0])
     ev = max(0, -minima[1])
-    u_comp, v_comp = monomial_pullback(f, cmap.forward, (1, 1), (eu, ev))
-    _check_nonnegative(u_comp, v_comp, f"fan chart {cmap.index}")
-    return ChartField(f"fan:{cmap.index}", u_comp, v_comp, divisor=cmap.divisor,
-                      normalization={"u": eu, "v": ev}, chart=cmap)
+    u_num, v_num, scale = monomial_pullback(f.numerators, f.den, cmap.forward,
+                                            (1, 1), (eu, ev))
+    _check_nonnegative(u_num, v_num, f"fan chart {cmap.index}")
+    return ChartField(f"fan:{cmap.index}", u_num, v_num, scale,
+                      divisor=cmap.divisor, normalization={"u": eu, "v": ev},
+                      chart=cmap)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 LatticePoint = tuple[int, int]
@@ -87,39 +87,37 @@ def directional_map(w: WeightVector, direction: str):
     return ((1, -alpha), (0, -beta)), (1, sign)
 
 
-def monomial_pullback(field, forward, signs, normalization) -> tuple[dict, dict]:
-    """Pull ``field`` back through a monomial chart and multiply by the
-    monomial u**e_u v**e_v, ``normalization = (e_u, e_v)``.
+def monomial_pullback(numerators, den, forward, signs, normalization):
+    """Pull the field with log vectors ``numerators`` over ``den`` back
+    through a monomial chart and multiply by the monomial u**e_u v**e_v,
+    ``normalization = (e_u, e_v)``.
 
-    ``field`` is anything with ``items()`` yielding ``((m, n), (a, b))``.
-    Returns the du and dv components as ``{(i, j): Fraction}`` dicts.
+    ``numerators`` maps lattice points (m, n) to integer pairs (a, b), and
+    ``den`` is positive.  Returns ``(u_num, v_num, scale)``: the du and dv
+    components as ``{(i, j): int}`` numerators over one positive ``scale``.
     """
     (f00, f01), (f10, f11) = forward
     det = f00 * f11 - f01 * f10
     if det == 0:
         raise InternalConsistencyError(f"chart matrix {forward} is singular")
-    # A^-1 = adj(A) / det acts on integer numerators over the denominator den
-    den = lcm(*(c.denominator for _, ab in field.items() for c in ab))
-    scale = den * det
+    # A^-1 = adj(A) / det; a negative det moves its sign into the numerators
     flip_m, flip_n = signs[0] < 0, signs[1] < 0
     eu, ev = normalization
     # A^T is invertible, so distinct terms never share a key
-    u_comp: dict[LatticePoint, Fraction] = {}
-    v_comp: dict[LatticePoint, Fraction] = {}
-    for (m, n), (a, b) in field.items():
-        a = a.numerator * (den // a.denominator)
-        b = b.numerator * (den // b.denominator)
+    u_num: dict[LatticePoint, int] = {}
+    v_num: dict[LatticePoint, int] = {}
+    for (m, n), (a, b) in numerators.items():
         i = eu + f00 * m + f10 * n
         j = ev + f01 * m + f11 * n
         swirl = f11 * a - f01 * b
         radial = f00 * b - f10 * a
-        if (flip_m and m % 2 == 1) != (flip_n and n % 2 == 1):
+        if ((flip_m and m % 2 == 1) != (flip_n and n % 2 == 1)) != (det < 0):
             swirl, radial = -swirl, -radial
         if swirl:
-            u_comp[(i + 1, j)] = Fraction(swirl, scale)
+            u_num[(i + 1, j)] = swirl
         if radial:
-            v_comp[(i, j + 1)] = Fraction(radial, scale)
-    return u_comp, v_comp
+            v_num[(i, j + 1)] = radial
+    return u_num, v_num, den * abs(det)
 
 
 def _check_admissible(p: LatticePoint, a: Fraction, b: Fraction) -> None:
@@ -135,92 +133,103 @@ def _check_admissible(p: LatticePoint, a: Fraction, b: Fraction) -> None:
 
 
 class PlanarField:
-    """Immutable planar field in the logarithmic basis."""
+    """Immutable planar field in the logarithmic basis.
 
-    __slots__ = ("_terms",)
+    The coefficients are integer pairs ``numerators[(m, n)] = (a, b)`` over
+    one positive denominator ``den``, in lowest terms: ``den`` and all the
+    numerators have gcd 1, so equal fields are equal structurally.
+    ``items()``, ``terms()`` and ``components()`` give rational coefficients.
+    """
+
+    __slots__ = ("numerators", "den")
 
     def __init__(self, terms: Mapping[LatticePoint, CoefPair]):
-        cleaned: dict[LatticePoint, CoefPair] = {}
-        for p, (a, b) in terms.items():
-            p = (int(p[0]), int(p[1]))
-            a, b = Fraction(a), Fraction(b)
-            if a == 0 and b == 0:
-                continue
-            _check_admissible(p, a, b)
-            cleaned[p] = (a, b)
-        self._terms = dict(sorted(cleaned.items()))
+        terms = {(int(p[0]), int(p[1])): (Fraction(a), Fraction(b))
+                 for p, (a, b) in terms.items()}
+        den = lcm(*(c.denominator for ab in terms.values() for c in ab))
+        f = self._over({p: [c.numerator * (den // c.denominator) for c in ab]
+                        for p, ab in terms.items()}, den)
+        self.numerators, self.den = f.numerators, f.den
+
+    @classmethod
+    def _over(cls, numerators: Mapping, den: int) -> "PlanarField":
+        """The field of the integer pairs ``numerators`` over ``den`` > 0."""
+        kept = {}
+        for p, (a, b) in numerators.items():
+            if a or b:
+                _check_admissible(p, a, b)
+                kept[p] = (a, b)
+        g = gcd(den, *(c for ab in kept.values() for c in ab))
+        if g > 1:
+            kept = {p: (a // g, b // g) for p, (a, b) in kept.items()}
+        f = cls.__new__(cls)
+        f.numerators, f.den = dict(sorted(kept.items())), den // g
+        return f
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_components(cls, P: Mapping, Q: Mapping) -> "PlanarField":
         """Build from Cartesian components dx = P(x, y), dy = Q(x, y)."""
-        terms: dict[LatticePoint, list[Fraction]] = {}
-        for (i, j), c in P.items():
-            key = (i - 1, j)
-            terms.setdefault(key, [Fraction(0), Fraction(0)])[0] += Fraction(c)
+        den = lcm(*(c.denominator for comp in (P, Q) for c in comp.values()))
+        return cls._from_int_components(
+            *({k: c.numerator * (den // c.denominator) for k, c in comp.items()}
+              for comp in (P, Q)), den)
+
+    @classmethod
+    def _from_int_components(cls, P, Q, den: int) -> "PlanarField":
+        """Build from integer components dx = P(x, y)/den, dy = Q(x, y)/den."""
+        numerators = {(i - 1, j): [c, 0] for (i, j), c in P.items()}
         for (i, j), c in Q.items():
-            key = (i, j - 1)
-            terms.setdefault(key, [Fraction(0), Fraction(0)])[1] += Fraction(c)
-        return cls({k: (v[0], v[1]) for k, v in terms.items()})
+            numerators.setdefault((i, j - 1), [0, 0])[1] = c
+        return cls._over(numerators, den)
 
     @classmethod
     def zero(cls) -> "PlanarField":
-        return cls({})
+        return cls._over({}, 1)
 
     # -- access ------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[LatticePoint, CoefPair]]:
-        return iter(self._terms.items())
+        den = self.den
+        return ((p, (Fraction(a, den), Fraction(b, den)))
+                for p, (a, b) in self.numerators.items())
 
     def terms(self) -> dict[LatticePoint, CoefPair]:
-        return dict(self._terms)
-
-    def coeffs(self, p: LatticePoint) -> CoefPair:
-        return self._terms.get(p, (Fraction(0), Fraction(0)))
+        return dict(self.items())
 
     def support(self) -> tuple[LatticePoint, ...]:
-        return tuple(self._terms)
+        return tuple(self.numerators)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.numerators
+
+    def int_components(self) -> tuple[dict, dict]:
+        """Cartesian components (P, Q) as bivariate dicts of integer
+        numerators over ``den``."""
+        terms = self.numerators.items()
+        return ({(m + 1, n): a for (m, n), (a, _) in terms if a},
+                {(m, n + 1): b for (m, n), (_, b) in terms if b})
 
     def components(self) -> tuple[dict, dict]:
         """Cartesian components (P, Q) as bivariate coefficient dicts."""
-        P: dict = {}
-        Q: dict = {}
-        for (m, n), (a, b) in self._terms.items():
-            if a != 0:
-                P[(m + 1, n)] = P.get((m + 1, n), Fraction(0)) + a
-            if b != 0:
-                Q[(m, n + 1)] = Q.get((m, n + 1), Fraction(0)) + b
-        return ({k: v for k, v in P.items() if v != 0},
-                {k: v for k, v in Q.items() if v != 0})
+        return tuple({k: Fraction(c, self.den) for k, c in comp.items()}
+                     for comp in self.int_components())
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "PlanarField") -> "PlanarField":
-        out = {p: [a, b] for p, (a, b) in self._terms.items()}
-        for p, (a, b) in other._terms.items():
-            cur = out.setdefault(p, [Fraction(0), Fraction(0)])
-            cur[0] += a
-            cur[1] += b
-        return PlanarField({p: (v[0], v[1]) for p, v in out.items()})
-
-    def scaled(self, c) -> "PlanarField":
-        c = Fraction(c)
-        return PlanarField({p: (c * a, c * b) for p, (a, b) in self._terms.items()})
-
     def restricted(self, points: Iterable[LatticePoint]) -> "PlanarField":
         keep = set(points)
-        return PlanarField({p: ab for p, ab in self._terms.items() if p in keep})
+        return PlanarField._over({p: ab for p, ab in self.numerators.items()
+                                  if p in keep}, self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PlanarField) and self._terms == other._terms
+        return (isinstance(other, PlanarField) and self.den == other.den
+                and self.numerators == other.numerators)
 
     def __hash__(self):
-        return hash(tuple(self._terms.items()))
+        return hash((self.den, tuple(self.numerators.items())))
 
     def __repr__(self) -> str:
         return f"PlanarField({format_field(self)!r})"
@@ -433,39 +442,30 @@ def max_level(f: PlanarField, w: WeightVector) -> int:
 # shear
 
 
-def _subst_x_plus_ly(poly: Mapping, lam: Fraction) -> dict:
-    """Substitute x -> x + lam*y in a bivariate coefficient dict."""
-    out: dict = {}
-    for (i, j), c in poly.items():
-        for k in range(i + 1):
-            key = (i - k, j + k)
-            add = c * comb(i, k) * lam**k
-            v = out.get(key, Fraction(0)) + add
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
-
-
 def shear(f: PlanarField, lam) -> PlanarField:
     """Push the field through the unimodular change x~ = x - lam*y, y~ = y.
 
     In the new coordinates the components become
     P~ = P(x + lam*y, y) - lam*Q(x + lam*y, y) and Q~ = Q(x + lam*y, y).
+    With lam = p/q and d one more than the top x-degree, both times q**d
+    have integer numerators over ``f.den``.
     """
     lam = Fraction(lam)
-    P, Q = f.components()
-    Pn = _subst_x_plus_ly(P, lam)
-    Qn = _subst_x_plus_ly(Q, lam)
-    Pt: dict = dict(Pn)
-    for k, c in Qn.items():
-        v = Pt.get(k, Fraction(0)) - lam * c
-        if v == 0:
-            Pt.pop(k, None)
-        else:
-            Pt[k] = v
-    return PlanarField.from_components(Pt, Qn)
+    p, q = lam.numerator, lam.denominator
+    P, Q = f.int_components()
+    d = max((i for comp in (P, Q) for i, _ in comp), default=0) + 1
+    # (x + p/q y)^i q^d = sum_k C(i, k) x^(i-k) y^k p^k q^(d-k)
+    Pt: dict = {}
+    Qt: dict = {}
+    for comp, out in ((P, Pt), (Q, Qt)):
+        for (i, j), c in comp.items():
+            for k in range(i + 1):
+                key = (i - k, j + k)
+                t = c * comb(i, k) * p**k
+                out[key] = out.get(key, 0) + t * q**(d - k)
+                if out is Qt:  # and -lam Q(x + lam*y, y) into P~
+                    Pt[key] = Pt.get(key, 0) - t * p * q**(d - k - 1)
+    return PlanarField._from_int_components(Pt, Qt, f.den * q**d)
 
 
 def make_favorable(f: PlanarField) -> tuple[PlanarField, Fraction]:

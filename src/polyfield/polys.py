@@ -43,8 +43,10 @@ def up(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def up_deriv(f: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return up(i * c for i, c in enumerate(f) if i > 0)
+def up_deriv(f: Sequence) -> tuple:
+    """The derivative of f, integer or rational, with no trailing zeros
+    when f has none."""
+    return tuple(i * c for i, c in enumerate(f) if i > 0)
 
 
 def up_gcd(f, g) -> tuple[Fraction, ...]:
@@ -122,10 +124,6 @@ def _isub(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ideriv(f: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i * c for i, c in enumerate(f) if i > 0)
-
-
 def _iprem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """A positive integer multiple of the remainder of f by g."""
     r = list(f)
@@ -179,7 +177,7 @@ def _isquarefree(f: Sequence[int]) -> tuple[int, ...]:
     """Primitive squarefree part with a positive leading coefficient."""
     if len(f) < 2:
         return (1,) if f else ()
-    g = _igcd(f, _ideriv(f))
+    g = _igcd(f, up_deriv(f))
     q = _iquo(f, g)
     return q if q[-1] > 0 else tuple(-c for c in q)
 
@@ -190,7 +188,7 @@ def _isturm(f: Sequence[int],
     (f, f'g); for g = 1 it is the Sturm sequence of f."""
     if len(f) < 2:
         return [tuple(f)] if f else []
-    chain = [tuple(f), _iprimitive(_imul(_ideriv(f), g))]
+    chain = [tuple(f), _iprimitive(_imul(up_deriv(f), g))]
     while len(chain[-1]) > 1:
         r = _iprem(chain[-2], chain[-1])
         if not r:
@@ -566,7 +564,7 @@ def has_real_branch(g: dict) -> bool:
         if not _sign_at(boundary, lo, q):
             # between the root lo and the one root in (lo, hi], B has the
             # sign of B'(lo)
-            side = _sign_at(_ideriv(boundary), lo, q)
+            side = _sign_at(up_deriv(boundary), lo, q)
             while _sign_at(boundary, lo + hi, 2 * q) != side:
                 lo, hi, q = 2 * lo, lo + hi, 2 * q
             lo, q = lo + hi, 2 * q

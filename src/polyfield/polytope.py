@@ -228,7 +228,7 @@ def polytope_after_plc(p: Polytope, w: WeightVector, direction: str) -> Polytope
     """
     forward, signs = directional_map(w, direction)
     delta = max(w.level(pt) for pt in p.support)
-    u_comp, v_comp = monomial_pullback(dict.fromkeys(p.support, (1, 1)),
-                                       forward, signs, (0, delta))
-    return polytope_from_support([(i - 1, j) for i, j in u_comp]
-                                 + [(i, j - 1) for i, j in v_comp])
+    u_num, v_num, _ = monomial_pullback(dict.fromkeys(p.support, (1, 1)), 1,
+                                        forward, signs, (0, delta))
+    return polytope_from_support([(i - 1, j) for i, j in u_num]
+                                 + [(i, j - 1) for i, j in v_num])

@@ -224,6 +224,25 @@ def reference_pullback(field, forward, signs, normalization):
     return u_comp, v_comp
 
 
+def add(f, g):
+    """The sum of two fields, in Fraction arithmetic."""
+    from polyfield.fields import PlanarField
+
+    out = f.terms()
+    for p, (a, b) in g.items():
+        c, d = out.get(p, (0, 0))
+        out[p] = (a + c, b + d)
+    return PlanarField(out)
+
+
+def scaled(f, c):
+    """The field f times the constant c."""
+    from polyfield.fields import PlanarField
+
+    c = Fraction(c)
+    return PlanarField({p: (c * a, c * b) for p, (a, b) in f.items()})
+
+
 def evaluate(field, x, y):
     """The Cartesian components (P(x, y), Q(x, y)) of a field, in Fraction."""
     x, y = Fraction(x), Fraction(y)

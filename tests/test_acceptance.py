@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from oracles import (
+    add,
     apply_forward,
     apply_inverse,
     bisection_roots,
@@ -21,6 +22,7 @@ from oracles import (
     principal_part,
     principal_return_integral,
     reference_period,
+    scaled,
     shortest_unimodular_chain_length,
 )
 from test_polytope import _brute_hull
@@ -109,7 +111,7 @@ def test_criterion_04_perturbation_stability():
             b = F(rng.choice([c for c in range(-5, 6) if c]),
                   rng.choice([1, 2, 3]))
             coeffs[pt] = (a, b)
-        y = QUARTIC + PlanarField(coeffs)
+        y = add(QUARTIC, PlanarField(coeffs))
         py = build_polytope(y)
         assert py.upper == px.upper
         for direction in DIRECTIONS:
@@ -189,7 +191,7 @@ def test_criterion_09_return_map_closed_form():
     c = F(3, 5)
     swirl = parse_field("dx = -x^2*y - y^3 + x; dy = x^3 + x*y^2")
     radial = parse_field("dx = x^3 + x*y^2; dy = x^2*y + y^3")
-    a = Analysis(swirl + radial.scaled(c), WeightVector(1, 1))
+    a = Analysis(add(swirl, scaled(radial, c)), WeightVector(1, 1))
     res = return_map_test(a)
     want = -2.0 * math.pi * float(c)
     assert abs(res.integral - want) <= 1e-7

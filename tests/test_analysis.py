@@ -13,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    add,
     inventory_json,
     principal_part,
     principal_return_integral,
+    scaled,
     up_eval,
     up_from_roots,
     up_mul,
@@ -155,7 +157,10 @@ def test_eigenvalues_match_fraction_horner_at_the_refined_midpoint():
                                          rng.randint(1, 7)) for _ in range(4))
         for root in roots:
             for poly in (up_deriv(restriction), transverse, ()):
-                e = analysis._eigenvalue_at(root, poly)
+                den = math.lcm(*(c.denominator for c in poly))
+                e = analysis._eigenvalue_at(root, charts._reading_form(
+                    tuple(c.numerator * (den // c.denominator) for c in poly),
+                    den))
                 if root.is_rational:
                     val = up_eval(poly, root.lo)
                     assert type(e.exact) is Fraction and e.exact == val
@@ -346,8 +351,9 @@ def _stage_counts(monkeypatch, argv) -> Counter:
     stages = [(analysis, "chart_maps"), (analysis, "support_minima"),
               (portrait, "polar_field"), (charts, "_branch_polys"),
               (polytope, "polytope_from_support")]
-    # every binding of up_deriv, wherever a module calls it from
-    stages += [(module, "up_deriv") for module in (analysis, charts, polys)
+    # every binding of up_deriv outside polys, wherever a module calls it
+    # from; polys takes derivatives of its own for its Sturm chains
+    stages += [(module, "up_deriv") for module in (analysis, charts)
                if hasattr(module, "up_deriv")]
     with monkeypatch.context() as m:
         for module, name in stages:
@@ -481,6 +487,14 @@ def test_eigenvalue_floats_have_the_exact_sign():
                for e in _reported_eigenvalues(equivalence_verdict(near)))
 
 
+def _rational_polys(cf, branch: str) -> list[tuple]:
+    """The derivative and the transverse polynomial of a divisor branch of
+    ``cf``, in Fraction."""
+    b = cf.branches[branch]
+    return [tuple(Fraction(c, cf.scale) for c in p)
+            for p in (b.derivative, b.transverse)]
+
+
 def test_floats_next_to_zero_keep_their_relative_accuracy():
     # divisor points at about +-2e-120 and transverse eigenvalues of about
     # 9e-121: an absolute width of 1e-12 or 1e-15 would print the width
@@ -496,10 +510,11 @@ def test_floats_next_to_zero_keep_their_relative_accuracy():
             for rec in recs:
                 if rec.position is None or rec.position.is_rational:
                     continue
-                branch = charts[label].branches[rec.branch]
+                derivative, transverse = _rational_polys(charts[label],
+                                                         rec.branch)
                 reported = [(approximate(rec.position), None),
-                            (rec.tangent.approx, branch.derivative),
-                            (rec.transverse.approx, branch.transverse)]
+                            (rec.tangent.approx, derivative),
+                            (rec.transverse.approx, transverse)]
                 r = rec.position.refine(Fraction(1, 10**700))
                 x = (r.lo + r.hi) / 2
                 for approx, poly in reported:
@@ -578,9 +593,10 @@ def test_readings_match_mpmath_on_seeded_fields():
                     pos = rec.position
                     x = pos.exact if pos.is_rational else _mp_root(pos)
                     check(approximate(pos), x, 1 if x > 0 else -1 if x else 0)
-                    branch = charts[label].branches[rec.branch]
-                    for e, poly in ((rec.tangent, branch.derivative),
-                                    (rec.transverse, branch.transverse)):
+                    derivative, transverse = _rational_polys(charts[label],
+                                                             rec.branch)
+                    for e, poly in ((rec.tangent, derivative),
+                                    (rec.transverse, transverse)):
                         if pos.is_rational:
                             check(e.approx, up_eval(poly, x), e.sign)
                             continue
@@ -698,7 +714,7 @@ def _spiral_field(c: Fraction) -> PlanarField:
     # (x^2+y^2)((c*x - y) d/dx + (x + c*y) d/dy) plus the perturbation x d/dx
     swirl = parse_field("dx = -x^2*y - y^3 + x; dy = x^3 + x*y^2")
     radial = parse_field("dx = x^3 + x*y^2; dy = x^2*y + y^3")
-    return swirl + radial.scaled(c)
+    return add(swirl, scaled(radial, c))
 
 
 def test_return_map_integral_matches_closed_form():
@@ -713,7 +729,8 @@ def test_return_map_integral_matches_closed_form():
 def test_return_map_integral_matches_a_separate_principal_part():
     # the lower-order terms make the upper principal part differ from the
     # field, which the integral must not see
-    cases = [(_spiral_field(Fraction(3, 5)) + parse_field("dx = x^2 + 1; dy = y - x"),
+    cases = [(add(_spiral_field(Fraction(3, 5)),
+                  parse_field("dx = x^2 + 1; dy = y - x")),
               WeightVector(1, 1), -1),
              (parse_field("dx = -4*y + x^2 + x; dy = 4*x^3 + 2*x*y + y - 1"),
               W12, 0)]

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import evaluate
 from polyfield import fields
@@ -225,3 +228,36 @@ def test_make_favorable_impossible(monkeypatch):
 def test_zero_field_rejected_by_make_favorable():
     with pytest.raises(FieldError):
         make_favorable(PlanarField.zero())
+
+
+# 30-digit numerators get a branch of their own, since integers() over a
+# wide range draws mostly small values
+_COEF = st.builds(F, st.one_of(st.integers(-9, 9),
+                               st.integers(-10**30, 10**30)),
+                  st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+_COMPONENT = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             _COEF, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_COMPONENT, _COMPONENT,
+       st.sets(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=8),
+       st.tuples(_COEF, _COEF))
+def test_fields_hold_integers_in_lowest_terms(P, Q, keep, point):
+    f = PlanarField.from_components(P, Q)
+    parsed = parse_field(format_field(f))
+    assert parsed == f
+    lams = (F(1), F(-2), F(3, 2), F(-7, 5))
+    sheared = [shear(f, lam) for lam in lams]
+    for g in [f, parsed, f.restricted(keep)] + sheared:
+        assert type(g.den) is int and g.den > 0
+        nums = [c for ab in g.numerators.values() for c in ab]
+        assert all(type(c) is int for c in nums)
+        assert gcd(g.den, *nums) == 1
+        again = PlanarField(g.terms())
+        assert again == g and hash(again) == hash(g)
+    # each shear is the pushforward of f
+    x, y = point
+    p, q = evaluate(f, x, y)
+    for lam, g in zip(lams, sheared):
+        assert evaluate(g, x - lam * y, y) == (p - lam * q, q)
