@@ -120,7 +120,7 @@ def monomial_pullback(numerators, den, forward, signs, normalization):
     return u_num, v_num, den * abs(det)
 
 
-def _check_admissible(p: LatticePoint, a: Fraction, b: Fraction) -> None:
+def _check_admissible(p: LatticePoint, a: int, b: int) -> None:
     m, n = p
     if a != 0 and (m < -1 or n < 0):
         raise AdmissibilityError(

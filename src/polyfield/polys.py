@@ -23,24 +23,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import InternalConsistencyError
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # univariate basics
-
-
-def up(coeffs: Iterable) -> tuple[Fraction, ...]:
-    """Build a polynomial from ascending coefficients, trimming zeros."""
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def up_deriv(f: Sequence) -> tuple:

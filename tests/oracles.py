@@ -156,6 +156,15 @@ def squarefree(f):
     return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(part.monic().all_coeffs()))
 
 
+def up(coeffs):
+    """A polynomial from ascending coefficients, in Fraction, with its
+    trailing zeros trimmed."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def up_mul(f, g):
     """The product of two ascending-coefficient polynomials."""
     if not f or not g:

@@ -18,6 +18,7 @@ from oracles import (
     principal_part,
     principal_return_integral,
     scaled,
+    up,
     up_eval,
     up_from_roots,
     up_mul,
@@ -49,7 +50,7 @@ from polyfield.fields import (
     parse_field,
     shear,
 )
-from polyfield.polys import real_roots, up, up_deriv
+from polyfield.polys import real_roots, up_deriv
 from polyfield.polytope import build_polytope, plc_weight
 
 QUARTIC = parse_field("dx = y^3 - x^3*y; dy = -x^3 + x*y^3")

@@ -240,16 +240,16 @@ _COMPONENT = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_COMPONENT, _COMPONENT,
-       st.sets(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=8),
-       st.tuples(_COEF, _COEF))
-def test_fields_hold_integers_in_lowest_terms(P, Q, keep, point):
+@given(_COMPONENT, _COMPONENT, st.tuples(_COEF, _COEF))
+def test_fields_hold_integers_in_lowest_terms(P, Q, point):
     f = PlanarField.from_components(P, Q)
     parsed = parse_field(format_field(f))
     assert parsed == f
     lams = (F(1), F(-2), F(3, 2), F(-7, 5))
     sheared = [shear(f, lam) for lam in lams]
-    for g in [f, parsed, f.restricted(keep)] + sheared:
+    # every other support point: the kept numerators may share a factor
+    # with the denominator that the whole field's do not
+    for g in [f, parsed, f.restricted(f.support()[::2])] + sheared:
         assert type(g.den) is int and g.den > 0
         nums = [c for ab in g.numerators.values() for c in ab]
         assert all(type(c) is int for c in nums)

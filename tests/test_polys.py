@@ -12,6 +12,7 @@ from oracles import (
     bp_mul,
     cauchy_bound,
     squarefree,
+    up,
     up_eval,
     up_from_roots,
     up_mul,
@@ -27,7 +28,6 @@ from polyfield.polys import (
     primitive,
     rational_root,
     real_roots,
-    up,
     up_deriv,
     up_gcd,
 )
