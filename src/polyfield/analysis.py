@@ -54,7 +54,6 @@ from .fields import (
 from .polys import (
     RealRoot,
     bp_gcd,
-    count_real_roots,
     has_real_branch,
     int_multiple,
     ival,
@@ -486,11 +485,17 @@ class Analysis:
                 for j, cmap in enumerate(self.chart_maps) if j}
 
     @cached_property
+    def directional_records(self) -> dict[str, list[SingularityRecord]]:
+        """Divisor singularities of the four directional charts."""
+        return {label: _chart_records(cf, self.roots)
+                for label, cf in self.directional.items()}
+
+    @cached_property
     def inventory(self) -> dict[str, list[SingularityRecord]]:
         """Divisor singularities per chart: fan charts, then directional."""
-        charts = self.fan_charts | self.directional
-        return {label: _chart_records(cf, self.roots)
-                for label, cf in charts.items()}
+        fan = {label: _chart_records(cf, self.roots)
+               for label, cf in self.fan_charts.items()}
+        return fan | self.directional_records
 
 
 def singularity_inventory(f: PlanarField, fan: SimpleFan, w: WeightVector
@@ -643,21 +648,16 @@ class ReturnMapResult:
 def _assert_no_divisor_singularities(a: Analysis) -> None:
     """The return map exists only when the divisor carries no singularity.
 
-    The four directional charts cover the divisor cycle, so exact
-    root-freeness of their four branch restrictions is both necessary and
-    sufficient.
+    The four directional charts cover the divisor cycle, so an empty record
+    list in each of them is both necessary and sufficient.
     """
-    for direction, cf in a.directional.items():
-        restriction = cf.branches["v=0"].restriction
-        if not restriction:
-            raise FieldError(
-                f"{direction}: the divisor is a curve of singularities; "
-                "the return-map test does not apply")
-        if count_real_roots(restriction) > 0:
-            spot = approximate_text(real_roots(restriction)[0], 6)
-            raise FieldError(
-                f"{direction}: divisor singularity near u = {spot}; "
-                "the return-map test does not apply")
+    for direction, recs in a.directional_records.items():
+        if recs:
+            where = ("the divisor is a curve of singularities"
+                     if recs[0].is_curve else "divisor singularity near u = "
+                     + approximate_text(recs[0].position, 6))
+            raise FieldError(f"{direction}: {where}; "
+                             "the return-map test does not apply")
 
 
 def _horner(coeffs: list[float], x: float) -> float:

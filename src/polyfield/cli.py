@@ -332,9 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(exc, 4)
     except FieldError as exc:
         return _fail(exc, 3 if args.cmd == "return-map" else 1)
-    except (FanError, ValueError) as exc:
-        return _fail(exc, 1)
-    except OSError as exc:
+    except (FanError, ValueError, OSError) as exc:
         return _fail(exc, 1)
 
 

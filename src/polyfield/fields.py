@@ -51,8 +51,6 @@ class WeightVector:
     def __post_init__(self):
         if self.alpha < 1 or self.beta < 1:
             raise ValueError("weights must be positive integers")
-        from math import gcd
-
         if gcd(self.alpha, self.beta) != 1:
             raise ValueError("weights must be coprime")
 

@@ -14,16 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import (
-    CURVE,
-    Analysis,
-    approximate,
-    approximate_text,
-    divisor_singularities,
-)
+from .analysis import Analysis, approximate, approximate_text
 from .charts import polar_field
-from .fields import FieldError
-from .trig import TrigTable, build_trig
+from .fields import FieldError, WeightVector
+from .trig import TrigTable, build_trig, period
 
 _MARKER_FILL = {
     "Hyperbolic": "#d62728",
@@ -82,34 +76,41 @@ def default_seeds(period: float) -> tuple[tuple[float, float], ...]:
 # singularity markers: chart coordinates -> theta on the divisor
 
 
-def marker_theta(table: TrigTable, chart: str, u: float) -> float:
+#: per directional chart: the angle of its u = 0, as a fraction of the
+#: period, and the direction in which theta moves as u grows
+_CHART_ORIGINS = {"Xpos": (0.0, 1.0), "Xneg": (0.5, -1.0),
+                  "Ypos": (0.25, -1.0), "Yneg": (0.75, 1.0)}
+
+
+def marker_theta(w: WeightVector, chart: str, u: float) -> float:
     """The divisor angle of the point with coordinate ``u`` in a chart.
 
-    On the divisor the chart coordinate of the x-charts is
-    u = Sn * Cs**(-beta/alpha) (with -Cs in Xneg), which increases
-    monotonically across the half-circle the chart covers, so the equivalent
-    equation Sn = u * Cs**(beta/alpha) has exactly one root there; the
-    y-charts swap the roles of Cs and Sn.
+    On the oval beta*Sn**(2*alpha) + alpha*Cs**(2*beta) = alpha the x-charts
+    have u = Sn * |Cs|**(-beta/alpha), so s = (beta/alpha) * Sn**(2*alpha) =
+    beta*u**(2*alpha) / (alpha + beta*u**(2*alpha)); the y-charts swap
+    (Cs, alpha) with (Sn, beta), and there s = Cs**(2*beta).  The angle
+    from the chart's u = 0 is then the quarter period times the regularized
+    incomplete Beta integral I_s(1/(2a), 1/(2b)), with (a, b) = (alpha,
+    beta) in the x-charts and (beta, alpha) in the y-charts; the oval's
+    mirror symmetries put the four u = 0 at 0, T/4, T/2 and 3T/4.
     """
-    from scipy.optimize import brentq
+    from scipy.special import betainc
 
-    alpha, beta = table.weight
-    c1, c2, c3, c4 = table.axis_crossings
-    spans = {"Xpos": (c3, c4 + c1), "Xneg": (c1, c3),
-             "Ypos": (0.0, c2), "Yneg": (c2, c4)}
-    if chart not in spans:
-        raise ValueError(f"unknown directional chart {chart!r}")
-    lo, hi = spans[chart]
-    x_chart = chart.startswith("X")
-    px = beta / alpha if x_chart else alpha / beta
-    side = -1.0 if chart.endswith("neg") else 1.0
-
-    def h(t: float) -> float:
-        cs, sn = table.eval(t)
-        along, across = (sn, cs) if x_chart else (cs, sn)
-        return along - u * max(side * across, 0.0) ** px
-
-    return brentq(h, lo, hi, xtol=1e-13) % table.period
+    origin, step = _CHART_ORIGINS[chart]
+    a, b = w.as_tuple() if chart.startswith("X") else w.as_tuple()[::-1]
+    # s and 1 - s, in u**(-2a) past |u| = 1, where u**(2a) can overflow
+    if abs(u) <= 1.0:
+        p = abs(u) ** (2 * a)
+        s, rest = b * p / (a + b * p), a / (a + b * p)
+    else:
+        p = abs(u) ** (-2 * a)
+        s, rest = b / (a * p + b), a * p / (a * p + b)
+    qa, qb = 0.5 / a, 0.5 / b
+    # past s = 1/2 the complement reads 1 - s from ``rest``, which keeps
+    # the digits that s rounds away
+    arc = betainc(qa, qb, s) if s <= 0.5 else 1.0 - betainc(qb, qa, rest)
+    t = period(w)
+    return (origin * t + (step if u > 0 else -step) * t / 4 * float(arc)) % t
 
 
 @dataclass(frozen=True)
@@ -122,36 +123,39 @@ class DiskMarker:
 
 
 def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
-    """All divisor singularities as (theta, class) markers, deduplicated.
+    """All divisor singularities as (theta, class) markers, one per point.
 
     Returns the markers sorted by angle together with a flag telling whether
     some chart saw the whole divisor as a curve of singularities.  A point
-    beyond the float range in one chart lies near u = 0 of the perpendicular
-    chart, which draws it; a nonzero u that underflows is drawn at u = 0.
+    off the axes has |u_Y| = |u_X|**(-alpha/beta), so the x-charts draw the
+    points with |u| <= 1 and the y-charts those with |u| < 1, each once; a
+    nonzero u that underflows is drawn at u = 0.  Distinct points whose
+    angles agree to 1e-6 of the period share the first one's marker.
     """
-    table = build_trig(a.weight)
+    t = period(a.weight)
     curve = False
     raw: list[DiskMarker] = []
-    for chart, cf in a.directional.items():
-        for rec in divisor_singularities(cf):
-            if rec.classification == CURVE:
+    for chart, recs in a.directional_records.items():
+        for rec in recs:
+            if rec.is_curve:
                 curve = True
                 continue
-            u = approximate(rec.position)
-            text = approximate_text(rec.position, 6)
-            if u is None and text.endswith("1e308"):
+            u = rec.position
+            # the sign of |u| - 1, the larger of those of u - 1 and -u - 1
+            edge = max(u.sign_of((-1, 1)), u.sign_of((-1, -1)))
+            if edge > 0 or edge == 0 and chart.startswith("Y"):
                 continue
-            theta = marker_theta(table, chart, u or 0.0)
-            raw.append(DiskMarker(theta, rec.classification, chart, text))
+            theta = marker_theta(a.weight, chart, approximate(u) or 0.0)
+            raw.append(DiskMarker(theta, rec.classification, chart,
+                                  approximate_text(u, 6)))
     raw.sort(key=lambda m: m.theta)
     out: list[DiskMarker] = []
     for m in raw:
-        if out and abs(m.theta - out[-1].theta) < 1e-6 * table.period:
+        if out and abs(m.theta - out[-1].theta) < 1e-6 * t:
             continue
         out.append(m)
     # the two ends of [0, T) meet on the circle
-    if len(out) > 1 and abs(out[0].theta + table.period - out[-1].theta) \
-            < 1e-6 * table.period:
+    if len(out) > 1 and abs(out[0].theta + t - out[-1].theta) < 1e-6 * t:
         out.pop()
     return tuple(out), curve
 

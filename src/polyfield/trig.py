@@ -36,9 +36,6 @@ class TrigTable:
 
     weight: tuple[int, int]
     period: float
-    #: theta values in (0, period] where Cs or Sn crosses zero; the last
-    #: entry is the return time, an independent estimate of the period
-    axis_crossings: tuple[float, ...]
     #: right end of each piece, ascending; the last one lies past the period
     _ends: list[float] = field(repr=False, compare=False)
     #: per piece: t_old, h, the interpolant rows of Cs in Horner order and
@@ -108,21 +105,18 @@ def build_trig(w: WeightVector) -> TrigTable:
         cs, sn = y
         return [-(sn ** (2 * alpha - 1)), cs ** (2 * beta - 1)]
 
-    # events: Cs = 0 and Sn = 0
     sol = solve_ivp(rhs, (0.0, 1.5 * t_period), [1.0, 0.0], method="DOP853",
                     dense_output=True, rtol=1e-12, atol=1e-14,
-                    events=[lambda _, y: y[0], lambda _, y: y[1]])
+                    events=lambda _, y: y[1])
     if not sol.success:
         raise QuadratureError(f"trig integration failed: {sol.message}")
-    crossings = sorted(t for ev in sol.t_events for t in ev if t > 1e-12)
     # the oval meets {Sn = 0, Cs > 0} only at (1, 0), so the first such
     # crossing is the orbit's own measurement of the period
-    returns = [t for t in sol.t_events[1] if t > 1e-9 and sol.sol(t)[0] > 0]
+    returns = [t for t in sol.t_events[0] if t > 1e-9 and sol.sol(t)[0] > 0]
     if not returns or abs(returns[0] - t_period) > 1e-7:
         raise QuadratureError(
             f"orbit return time disagrees with the Beta period for {key}")
-    inside = tuple(t for t in crossings if t <= returns[0])
-    table = TrigTable(key, t_period, inside, *_pieces(sol.sol))
+    table = TrigTable(key, t_period, *_pieces(sol.sol))
     _check_against(table, sol.sol)
     _CACHE[key] = table
     return table

@@ -2,7 +2,8 @@
 
 Floats enter polyfield only through the trig table, the return-map
 quadrature and the portrait's trajectories and markers, and those import
-numpy and scipy on first use.  Each test runs recorded CLI cases from
+numpy and scipy on first use; a return map that the divisor data refuses
+never reaches its quadrature.  Each test runs recorded CLI cases from
 ``tests/data/cli_golden.json`` in one fresh interpreter and compares them
 byte for byte.
 """
@@ -20,6 +21,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXACT = ("polytope", "fan", "compactify", "principal-part", "singularities",
          "check-equivalence")
+# return maps refused before any quadrature: a divisor singularity, a curve
+# of singularities, no weight or the zero field
+REFUSALS = ("return-map-quartic", "return-map-radial-no-weight",
+            "return-map-radial-weighted", "return-map-zero",
+            "return-map-zero-weighted")
 
 # Reads [name, argv] pairs on stdin and prints, per case, what
 # tests/test_cli_golden.py records plus the float libraries loaded so far.
@@ -66,16 +72,27 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_exact_subcommands_run_without_numpy_and_scipy():
-    golden = _golden()
-    cases = [[name, rec["argv"]] for name, rec in sorted(golden.items())
-             if rec["argv"][0] in EXACT]
-    assert {argv[0] for _, argv in cases} == set(EXACT)
+def _replay_blocked(golden: dict, cases: list) -> None:
     got = _run_fresh("block", cases)
     for name, _ in cases:
         rec = got[name]
         assert rec.pop("loaded") == [], name
         assert rec == golden[name], name
+
+
+def test_exact_subcommands_run_without_numpy_and_scipy():
+    golden = _golden()
+    cases = [[name, rec["argv"]] for name, rec in sorted(golden.items())
+             if rec["argv"][0] in EXACT]
+    assert {argv[0] for _, argv in cases} == set(EXACT)
+    _replay_blocked(golden, cases)
+
+
+def test_return_map_refusals_run_without_numpy_and_scipy():
+    golden = _golden()
+    assert all(golden[name]["code"] == 3 for name in REFUSALS)
+    _replay_blocked(golden, [[name, golden[name]["argv"]]
+                             for name in REFUSALS])
 
 
 def test_float_subcommands_load_scipy_on_first_use():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from oracles import reference_trig
 from polyfield import portrait
-from polyfield.analysis import Analysis
+from polyfield.analysis import Analysis, approximate
 from polyfield.charts import polar_field
 from polyfield.cli import main
 from polyfield.fields import WeightVector, parse_field
@@ -44,27 +45,131 @@ def _swirl_on_divisor(field, w):
 # markers
 
 
+def _chart_coordinate(table, chart, theta):
+    """The coordinate u, in a directional chart, of the table's point at
+    theta, which must lie on that chart's side of the divisor."""
+    alpha, beta = table.weight
+    cs, sn = table.eval(theta)
+    side = -1.0 if chart.endswith("neg") else 1.0
+    if chart.startswith("X"):
+        along, across, power = sn, side * cs, beta / alpha
+    else:
+        along, across, power = cs, side * sn, alpha / beta
+    assert across > 0, (chart, theta)
+    return along / across ** power
+
+
+def _unit_chart(w, chart, u):
+    """The chart, and the coordinate, in which the point u of ``chart`` has
+    |u| <= 1.  Off the axes |u_Y| = |u_X|**(-alpha/beta); the sign of u
+    picks the side of the other chart, and the side of ``chart`` is the
+    sign of the point's u there."""
+    if abs(u) <= 1:
+        return chart, u
+    alpha, beta = w.as_tuple()
+    power = alpha / beta if chart.startswith("X") else beta / alpha
+    side = -1.0 if chart.endswith("neg") else 1.0
+    other = ("Y" if chart.startswith("X") else "X") + \
+        ("pos" if u > 0 else "neg")
+    return other, side * abs(u) ** -power
+
+
+def _assert_inverts(w, chart, u):
+    # the table is the oracle, read where the point has |u| <= 1: a point
+    # with a large |u| lies closer to the axis than the table's error, so
+    # its own chart coordinate cannot be read back from the table
+    table = build_trig(w)
+    th = marker_theta(w, chart, u)
+    assert 0 <= th <= table.period
+    near, v = _unit_chart(w, chart, u)
+    assert abs(_chart_coordinate(table, near, th) - v) < 1e-9, (w, chart, u)
+
+
 def test_marker_theta_inverts_the_chart_coordinates():
+    charts = ("Xpos", "Xneg", "Ypos", "Yneg")
     for w in (WeightVector(1, 1), WeightVector(1, 2), WeightVector(2, 3)):
         table = build_trig(w)
-        alpha, beta = w.as_tuple()
-        for u in (-3.0, -0.7, 0.0, 0.7, 3.0):
-            th = marker_theta(table, "Xpos", u)
-            cs, sn = table.eval(th)
-            assert cs > 0
-            assert abs(sn * cs ** (-beta / alpha) - u) < 1e-9
-            th = marker_theta(table, "Xneg", u)
-            cs, sn = table.eval(th)
-            assert cs < 0
-            assert abs(sn * (-cs) ** (-beta / alpha) - u) < 1e-9
-            th = marker_theta(table, "Ypos", u)
-            cs, sn = table.eval(th)
-            assert sn > 0
-            assert abs(cs * sn ** (-alpha / beta) - u) < 1e-9
-            th = marker_theta(table, "Yneg", u)
-            cs, sn = table.eval(th)
-            assert sn < 0
-            assert abs(cs * (-sn) ** (-alpha / beta) - u) < 1e-9
+        for chart in charts:
+            for u in (-3.0, -0.7, 0.0, 0.7, 3.0):
+                th = marker_theta(w, chart, u)
+                assert abs(_chart_coordinate(table, chart, th) - u) < 1e-9
+    # past 1e300, u**(2*alpha) overflows a float
+    values = [0.0, 1e300, -1e300] + [s * 10.0 ** (k / 4)
+                                     for k in range(-24, 25) for s in (1, -1)]
+    for w in ((1, 1), (1, 2), (2, 3), (1, 5), (5, 1), (2, 9), (1, 12)):
+        for chart in charts:
+            for u in values:
+                _assert_inverts(WeightVector(*w), chart, u)
+
+
+def test_marker_theta_next_to_the_axes():
+    # these points lie within 1e-15 of an axis, where a root search on the
+    # table found no sign change
+    _assert_inverts(WeightVector(1, 12), "Yneg", -20.0)
+    _assert_inverts(WeightVector(9, 1), "Xneg", -60.0)
+    _assert_inverts(WeightVector(1, 5), "Ypos", -2000.0)
+
+
+def test_markers_are_drawn_from_charts_with_small_u():
+    # the Ypos and Yneg points at |u| ~ 1585 are the Xpos and Xneg points
+    # at u = -+5e-17, which in turn lie within float noise of the points at
+    # u = 0 and share their markers
+    w = WeightVector(1, 5)
+    a = Analysis(parse_field("dx = 10000000000000000*x*y + x^6; dy = y^2"), w)
+    markers, curve = divisor_markers(a)
+    assert not curve
+    t = build_trig(w).period
+    assert [(m.chart, m.chart_position) for m in markers] == [
+        ("Xpos", "0"), ("Ypos", "0"), ("Xneg", "0"), ("Yneg", "0")]
+    assert {m.classification for m in markers} == {"Hyperbolic"}
+    for k, m in enumerate(markers):
+        assert abs(m.theta - k * t / 4) <= 1e-12 * t
+
+
+def _random_small_field(rng):
+    terms = []
+    for comp in ("dx", "dy"):
+        monos = rng.sample([(i, j) for i in range(4) for j in range(4 - i)],
+                           rng.randint(2, 4))
+        terms.append(" ".join(f"{rng.choice('+-')} {rng.randint(1, 3)}*"
+                              f"x^{i}*y^{j}" for i, j in monos))
+    return parse_field(f"dx = {terms[0]}; dy = {terms[1]}")
+
+
+def test_each_divisor_point_gets_one_marker():
+    # the x-charts together see every divisor point but the two at Cs = 0,
+    # which are the y-charts' u = 0; every other y-chart record is a point
+    # that an x-chart draws
+    rng = random.Random(2718)
+    weights = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)]
+    seen = 0
+    for k in range(240):
+        w = WeightVector(*weights[k % len(weights)])
+        a = Analysis(_random_small_field(rng), w)
+        recs = a.directional_records
+        if any(r.is_curve for rs in recs.values() for r in rs):
+            continue
+        t = build_trig(w).period
+        points = sorted(
+            marker_theta(w, chart, approximate(r.position) or 0.0)
+            for chart, rs in recs.items() for r in rs
+            if chart.startswith("X") or r.at_chart_origin)
+        ends = points[1:] + [p + t for p in points[:1]]
+        if any(hi - lo < 1e-3 * t for lo, hi in zip(points, ends)):
+            continue
+        seen += 1
+        markers, _ = divisor_markers(a)
+        assert len(markers) == len(points)
+        for m, theta in zip(markers, points):
+            assert abs(m.theta - theta) <= 1e-12 * t
+            u = abs(float(m.chart_position))
+            assert u <= 1 if m.chart.startswith("X") else u < 1
+        for chart in ("Ypos", "Yneg"):
+            for r in recs[chart]:
+                theta = marker_theta(w, chart, approximate(r.position))
+                assert min(abs(theta - p) for p in points + [t]) \
+                    <= 1e-9 * t
+    assert seen >= 100
 
 
 def test_quartic_markers_are_the_divisor_singularities():
@@ -80,11 +185,10 @@ def test_quartic_markers_are_the_divisor_singularities():
 
 
 def test_overlapping_charts_agree_on_the_marker_angle():
-    table = build_trig(W12)
     # the same divisor point seen from two charts: u=1/2 in Xpos is
     # u=sqrt(2) in Ypos
-    a = marker_theta(table, "Xpos", 0.5)
-    b = marker_theta(table, "Ypos", math.sqrt(2.0))
+    a = marker_theta(W12, "Xpos", 0.5)
+    b = marker_theta(W12, "Ypos", math.sqrt(2.0))
     assert abs(a - b) < 1e-9
 
 

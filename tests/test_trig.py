@@ -55,18 +55,18 @@ def test_derivatives_match_cauchy_problem():
         assert abs((sn1 - sn0) / (2 * h) - cs ** (2 * b - 1)) <= 1e-6
 
 
-def test_axis_crossings_partition_the_period():
-    t = build_trig(WeightVector(1, 2))
-    assert len(t.axis_crossings) == 4
-    assert all(x < y for x, y in zip(t.axis_crossings, t.axis_crossings[1:]))
-    assert abs(t.axis_crossings[-1] - t.period) <= 1e-7
-    # crossings alternate between the Cs and Sn axes
-    cs1, sn1 = t.eval(t.axis_crossings[0])
-    assert abs(cs1) <= 1e-9 and sn1 > 0
-    cs2, sn2 = t.eval(t.axis_crossings[1])
-    assert abs(sn2) <= 1e-9 and cs2 < 0
-    cs3, sn3 = t.eval(t.axis_crossings[2])
-    assert abs(cs3) <= 1e-9 and sn3 < 0
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3), (1, 5), (5, 1)])
+def test_quarter_periods_lie_on_the_axes(a, b):
+    # the oval is symmetric under Sn -> -Sn and Cs -> -Cs, so the orbit
+    # meets the axes at exactly T/4, T/2, 3T/4 and T, where it reaches
+    # Sn = (a/b)**(1/(2a)), Cs = -1, Sn = -(a/b)**(1/(2a)) and Cs = 1;
+    # marker angles are measured from there
+    t = build_trig(WeightVector(a, b))
+    top = (a / b) ** (1 / (2 * a))
+    for k, want in enumerate([(0.0, top), (-1.0, 0.0), (0.0, -top),
+                              (1.0, 0.0)]):
+        got = t.eval((k + 1) * t.period / 4)
+        assert all(abs(g - v) <= 1e-9 for g, v in zip(got, want)), (k, got)
 
 
 def test_negative_theta_reduction():
