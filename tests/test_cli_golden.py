@@ -39,6 +39,11 @@ OVAL = ("dx = x*y^4 - 6*x^2*y^3 + x^3 - 6*x^3*y + 17*x^3*y^2; "
 RATIONAL = "dx = 1/2*x*y; dy = 2*y^2 - 1"
 # its field after the shear: unsheared, its polytope is not favorable
 RATIONAL_SHEARED = "dx = 1/2*x*y - 3/2*y^2 + 1; dy = 2*y^2 - 1"
+# the verdict-large corpus field deg10-t12-b3-0: the upper part's components
+# share the factor y and are otherwise coprime, and hypothesis (a) fails
+SHARED_MONOMIAL = ("dx = -7*x^6*y^4 - 5*x^6*y^2 - 5*x^5*y^5 + 6*x^5*y "
+                   "- 5*x^4*y^3 + 6*x^3*y^2 - 4*y^3; dy = 7*x^4*y^2 "
+                   "+ 4*x^3*y^4 - 4*x*y^7 - 5*y^8 + 6*y^2")
 HUGE = "1" + "0" * 400
 
 CASES = {
@@ -99,6 +104,8 @@ CASES = {
     "check-equivalence-zero": ("check-equivalence", "--field", ZERO),
     "check-equivalence-oval": ("check-equivalence", "--field", OVAL),
     "check-equivalence-rational": ("check-equivalence", "--field", RATIONAL),
+    "check-equivalence-shared-monomial": ("check-equivalence", "--field",
+                                          SHARED_MONOMIAL),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
