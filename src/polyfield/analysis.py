@@ -47,8 +47,8 @@ from .fields import (
     LatticePoint,
     PlanarField,
     WeightVector,
+    favorable_shear,
     format_field,
-    make_favorable,
     max_level,
 )
 from .polys import (
@@ -435,17 +435,21 @@ def check_no_singularity_curve(upp: UpperPrincipalPart) -> bool:
 class Analysis:
     """The pipeline stages of one field, each computed on first use.
 
-    ``weight`` overrides the weight read off the polytope.  Every stage
-    lives as long as this object.
+    ``weight`` overrides the weight read off the polytope, and
+    ``polytope``, the field's Newton polytope where it is already built,
+    saves building it again.  Every stage lives as long as this object.
     """
 
     def __init__(self, field: PlanarField,
-                 weight: Optional[WeightVector] = None):
+                 weight: Optional[WeightVector] = None,
+                 polytope: Optional[Polytope] = None):
         self.field = field
         #: restriction polynomial -> its real roots
         self.roots: dict = {}
         if weight is not None:
             self.weight = weight
+        if polytope is not None:
+            self.polytope = polytope
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -579,7 +583,7 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
     if field.is_zero:
         raise FieldError("the zero field has no behaviour at infinity")
     try:
-        sheared, lam = make_favorable(field)
+        sheared, lam, polytope = favorable_shear(field)
     except FieldError:
         return EquivalenceReport(
             verdict="HypothesesFail",
@@ -591,7 +595,7 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
             inventory={},
             witnesses=(),
         )
-    a = Analysis(sheared)
+    a = Analysis(sheared, polytope=polytope)
     hyp_a, witnesses = check_nondegenerate(a.upper)
     hyp_b = check_no_singularity_curve(a.upper)
     _, argmins = a.fan_minima

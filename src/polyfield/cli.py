@@ -2,9 +2,9 @@
 
 Every subcommand reads a planar field (``--field``, ``--file`` or stdin) in
 the grammar ``dx = <poly>; dy = <poly>``, prints a versioned JSON document
-on stdout and reports failures as a single JSON line on stderr.  Exit codes:
-0 success, 1 domain error, 2 parse error, 3 failed hypotheses, 4 numeric
-failure.
+on stdout and reports failures, usage errors included, as a single JSON
+line on stderr.  Exit codes: 0 success, 1 domain error, 2 parse or usage
+error, 3 failed hypotheses, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -268,9 +268,21 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
 # parser
 
 
+class UsageError(Exception):
+    """A command line that the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print its usage text
+    and exit, so usage errors follow the one-JSON-line stderr contract."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyfield",
         description="Newton-polytope adapted compactification of planar "
                     "polynomial vector fields")
@@ -283,7 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--file", help="read the field from this file")
         if weight:
             sp.add_argument("--weight",
-                            help="override the weight, e.g. --weight 1,2")
+                            help="override the weight, e.g. --weight 1,2; "
+                                 "a value that starts with '-' goes after "
+                                 "'=', as in --weight=-1,2")
         sp.set_defaults(handler=handler)
         return sp
 
@@ -316,14 +330,18 @@ def _build_parser() -> argparse.ArgumentParser:
     port.add_argument("--tolerance", type=float, default=1e-9,
                       help="integrator tolerance")
     port.add_argument("--seed", action="append",
-                      help="trajectory seed 'theta,r' (repeatable)")
+                      help="trajectory seed 'theta,r' (repeatable); write a "
+                           "negative theta as --seed=-0.5,0.3")
     port.add_argument("--no-markers", action="store_true",
                       help="skip singularity markers")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _fail(exc, 2)
     try:
         return args.handler(args)
     except ParseError as exc:

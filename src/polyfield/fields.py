@@ -17,7 +17,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .polytope import Polytope
 
 LatticePoint = tuple[int, int]
 CoefPair = tuple[Fraction, Fraction]
@@ -474,20 +477,28 @@ def make_favorable(f: PlanarField) -> tuple[PlanarField, Fraction]:
     qualifies.  Raises :class:`FieldError` when no shear can help; fields
     of the form a*y^n d/dx are fixed by every shear.
     """
+    g, lam, _ = favorable_shear(f)
+    return g, lam
+
+
+def favorable_shear(f: PlanarField
+                    ) -> tuple[PlanarField, Fraction, Polytope]:
+    """:func:`make_favorable` with the Newton polytope of the returned
+    field: ``(field, lambda, polytope)``."""
     from . import polytope as _polytope
 
     if f.is_zero:
         raise FieldError("zero field has no Newton polytope")
 
-    def favorable_with_vertex(g: PlanarField) -> bool:
-        p = _polytope.build_polytope(g)
+    def favorable_with_vertex(p) -> bool:
         if not _polytope.is_favorable(p):
             return False
         feats = _polytope.main_features(p)
         return feats.ph[0] in (-1, 0) and feats.ph[1] >= 0
 
-    if favorable_with_vertex(f):
-        return f, Fraction(0)
+    p = _polytope.build_polytope(f)
+    if favorable_with_vertex(p):
+        return f, Fraction(0), p
     for k in range(1, 51):
         for lam in (Fraction(k), Fraction(-k)):
             g = shear(f, lam)
@@ -495,6 +506,7 @@ def make_favorable(f: PlanarField) -> tuple[PlanarField, Fraction]:
                 # shears compose by adding their lambda and are polynomial
                 # in it: a field fixed by one nonzero shear is fixed by all
                 raise FieldError("the field is fixed by every shear")
-            if favorable_with_vertex(g):
-                return g, lam
+            p = _polytope.build_polytope(g)
+            if favorable_with_vertex(p):
+                return g, lam, p
     raise FieldError("no shear with |lambda| <= 50 makes the polytope favorable")

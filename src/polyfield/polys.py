@@ -11,7 +11,10 @@ polynomials in x indexed by the degree in y.
 The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
 Signs are evaluated by homogeneous Horner, and gcds, univariate and
-bivariate, run as primitive integer pseudo-remainder sequences.  An
+bivariate, run as primitive integer pseudo-remainder sequences.  A
+bivariate gcd that is a monomial is certified first, without a remainder
+sequence: by one specialization per variable at a point where the
+leading coefficient keeps its degree, exact and with no primes.  An
 algebraic number is one :class:`RealRoot`: a squarefree defining polynomial
 together with an isolating rational interval, its narrowest interval so far
 and the signs decided at it.  The sign of a polynomial there is one Tarski
@@ -488,18 +491,55 @@ def _prem_rows(f: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> list:
     return f
 
 
+def _split_monomial(rows: Sequence[Sequence[int]]) -> tuple[list, int, int]:
+    """The nonzero rows divided by their largest monomial x^i y^j, and
+    (i, j)."""
+    j = next(k for k, r in enumerate(rows) if r)
+    i = min(next(k for k, c in enumerate(r) if c) for r in rows if r)
+    return [r[i:] for r in rows[j:]], i, j
+
+
+def _columns(f: dict) -> list[tuple[int, ...]]:
+    """The rows of f(y, x) without its monomial factor."""
+    return _split_monomial(_rows({(j, i): c for (i, j), c in f.items()}))[0]
+
+
+def _coprime_in_y(f: Sequence[Sequence[int]],
+                  g: Sequence[Sequence[int]]) -> bool:
+    """Whether one exact specialization certifies that gcd(f, g) is free
+    of y; False certifies nothing.  At the smallest positive integer x0
+    where f's leading coefficient in y is nonzero, so is the gcd's, which
+    divides it: the gcd keeps its y-degree at x0, where it divides the gcd
+    of f(x0, y) and g(x0, y) (of f(x0, y) alone where g(x0, y) = 0)."""
+    x0 = 1
+    while not ival(f[-1], x0, 1):
+        x0 += 1
+    fx = [ival(r, x0, 1) for r in f]
+    gx = [ival(r, x0, 1) for r in g]
+    while gx and not gx[-1]:
+        gx.pop()
+    return len(_igcd(_iprimitive(fx), _iprimitive(gx))) == 1
+
+
 def bp_gcd(F: dict, G: dict) -> dict:
     """GCD over Q[x, y], normalized to leading coefficient 1 in (j, i)-lex
     order; gcd(0, G) is G itself.
 
-    The gcd of the x-contents times the gcd of the primitive parts, the
-    latter by a primitive pseudo-remainder sequence in y over Z[x].
+    When the inputs without their monomial factors are certified coprime,
+    by one exact specialization per variable (:func:`_coprime_in_y`, the
+    degree bound behind modular gcds; Brown 1971), the gcd is the shared
+    monomial.  Otherwise it is the gcd of the x-contents times the gcd of
+    the primitive parts, the latter by a primitive pseudo-remainder
+    sequence in y over Z[x].
     """
     if not F:
         return dict(G)
     if not G:
         return dict(F)
     fr, gr = _rows(F), _rows(G)
+    (fs, fi, fj), (gs, gi, gj) = _split_monomial(fr), _split_monomial(gr)
+    if _coprime_in_y(fs, gs) and _coprime_in_y(_columns(F), _columns(G)):
+        return {(min(fi, gi), min(fj, gj)): ONE}
     cf, cg = _content(fr), _content(gr)
     a, b = _primitive_rows(fr, cf), _primitive_rows(gr, cg)
     if len(a) < len(b):

@@ -369,12 +369,12 @@ def _stage_counts(monkeypatch, argv) -> Counter:
 
 def test_each_stage_runs_once_per_call(monkeypatch, capsys):
     text = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
-    # one polytope for the shear search and one for the analysis; one atlas
-    # for the fan; one minima pass and one branch build per chart (8 fan
-    # charts with 14 branches and 4 directional ones), each with its one
-    # derivative and none per root; nothing again for the principal part
+    # one polytope, built by the shear search and handed to the analysis;
+    # one atlas for the fan; one minima pass and one branch build per chart
+    # (8 fan charts with 14 branches and 4 directional ones), each with its
+    # one derivative and none per root; nothing again for the principal part
     assert _stage_counts(monkeypatch, ["check-equivalence", "--field", text]) \
-        == {"polytope_from_support": 2, "chart_maps": 1, "support_minima": 1,
+        == {"polytope_from_support": 1, "chart_maps": 1, "support_minima": 1,
             "_branch_polys": 18, "up_deriv": 18}
     assert _stage_counts(monkeypatch, ["singularities", "--field", text]) \
         == {"polytope_from_support": 1, "chart_maps": 1, "support_minima": 1,

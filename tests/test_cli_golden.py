@@ -77,6 +77,7 @@ CASES = {
     "compactify-zero-weighted": ("compactify", "--chart", "Xpos",
                                  "--weight", "1,1", "--field", ZERO),
     "compactify-zero-fan": ("compactify", "--chart", "1", "--field", ZERO),
+    "compactify-missing-chart": ("compactify", "--field", QUARTIC),
     "principal-part-quartic": ("principal-part", "--field", QUARTIC),
     "principal-part-sheared": ("principal-part", "--field", SHEARED),
     "principal-part-zero": ("principal-part", "--field", ZERO),
@@ -124,6 +125,10 @@ CASES = {
     "portrait-bad-seed": ("portrait", "--seed", "1", "--field", QUARTIC),
     "portrait-radial-bad-seed": ("portrait", "--seed", "1", "--field", RADIAL),
     "portrait-bad-size": ("portrait", "--size", "10", "--field", QUARTIC),
+    # usage errors are one JSON line on stderr too: argparse reads -0.5,0.3
+    # as an option, which --seed=-0.5,0.3 avoids
+    "portrait-negative-seed": ("portrait", "--seed", "-0.5,0.3",
+                               "--field", ROTATION),
     "portrait-radial-no-weight": ("portrait", "--field", RADIAL),
     "portrait-zero": ("portrait", "--field", ZERO),
     "portrait-zero-weighted": ("portrait", "--weight", "1,1", "--field", ZERO),

@@ -17,6 +17,7 @@ from oracles import (
     up_from_roots,
     up_mul,
 )
+from polyfield import polys
 from polyfield.analysis import approximate
 from polyfield.polys import (
     RealRoot,
@@ -361,6 +362,73 @@ def test_bp_gcd_matches_sympy(c, a, b):
     f, g = bp_mul(c, a), bp_mul(c, b)
     assert bp_gcd(f, {}) == f
     assert bp_gcd({}, g) == g
+    theirs = sympy.Poly(sympy.gcd(_sympy_poly(f), _sympy_poly(g)), X, Y)
+    expected = bp({k: F(int(v.p), int(v.q)) for k, v in theirs.terms()})
+    assert bp_gcd(f, g) == _lead_one(expected)
+
+
+# the upper part of the verdict-large corpus field deg10-t12-b3-0: the
+# components share y and are otherwise coprime
+_DEG10_P = bp({(0, 3): -4, (5, 1): 6, (5, 5): -5, (6, 2): -5, (6, 4): -7})
+_DEG10_Q = bp({(0, 8): -5, (4, 2): 7})
+# x y - x - y + 2: its leading coefficients x - 1 in y and y - 1 in x vanish
+# at 1, where it is the constant 1
+_HIDDEN = bp({(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 2})
+
+
+@pytest.mark.parametrize("f, g, want", [
+    # shared monomials with coprime cofactors: x y^3
+    (bp_mul(bp({(2, 3): 1}), bp({(1, 0): 1, (0, 0): 1})),
+     bp_mul(bp({(1, 5): 2}), bp({(0, 1): 1, (0, 0): -2})), {(1, 3): 1}),
+    (_DEG10_P, _DEG10_Q, {(0, 1): 1}),
+    # a common factor that both specializations at 1 would lose, were the
+    # points not chosen where f's leading coefficients are nonzero
+    (bp_mul(_HIDDEN, bp({(0, 1): 1, (0, 0): 3})),
+     bp_mul(_HIDDEN, bp({(1, 0): 1, (0, 2): 1})), _HIDDEN),
+    # g(1, y) = 0: the specialization certifies nothing
+    (bp({(0, 2): 1, (1, 0): 1}),
+     bp_mul(bp({(1, 0): 1, (0, 0): -1}), bp({(0, 1): 1, (0, 0): 2})),
+     {(0, 0): 1}),
+    (bp_mul(bp({(1, 0): 1, (0, 0): -1}), bp({(0, 2): 1, (1, 0): 1})),
+     bp_mul(bp({(1, 0): 1, (0, 0): -1}), bp({(0, 1): 1, (0, 0): 2})),
+     {(1, 0): 1, (0, 0): -1}),
+    # a common factor free of x passes the check in x; the mirror case is
+    # test_bp_gcd_x_only_factor
+    (bp_mul(bp({(0, 1): 1, (0, 0): -2}), bp({(1, 0): 1})),
+     bp_mul(bp({(0, 1): 1, (0, 0): -2}), bp({(0, 2): 1, (0, 0): 1})),
+     {(0, 1): 1, (0, 0): -2}),
+])
+def test_bp_gcd_hand_cases(f, g, want):
+    assert bp_gcd(f, g) == bp(want)
+    assert bp_gcd(g, f) == bp(want)
+
+
+def test_bp_gcd_certifies_a_coprime_pair_without_a_remainder_sequence(
+        monkeypatch):
+    def refuse(*args):
+        pytest.fail("ran the pseudo-remainder sequence")
+
+    monkeypatch.setattr(polys, "_prem_rows", refuse)
+    assert bp_gcd(_DEG10_P, _DEG10_Q) == {(0, 1): 1}
+    assert bp_gcd(bp({(3, 1): 2, (0, 4): -1}),
+                  bp({(2, 2): 1, (0, 0): 5})) == {(0, 0): 1}
+
+
+_FACTOR = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          st.builds(F, _BICOEF, st.integers(1, 6)),
+                          min_size=1, max_size=4).map(bp)
+_MONOMIAL = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda m: bp({m: 1}))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.just(bp({(0, 0): 1})), _FACTOR), _FACTOR, _FACTOR,
+       _MONOMIAL, _MONOMIAL)
+def test_bp_gcd_with_monomials_matches_sympy(c, a, b, m, n):
+    """bp_gcd(m·c·a, n·c·b), degrees up to 10 in each variable, against
+    ``sympy.gcd``: coprime cofactors, where the specializations answer, and
+    shared factors, where the remainder sequence does."""
+    f, g = bp_mul(bp_mul(c, a), m), bp_mul(bp_mul(c, b), n)
     theirs = sympy.Poly(sympy.gcd(_sympy_poly(f), _sympy_poly(g)), X, Y)
     expected = bp({k: F(int(v.p), int(v.q)) for k, v in theirs.terms()})
     assert bp_gcd(f, g) == _lead_one(expected)

@@ -609,6 +609,15 @@ def test_cli_portrait_writes_file(capsys, tmp_path):
     assert text.count("<polyline") == 2
 
 
+def test_cli_negative_seed_after_equals(capsys):
+    # with a space, argparse reads -0.5,0.3 as an option: a usage error
+    code, out, err = _run(capsys, "portrait", "--weight", "1,1", "--size",
+                          "64", "--no-markers", "--seed=-0.5,0.3",
+                          "--field", "dx = -y; dy = x")
+    assert code == 0 and err == ""
+    assert out.count("<polyline") == 1
+
+
 def test_cli_weight_override(capsys):
     code, out, _ = _run(capsys, "compactify", "--chart", "Xpos",
                         "--weight", "1,1", "--field", "dx = -y; dy = x")
