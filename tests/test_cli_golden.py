@@ -44,6 +44,10 @@ RATIONAL_SHEARED = "dx = 1/2*x*y - 3/2*y^2 + 1; dy = 2*y^2 - 1"
 SHARED_MONOMIAL = ("dx = -7*x^6*y^4 - 5*x^6*y^2 - 5*x^5*y^5 + 6*x^5*y "
                    "- 5*x^4*y^3 + 6*x^3*y^2 - 4*y^3; dy = 7*x^4*y^2 "
                    "+ 4*x^3*y^4 - 4*x*y^7 - 5*y^8 + 6*y^2")
+# at weight (1,2) the Yneg restriction is u*(u^2 - 1): three rational
+# divisor points, two of them the roots of a quadratic with a square
+# discriminant
+SQUARE_DISCRIMINANT = "dx = -2*x; dy = 4*x^2 - 1"
 HUGE = "1" + "0" * 400
 
 CASES = {
@@ -107,6 +111,8 @@ CASES = {
     "check-equivalence-rational": ("check-equivalence", "--field", RATIONAL),
     "check-equivalence-shared-monomial": ("check-equivalence", "--field",
                                           SHARED_MONOMIAL),
+    "check-equivalence-square-discriminant": ("check-equivalence", "--field",
+                                              SQUARE_DISCRIMINANT),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
