@@ -47,17 +47,29 @@ def _write(o, nl: str, out: list) -> None:
     """Append ``o`` to ``out`` as ``json.dumps`` with ``indent=2`` and
     ``sort_keys=True`` writes it, at the indent ``nl`` (a newline and the
     spaces before it).  With an indent the standard library runs one
-    generator per container, which took a quarter to a third of a verdict."""
+    generator per container, which took a quarter to a third of a verdict.
+
+    A value that is the very object of the previous key's value is copied
+    from the text already written for it: the report's inventory sits
+    under two adjacent keys.  Only adjacent siblings share an indent, which
+    the copied text carries."""
     t = type(o)
     if t is str:
         out.append(_quote(o))
     elif t is dict:
         sep, inner = "{", nl + "  "
+        prev = span = None
         for k in sorted(o):
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(f"{sep}{inner}{_quote(k)}: ")
-            _write(o[k], inner, out)
+            v = o[k]
+            if span and v is prev:
+                out.append("".join(out[span[0]:span[1]]))
+            else:
+                start = len(out)
+                _write(v, inner, out)
+                prev, span = v, (start, len(out))
             sep = ","
         out.append(nl + "}" if o else "{}")
     elif t is list or t is tuple:

@@ -10,11 +10,14 @@ polynomials in x indexed by the degree in y.
 
 The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
-Signs are evaluated by homogeneous Horner, and gcds, univariate and
-bivariate, run as primitive integer pseudo-remainder sequences.  A
-bivariate gcd that is a monomial is certified first, without a remainder
-sequence: by one specialization per variable at a point where the
-leading coefficient keeps its degree, exact and with no primes.  An
+The roots of u^k h with h of degree at most 2 and rational roots, the
+divisor restriction on most short faces, are read in closed form before
+any remainder sequence, and the output cannot depend on the path (see
+:func:`real_roots`).  Signs are evaluated by homogeneous Horner, and gcds,
+univariate and bivariate, run as primitive integer pseudo-remainder
+sequences.  A bivariate gcd that is a monomial is certified first, without
+a remainder sequence: by one specialization per variable at a point where
+the leading coefficient keeps its degree, exact and with no primes.  An
 algebraic number is one :class:`RealRoot`: a squarefree defining polynomial
 together with an isolating rational interval, its narrowest interval so far
 and the signs decided at it.  The sign of a polynomial there is one Tarski
@@ -25,7 +28,7 @@ of that interval, whatever the distance to the polynomial's own roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .fields import InternalConsistencyError
@@ -398,19 +401,49 @@ def _settle(f: Sequence[int], a: int, b: int, q: int):
     return None, a, b, q
 
 
+def _low_degree_roots(f: Sequence[int]) -> list[Fraction] | None:
+    """The real roots of the integer polynomial f = u^k h, h(0) != 0, when
+    h has degree at most 2 and its real roots are rational; None otherwise.
+    0 is a root exactly when k > 0, and never one of h."""
+    k = next((i for i, c in enumerate(f) if c), 0)
+    h = f[k:]
+    roots = [Fraction(0)] if k else []
+    if len(h) == 2:
+        roots.append(Fraction(-h[0], h[1]))
+    elif len(h) == 3:
+        c, b, a = h
+        d = b * b - 4 * a * c
+        if d > 0:
+            r = isqrt(d)
+            if r * r != d:
+                return None
+            roots += (Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a))
+        elif d == 0:
+            roots.append(Fraction(-b, 2 * a))
+    elif len(h) > 3:
+        return None
+    return roots
+
+
 def real_roots(f) -> list[RealRoot]:
     """All distinct real roots of f, ascending, as :class:`RealRoot`.
 
-    The squarefree part is isolated by Sturm bisection on integer
-    coefficients; each root is then decided rational or not (see
-    :func:`_settle`), and the rational ones are deflated, so every irrational
-    root carries a defining polynomial with no rational roots at all.
+    A polynomial u^k h with h of degree at most 2 and rational real roots,
+    the divisor restriction of most charts, is answered in closed form
+    (:func:`_low_degree_roots`).  The bytes a report prints cannot depend
+    on which path ran: a rational root is ``rational_root(v)`` either way,
+    and irrational roots, whose printed intervals come from bisection,
+    never take the closed form.  Otherwise the squarefree part is isolated
+    by Sturm bisection on integer coefficients; each root is then decided
+    rational or not (see :func:`_settle`), and the rational ones are
+    deflated, so every irrational root carries a defining polynomial with
+    no rational roots at all.
     """
-    g = _isquarefree(int_multiple(f))
-    if len(g) < 2:
-        return []
-    if len(g) == 2:
-        return [rational_root(Fraction(-g[0], g[1]))]
+    f = int_multiple(f)
+    roots = _low_degree_roots(f)
+    if roots is not None:
+        return [rational_root(v) for v in sorted(roots)]
+    g = _isquarefree(f)
     settled = [_settle(g, a, b, q) for a, b, q in _isolate(g)]
     h = g
     for v, *_ in settled:

@@ -79,3 +79,19 @@ def test_write_rejects_what_is_not_json():
         _written({"a": [Fraction(1, 3)]})
     with pytest.raises(TypeError):
         _written({1: "a"})
+
+
+def test_write_matches_stdlib_on_shared_containers():
+    """One container object in several places: the writer copies the text
+    of a value only from the previous key's, at the same indent."""
+    inv = {"Xpos": [{"poly": ["1", "1"], "approx": -1.0}], "Ypos": []}
+    row = ["a", {"b": [1, 2]}]
+    trees = [
+        {"field": inv, "principal_part": inv},  # adjacent keys
+        {"a": inv, "m": 1, "z": inv},  # non-adjacent keys
+        {"rows": [row, row], "tail": row},  # twice in a list
+        {"a": inv, "b": {"inner": inv, "more": inv}, "c": [inv]},  # depths
+        {"a": None, "b": None, "c": [None, None], "d": row, "e": row},
+    ]
+    for o in trees:
+        assert _written(o) == _stdlib(o)

@@ -293,6 +293,92 @@ def test_refine_narrows():
     assert up_eval(up([-2, 0, 1]), s.lo) * up_eval(up([-2, 0, 1]), s.hi) < 0
 
 
+def _printed(roots) -> list:
+    return [(r.poly, r.lo, r.hi) for r in roots]
+
+
+def _bisected_roots(f) -> list:
+    """``real_roots`` with the closed form switched off: Sturm isolation
+    and :func:`polys._settle` alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_low_degree_roots", lambda f: None)
+        return real_roots(f)
+
+
+_BIG = 10**300 + 7
+
+
+def _sympy_q(v: F):
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+@pytest.mark.parametrize("f, want", [
+    (up([-3, 1]), [3]),  # u - a, u^k (u - a) for k = 0..3
+    (up([0, F(1, 2), 1]), [F(-1, 2), 0]),
+    (up([0, 0, -7, 7]), [0, 1]),
+    (up([0, 0, 0, 5, 2]), [F(-5, 2), 0]),
+    (up([9, -6, 1]), [3]),  # (u - 3)^2, then u (u + 1/2)^2
+    (up([0, F(1, 4), 1, 1]), [F(-1, 2), 0]),
+    (up([1, 0, 1]), []),  # D < 0, without and with a factor u
+    (up([0, 0, 2, 1, 1]), [0]),
+    (up([0, -1, 0, 1]), [-1, 0, 1]),  # u (u^2 - 1)
+    (up([-6, 1, 12]), [F(-3, 4), F(2, 3)]),
+    (up([6, -1, -12]), [F(-3, 4), F(2, 3)]),  # negative leading coefficient
+    (up([0, 0, -4, 0, -1]), [0]),
+    ((F(1, 6), F(-5, 6), F(1)), [F(1, 3), F(1, 2)]),  # Fraction coefficients
+    ((), []),
+    (up([5]), []),
+    (up([0, 0, 5]), [0]),
+    # (u + 10^300)(u - 10^300 - 7): D = (2 * 10^300 + 7)^2, about 10^600
+    (up([-_BIG * 10**300, 10**300 - _BIG, 1]), [-10**300, _BIG]),
+])
+def test_low_degree_roots_hand_cases(f, want):
+    want = [rational_root(v) for v in want]
+    assert polys._low_degree_roots(polys.int_multiple(f)) is not None
+    assert _printed(real_roots(f)) == _printed(want)
+    if len(f) > 1:  # the Sturm path is only ever given a nonconstant f
+        assert _printed(_bisected_roots(f)) == _printed(want)
+
+
+@pytest.mark.parametrize("f", [
+    up([-2, 0, 1]), up([0, 0, 1, -1, -1]), up([-10**40, 3, 7]),  # D not square
+    up_mul(up([-2, 3]), up([4, -12, 9])),  # (3u - 2)^3
+    up_mul(up([0, 0, 1, 1]), up([1, 2, 1])),  # u^2 (u + 1)^3
+])
+def test_low_degree_roots_leaves_the_rest_to_bisection(f):
+    assert polys._low_degree_roots(polys.int_multiple(f)) is None
+    roots = real_roots(f)
+    theirs = list(dict.fromkeys(sympy.real_roots(sympy.Poly(
+        [int(c) for c in reversed(f)], T))))
+    assert len(roots) == len(theirs)
+    for r, s in zip(roots, theirs):
+        if s.is_Rational:
+            assert r.exact == F(int(s.p), int(s.q))
+        else:
+            assert _sympy_q(r.lo) < s < _sympy_q(r.hi)
+    assert _printed(roots) == _printed(_bisected_roots(f))
+
+
+_ROOT = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_LOW = st.one_of(
+    st.tuples(_COEF, _LEAD),
+    st.tuples(_COEF, _COEF, _LEAD),
+    # quadratics with rational roots: a square discriminant, or D = 0
+    st.tuples(_ROOT, _ROOT).map(up_from_roots),
+    _ROOT.map(lambda r: up_from_roots([r, r])),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_LOW, st.integers(0, 3),
+       st.fractions(max_denominator=30).filter(lambda c: c != 0))
+def test_low_degree_roots_match_bisection(h, k, c):
+    """c u^k h with h linear or quadratic: the closed form prints what the
+    Sturm path prints, root by root."""
+    f = (F(0),) * k + tuple(c * F(a) for a in h)
+    assert _printed(real_roots(f)) == _printed(_bisected_roots(f))
+
+
 def test_bp_gcd_shared_factor():
     common = bp({(1, 0): 1, (0, 1): -1})  # x - y
     f = bp_mul(common, bp({(2, 0): 1, (0, 0): 1}))
