@@ -48,6 +48,15 @@ SHARED_MONOMIAL = ("dx = -7*x^6*y^4 - 5*x^6*y^2 - 5*x^5*y^5 + 6*x^5*y "
 # divisor points, two of them the roots of a quadratic with a square
 # discriminant
 SQUARE_DISCRIMINANT = "dx = -2*x; dy = 4*x^2 - 1"
+# twelve Degenerate records at irrational divisor points (the roots of
+# u^2 - 1/2 and u^2 - 2), where both eigenvalue polynomials vanish: each
+# sign 0 comes from the Tarski query, and no interval is refined before
+# the position is read
+DEGENERATE_IRRATIONAL = "dx = x^5 - 4*x^3*y^2 + 4*x*y^4; dy = x^2*y - 2*y^3"
+# the verdict-large corpus field deg4-t6-b24-1: 24-bit coefficients, so the
+# eigenvalue readings refine intervals with wide endpoints
+HIGH_BIT = ("dx = -15322381*x*y^3; dy = -13002826*x^4 - 14126853*x^3 "
+            "+ 16417733*x*y^3 - 15732042*x - 15254117*y^3")
 HUGE = "1" + "0" * 400
 
 CASES = {
@@ -113,6 +122,10 @@ CASES = {
                                           SHARED_MONOMIAL),
     "check-equivalence-square-discriminant": ("check-equivalence", "--field",
                                               SQUARE_DISCRIMINANT),
+    "check-equivalence-degenerate-irrational": ("check-equivalence",
+                                                "--field",
+                                                DEGENERATE_IRRATIONAL),
+    "check-equivalence-high-bit": ("check-equivalence", "--field", HIGH_BIT),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
