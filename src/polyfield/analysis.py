@@ -28,6 +28,7 @@ symmetric cut-off loses nothing; Xneg is the mirror image.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -94,13 +95,13 @@ _EIGENVALUE_WIDTH = Fraction(1, 10**15)
 
 def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
     """The value that reports g at ``root``: exact at a rational root, 0
-    where g's exact sign there (``sign``, or a Tarski query) is 0, else g at
-    the midpoint of an isolating interval, refined from below ``width``, on
-    which g has that sign at the midpoint and both ends and its end values
-    differ by at most 1e-9 of the smaller; inside (-_TINY, _TINY), the first
-    of the three with that sign.  ``g = (f, sn, sd)`` stands for f * sn / sd
-    with f a primitive integer polynomial and sn / sd > 0 (see
-    ``charts.Branch``)."""
+    where g's exact sign there (``sign``, or ``root.sign_of``) is 0, else g
+    at the midpoint of bisection's dyadic cell below ``width``, or below the
+    square of the last width, the first on which g has that sign at the
+    midpoint and both ends and its end values differ by at most 1e-9 of the
+    smaller; inside (-_TINY, _TINY), the first of the three with that sign.
+    ``g = (f, sn, sd)`` stands for f * sn / sd with f a primitive integer
+    polynomial and sn / sd > 0 (see ``charts.Branch``)."""
     f, sn, sd = g
     if not f:
         return Fraction(0)
@@ -255,8 +256,13 @@ def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
                       exact=value if root.is_rational else None)
 
 
-def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
-    """Fill in eigenvalues, classification and the characteristic-orbit flag.
+#: an unclassified divisor point (None: the branch), as classify reads it
+_Site = namedtuple("_Site", "branch position")
+
+
+def classify(cf: ChartField, rec) -> SingularityRecord:
+    """Fill in eigenvalues, classification and the characteristic-orbit flag
+    of ``rec``, a :class:`SingularityRecord` or a ``_Site``.
 
     The on-divisor Jacobian is triangular, so the eigenvalues are the
     derivative of the branch restriction (tangent) and the linear transverse
@@ -264,34 +270,18 @@ def classify(cf: ChartField, rec: SingularityRecord) -> SingularityRecord:
     characteristic orbit when it is hyperbolic, or semi-hyperbolic with its
     nonzero eigenvalue transverse to the divisor.
     """
-    branch = cf.branches[rec.branch]
-    if rec.position is None:
-        return SingularityRecord(
-            chart=cf.label,
-            branch=rec.branch,
-            position=None,
-            classification=CURVE,
-            characteristic_orbit=bool(branch.transverse),
-        )
-    tangent = _eigenvalue_at(rec.position, branch.tangent_reading)
-    trans = _eigenvalue_at(rec.position, branch.transverse_reading)
-    zeros = (tangent.sign == 0) + (trans.sign == 0)
-    if zeros == 0:
-        cls = HYPERBOLIC
-    elif zeros == 1:
-        cls = SEMI_HYPERBOLIC
-    else:
-        cls = DEGENERATE
+    name, position = rec.branch, rec.position
+    branch = cf.branches[name]
+    if position is None:
+        return SingularityRecord(cf.label, name, None, CURVE,
+                                 characteristic_orbit=bool(branch.transverse))
+    tangent = _eigenvalue_at(position, branch.tangent_reading)
+    trans = _eigenvalue_at(position, branch.transverse_reading)
+    cls = (HYPERBOLIC, SEMI_HYPERBOLIC, DEGENERATE)[
+        (tangent.sign == 0) + (trans.sign == 0)]
     orbit = cls == HYPERBOLIC or (cls == SEMI_HYPERBOLIC and trans.sign != 0)
-    return SingularityRecord(
-        chart=cf.label,
-        branch=rec.branch,
-        position=rec.position,
-        classification=cls,
-        tangent=tangent,
-        transverse=trans,
-        characteristic_orbit=orbit,
-    )
+    return SingularityRecord(cf.label, name, position, cls, tangent, trans,
+                             orbit)
 
 
 def _chart_records(cf: ChartField, roots: dict) -> list[SingularityRecord]:
@@ -313,12 +303,9 @@ def _chart_records(cf: ChartField, roots: dict) -> list[SingularityRecord]:
             positions = roots.get(key)
             if positions is None:
                 positions = roots[key] = real_roots(restriction)
-        for position in positions:
-            bare = SingularityRecord(chart=cf.label, branch=branch,
-                                     position=position)
-            if branch == "u=0" and cf.divisor == "uv" and bare.at_chart_origin:
-                continue
-            recs.append(classify(cf, bare))
+        skip_origin = branch == "u=0" and cf.divisor == "uv"
+        recs += [classify(cf, _Site(branch, p)) for p in positions
+                 if not (skip_origin and p is not None and p.exact == 0)]
     return recs
 
 

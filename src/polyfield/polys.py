@@ -20,9 +20,11 @@ a remainder sequence: by one specialization per variable at a point where
 the leading coefficient keeps its degree, exact and with no primes.  An
 algebraic number is one :class:`RealRoot`: a squarefree defining polynomial
 together with an isolating rational interval, its narrowest interval so far
-and the signs decided at it.  The sign of a polynomial there is one Tarski
-query, the sign variations of one signed remainder sequence at the two ends
-of that interval, whatever the distance to the polynomial's own roots.
+and the signs decided at it.  Quadratic interval refinement narrows it onto
+the cells bisection would reach.  A polynomial's sign there is certified by
+its value at the midpoint against a bound on its slope, or else is one
+Tarski query, the sign variations of one signed remainder sequence at the
+two ends, whatever the distance to the polynomial's own roots.
 """
 
 from __future__ import annotations
@@ -208,6 +210,17 @@ def _variations(chains: Sequence, a: int, q: int) -> int:
     return v
 
 
+def _certified_sign(g: Sequence[int], a: int, b: int, q: int) -> int:
+    """The sign of g on all of [a/q, b/q] when g's value at the midpoint
+    exceeds (b - a)/(2q) times a bound on |g'| there, sum k |g_k| M^(k-1)
+    with M = max(|a|, |b|)/q; else 0, undecided.  Scaled by (2q)^deg g,
+    the test runs on integers."""
+    v = ival(g, a + b, 2 * q)
+    slope = ival(tuple(map(abs, up_deriv(g))), max(-a, b), q)
+    return ((v > 0) - (v < 0)
+            if v and 2 * abs(v) > (b - a) * slope << len(g) - 1 else 0)
+
+
 def _root_bound(f: Sequence[int]) -> int:
     """A power of two B with every real root of f inside (-B, B)."""
     m = max(abs(c) for c in f[:-1])
@@ -238,7 +251,8 @@ class RealRoot:
     An irrational root's interval is open at both ends: neither endpoint is a
     zero of ``poly``.  Such a root also keeps ``poly`` as a positive integer
     multiple, its narrowest isolating interval [a/q, b/q] so far with the
-    sign of that polynomial at a/q, and the signs already decided at it.
+    sign of that polynomial at a/q, and the signs already decided at it,
+    which the roots :meth:`refine` returns share.
     """
 
     __slots__ = ("poly", "lo", "hi", "_f", "_a", "_b", "_q", "_sa", "_signs")
@@ -246,10 +260,9 @@ class RealRoot:
     def __init__(self, poly: tuple[Fraction, ...], lo: Fraction,
                  hi: Fraction):
         self.poly, self.lo, self.hi = poly, lo, hi
-        q = lcm(lo.denominator, hi.denominator)
+        self._q = q = lcm(lo.denominator, hi.denominator)
         self._a = a = lo.numerator * (q // lo.denominator)
         self._b = hi.numerator * (q // hi.denominator)
-        self._q = q
         # only an irrational root keeps a defining polynomial
         self._f = f = None if lo == hi else int_multiple(poly)
         self._sa = _sign_at(f, a, q) if f else 0
@@ -266,49 +279,46 @@ class RealRoot:
     def refine(self, width) -> "RealRoot":
         """Shrink the isolating interval below the requested width.
 
-        Returns a root over the narrowest interval known so far when that
-        is narrow enough, and otherwise bisects on from it.
+        Returns a root, with this one's signs, over the narrowest interval
+        known so far when that is narrow enough, else over the cell that
+        bisection from it reaches (:func:`_cell`).
         """
         f = self._f
         if f is None:
             return self
         width = Fraction(width)
-        wn, wd = width.numerator, width.denominator
         a, b, q = self._a, self._b, self._q
-        if (b - a) * wd > wn * q:
-            sa = self._sa
-            while (b - a) * wd > wn * q:
-                c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
-                s = _sign_at(f, c, q)
-                if s == 0:
-                    mid = Fraction(c, q)
-                    return RealRoot(self.poly, mid, mid)
-                if s == sa:
-                    a = c
-                else:
-                    b = c
+        # the fewest bisection steps d with (b - a) / (2^d q) <= width
+        d = (-(-(b - a) * width.denominator // (width.numerator * q))
+             - 1).bit_length()
+        if d:
+            a, b, q = _cell(f, a, b, q, self._sa, d)
+            if a == b:
+                return RealRoot(self.poly, Fraction(a, q), Fraction(a, q))
             self._a, self._b, self._q = a, b, q
-        return RealRoot(self.poly, Fraction(a, q), Fraction(b, q))
+        r = RealRoot.__new__(RealRoot)
+        r.poly, r._f, r._sa, r._signs = self.poly, f, self._sa, self._signs
+        r.lo, r.hi, r._a, r._b, r._q = Fraction(a, q), Fraction(b, q), a, b, q
+        return r
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
-        """Exact sign of g at this algebraic number, remembered per g."""
+        """Exact sign of g at this algebraic number, remembered per g: by
+        :func:`_certified_sign` on the narrowest interval (a/q, b/q), else
+        by the Tarski query, the drop in sign variations from a/q to b/q of
+        the signed remainder sequence of (f, f'g), which counts the roots of
+        f there where g > 0 minus those where g < 0 (Basu, Pollack & Roy,
+        Algorithms in Real Algebraic Geometry, 2006, section 2.2)."""
         key = tuple(g)
         s = self._signs.get(key)
         if s is None:
-            s = self._signs[key] = self._sign_of(int_multiple(key))
+            f, a, b, q = self._f, self._a, self._b, self._q
+            g = int_multiple(key)
+            s = _sign_at(g, a, q) if f is None else _certified_sign(g, a, b, q)
+            if not s and f is not None:
+                chains = [_isturm(f, g)]
+                s = _variations(chains, a, q) - _variations(chains, b, q)
+            self._signs[key] = s
         return s
-
-    def _sign_of(self, g: tuple[int, ...]) -> int:
-        """The Tarski query of g at the one root of f in (a/q, b/q): the
-        drop in sign variations, from a/q to b/q, of the signed remainder
-        sequence of (f, f'g) counts the roots of f there where g > 0 minus
-        those where g < 0 (Basu, Pollack & Roy, Algorithms in Real
-        Algebraic Geometry, 2006, section 2.2)."""
-        if self._f is None:
-            return _sign_at(g, self._a, self._q)
-        chains = [_isturm(self._f, g)]
-        return (_variations(chains, self._a, self._q)
-                - _variations(chains, self._b, self._q))
 
     def equals(self, other: "RealRoot") -> bool:
         if self is other:
@@ -369,6 +379,54 @@ def _isolate(*fs: Sequence[int]) -> list[tuple[int, int, int]]:
     return out
 
 
+#: calls for fewer steps, mostly :func:`_settle` on isolating intervals, are
+#: bisected: there the secant guesses too badly to save evaluations
+_QIR_DEPTH = 10
+
+
+def _cell(f: Sequence[int], a: int, b: int, q: int, sa: int,
+          d: int) -> tuple[int, int, int]:
+    """The cell (a', a' + b - a, 2^d q) that d bisection steps reach from
+    [a/q, b/q], which holds one root of f, or (c, c, 2^d q) if a point on
+    the way is the root.  f is nonzero at b/q and has the sign sa between
+    a/q and the root, and at a/q if d >= _QIR_DEPTH.  Quadratic interval
+    refinement (Abbott 2006; Kerber & Sagraloff 2011): the secant through
+    the end values guesses which of N = 2^k equal parts holds the root, and
+    the signs at the part's ends confirm it.  A confirmed guess squares N,
+    a failed one halves k and bisects once."""
+    n, w, k = len(f) - 1, b - a, 2
+    qir = d >= _QIR_DEPTH
+    va, vb = (ival(f, a, q), ival(f, b, q)) if qir else (0, 0)  # times q^n
+    while d:
+        if qir:
+            j = min(k, d)
+            big, a2, q2 = 1 << j, a << j, q << j
+            ua, ub = abs(va), abs(vb)
+            m = (2 * big * ua + ua + ub) // (2 * (ua + ub))
+            # the part on the root's side of m; the end values are known
+            ends = {0: va << j * n, big: vb << j * n}
+            v = ends[m] if m in ends else ival(f, a2 + m * w, q2)
+            if not v:
+                return a2 + m * w, a2 + m * w, q2
+            o = m + 1 if (v > 0) - (v < 0) == sa else m - 1
+            vo = ends[o] if o in ends else ival(f, a2 + o * w, q2)
+            if not vo:
+                return a2 + o * w, a2 + o * w, q2
+            if (v > 0) != (vo > 0):
+                a, q, d, k = a2 + min(m, o) * w, q2, d - j, 2 * k
+                b, va, vb = (a + w, v, vo) if m < o else (a + w, vo, v)
+                continue
+            k = max(k // 2, 2)
+        c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+        v = ival(f, c, q)
+        if not v:
+            return c, c, q
+        a, b, va, vb = ((c, b, v, vb << n) if (v > 0) - (v < 0) == sa
+                        else (a, c, va << n, v))
+        d -= 1
+    return a, b, q
+
+
 def _settle(f: Sequence[int], a: int, b: int, q: int):
     """Decide the one simple root of f in (a/q, b/q]: its exact value when it
     is rational, else an interval [a/q, b/q] narrower than 1/(2 lc^2) with f
@@ -382,21 +440,16 @@ def _settle(f: Sequence[int], a: int, b: int, q: int):
     if sb == 0:
         return Fraction(b, q), a, b, q
     sa = _sign_at(f, a, q)
-    lc = abs(f[-1])
-    limit = 2 * lc * lc
-    # a may be the root of the interval to the left: bisect it away too
-    while sa == 0 or (b - a) * limit >= q:
-        c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
-        s = _sign_at(f, c, q)
-        if s == 0:
-            return Fraction(c, q), a, b, q
-        if s == sb:
-            b = c
-        else:
-            a, sa = c, s
-    cand = Fraction(a + b, 2 * q).limit_denominator(lc)
+    while not sa:  # a is the root to the left: bisect it away
+        a2, b, q = _cell(f, a, b, q, -sb, 1)
+        a, sa = a2, 0 if a2 == 2 * a else -sb
+    # the fewest bisection steps to a width below 1/(2 lc^2)
+    d = ((b - a) * 2 * f[-1] ** 2 // q).bit_length()
+    a, b, q = _cell(f, a, b, q, sa, d)
+    # the candidate is the root itself when _cell met it (a == b)
+    cand = Fraction(a + b, 2 * q).limit_denominator(abs(f[-1]))
     p, s = cand.numerator, cand.denominator
-    if a * s < p * q < b * s and _sign_at(f, p, s) == 0:
+    if a == b or (a * s < p * q < b * s and _sign_at(f, p, s) == 0):
         return cand, a, b, q
     return None, a, b, q
 

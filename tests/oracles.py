@@ -211,6 +211,62 @@ def up_eval(f, x):
     return acc
 
 
+def _sign_at(f, a, q):
+    """The sign of the integer polynomial f at a/q, q > 0: of the sum of
+    c_i a^i q^(n-i), term by term."""
+    n = len(f) - 1
+    v = sum(c * a**i * q**(n - i) for i, c in enumerate(f))
+    return (v > 0) - (v < 0)
+
+
+def bisection_refine(f, a, b, q, sa, width):
+    """``RealRoot.refine`` by bisection alone: [a/q, b/q] holds one root of
+    the integer polynomial f, which has the sign sa at a/q, and is halved
+    until it is at most ``width`` wide.  Returns (a, b, q) with b - a kept,
+    or (c, c, q) when a midpoint c/q is the root.  Also returns the number
+    of signs evaluated."""
+    wn, wd = Fraction(width).numerator, Fraction(width).denominator
+    steps = 0
+    while (b - a) * wd > wn * q:
+        c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+        s = _sign_at(f, c, q)
+        steps += 1
+        if s == 0:
+            return (c, c, q), steps
+        if s == sa:
+            a = c
+        else:
+            b = c
+    return (a, b, q), steps
+
+
+def bisection_settle(f, a, b, q):
+    """``polys._settle`` by bisection alone: the one simple root of the
+    primitive integer polynomial f in (a/q, b/q] as its value when it is
+    rational, else (None, a, b, q) with b - a kept and the interval
+    narrower than 1/(2 lc^2), f nonzero at both ends."""
+    sb = _sign_at(f, b, q)
+    if sb == 0:
+        return Fraction(b, q), a, b, q
+    sa = _sign_at(f, a, q)
+    lc = abs(f[-1])
+    limit = 2 * lc * lc
+    while sa == 0 or (b - a) * limit >= q:
+        c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+        s = _sign_at(f, c, q)
+        if s == 0:
+            return Fraction(c, q), a, b, q
+        if s == sb:
+            b = c
+        else:
+            a, sa = c, s
+    cand = Fraction(a + b, 2 * q).limit_denominator(lc)
+    p, s = cand.numerator, cand.denominator
+    if a * s < p * q < b * s and _sign_at(f, p, s) == 0:
+        return cand, a, b, q
+    return None, a, b, q
+
+
 def reference_pullback(field, forward, signs, normalization):
     """``fields.monomial_pullback`` term by term in Fraction arithmetic,
     through the entries of the inverse chart matrix."""

@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bisection_refine,
+    bisection_settle,
     bp,
     bp_mul,
     cauchy_bound,
@@ -291,6 +293,127 @@ def test_refine_narrows():
     assert s.hi - s.lo <= F(1, 10**9)
     assert s.lo <= s.hi
     assert up_eval(up([-2, 0, 1]), s.lo) * up_eval(up([-2, 0, 1]), s.hi) < 0
+
+
+# quadratic interval refinement and the sign certificate, against bisection
+# and sympy
+
+_DYADIC = st.builds(lambda k, m: F(k, 2**m), st.integers(-40, 40),
+                    st.integers(0, 5))
+_REFINE_FACTOR = st.one_of(
+    _DYADIC.map(lambda r: up_from_roots([r])),
+    st.fractions(-20, 20, max_denominator=9).map(lambda r: up_from_roots([r])),
+    st.tuples(_COEF, _COEF, _LEAD).map(up),
+    st.tuples(_COEF, _COEF, _COEF, _LEAD).map(up),
+)
+
+
+def _product(factors):
+    f = (F(1),)
+    for h in factors:
+        f = up_mul(f, h)
+    return f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_REFINE_FACTOR, min_size=1, max_size=4))
+@example([up_from_roots([0]), up([-2, 0, 1])])  # (0, B] starts at a root
+@example([up([-10**30, 0, 10**30 - 1])])  # bisection needs about 200 steps
+def test_settle_matches_bisection(factors):
+    """``_settle`` on every interval of ``_isolate`` finds bisection's
+    value, and bisection's interval when the root is irrational."""
+    g = polys._isquarefree(polys.int_multiple(_product(factors)))
+    assume(len(g) > 1)
+    for a, b, q in polys._isolate(g):
+        ours, want = polys._settle(g, a, b, q), bisection_settle(g, a, b, q)
+        assert ours[0] == want[0]
+        if want[0] is None:
+            assert ours == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(_REFINE_FACTOR, min_size=1, max_size=2),
+       st.lists(st.integers(1, 700), min_size=1, max_size=4))
+def test_refine_matches_bisection(factors, exponents):
+    """``refine`` to widths 10^-e, e up to 700 and in any order, keeps and
+    returns bisection's narrowest intervals."""
+    for r in real_roots(_product(factors)):
+        if r.is_rational:
+            continue
+        for e in exponents:
+            width = F(1, 10**e)
+            (a, b, q), _ = bisection_refine(r._f, r._a, r._b, r._q, r._sa,
+                                            width)
+            got = r.refine(width)
+            assert (r._a, r._b, r._q) == (a, b, q)
+            assert (got.lo, got.hi) == (F(a, q), F(b, q))
+            assert got.poly == r.poly and not got.is_rational
+
+
+@pytest.mark.parametrize("root, width", [
+    (F(3, 8), F(1, 100)),  # a midpoint within bisection's few steps
+    (F(3, 1024), F(1, 10**6)),  # met on the way to 20 steps
+    (F(1, 2**30), F(1, 10**6)),  # deeper than 20 steps: never met
+    (F(1, 3), F(1, 10**40)),
+])
+def test_refine_meets_a_dyadic_root_where_bisection_does(root, width):
+    r = RealRoot(up_from_roots([root, 5]), F(0), F(1))
+    (a, b, q), _ = bisection_refine(r._f, r._a, r._b, r._q, r._sa, width)
+    got = r.refine(width)
+    assert (got.lo, got.hi) == (F(a, q), F(b, q))
+    assert got.is_rational == (a == b)
+
+
+def test_refine_to_1e700_takes_far_fewer_evaluations_than_bisection(
+        monkeypatch):
+    sqrt2 = real_roots(up([-2, 0, 1]))[1]
+    width = F(1, 10**700)
+    (a, b, q), steps = bisection_refine(sqrt2._f, sqrt2._a, sqrt2._b,
+                                        sqrt2._q, sqrt2._sa, width)
+    assert steps > 2000
+    calls = []
+    ival = polys.ival
+    monkeypatch.setattr(polys, "ival", lambda *args: calls.append(args)
+                        or ival(*args))
+    r = sqrt2.refine(width)
+    assert (r.lo, r.hi) == (F(a, q), F(b, q))
+    assert len(calls) < 40
+
+
+def test_certified_sign_is_sound():
+    """Every nonzero answer of ``_certified_sign`` on a root's narrowest
+    interval is sympy's sign, where g vanishes at the root it stays
+    undecided, and ``sign_of`` narrows no interval."""
+    rng = random.Random(20261019)
+    decided = undecided = vanishing = 0
+    for case in range(120):
+        f, factors = _irrational_squarefree(rng)
+        rand = up(F(rng.randint(-20, 20), rng.randint(1, 5))
+                  for _ in range(rng.randint(1, 7)))
+        kind = case % 3
+        if kind == 0:
+            g = rand
+        elif kind == 1:
+            g = up_mul(rng.choice(factors), rand or (F(1),))
+        else:
+            g = rng.choice(_near_root_factors(f, rng))
+        roots = real_roots(f)
+        want = _sympy_signs(f, g)
+        ig = polys.int_multiple(g)
+        for e in (0, 5, 20, 80):
+            for r, s in zip(roots, want):
+                if e:
+                    r.refine(F(1, 10**e))
+                c = polys._certified_sign(ig, r._a, r._b, r._q)
+                assert c in (0, s), (f, g, e)  # so c = 0 where s = 0
+                decided += c != 0
+                undecided += c == 0
+                vanishing += s == 0
+        for r, s in zip(roots, want):
+            narrowest = r._a, r._b, r._q
+            assert r.sign_of(g) == s
+            assert (r._a, r._b, r._q) == narrowest
+    assert decided and undecided and vanishing
 
 
 def _printed(roots) -> list:
