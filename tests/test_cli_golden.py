@@ -57,6 +57,10 @@ DEGENERATE_IRRATIONAL = "dx = x^5 - 4*x^3*y^2 + 4*x*y^4; dy = x^2*y - 2*y^3"
 # eigenvalue readings refine intervals with wide endpoints
 HIGH_BIT = ("dx = -15322381*x*y^3; dy = -13002826*x^4 - 14126853*x^3 "
             "+ 16417733*x*y^3 - 15732042*x - 15254117*y^3")
+# the verdict-random corpus op random-072: the Xpos and fan:1 restrictions
+# are -u(1 + u)^3 and the Xneg one is -u(1 - u)^3, so the divisor points
+# u = -1 and u = 1 are triple zeros, Degenerate records at rational points
+REPEATED_ROOTS = "dx = 4/3*x^3; dy = x^2*y"
 HUGE = "1" + "0" * 400
 
 CASES = {
@@ -126,6 +130,8 @@ CASES = {
                                                 "--field",
                                                 DEGENERATE_IRRATIONAL),
     "check-equivalence-high-bit": ("check-equivalence", "--field", HIGH_BIT),
+    "check-equivalence-repeated-roots": ("check-equivalence", "--field",
+                                         REPEATED_ROOTS),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
