@@ -116,9 +116,7 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
         return Fraction(0)
     r = root.refine(width)
     while True:
-        q = math.lcm(r.lo.denominator, r.hi.denominator)
-        a = r.lo.numerator * (q // r.lo.denominator)
-        b = r.hi.numerator * (q // r.hi.denominator)
+        a, b, q = r.cell
         # the values at the midpoint and the ends, times (2q)^n sd / sn
         den = (2 * q) ** n
         vals = mid, lo, hi = [ival(f, t, 2 * q)
@@ -128,7 +126,7 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
             return Fraction(sn * mid, sd * den)
         if signed and max(map(abs, vals)) * sn < _TINY * sd * den:
             return Fraction(sn * signed[0], sd * den)
-        r = root.refine((r.hi - r.lo) ** 2)
+        r = root.refine(Fraction((b - a) ** 2, q * q))
 
 
 def _stand_in(q) -> Fraction:
@@ -149,7 +147,7 @@ def approximate(q) -> Optional[float]:
     through here or through :func:`approximate_text`."""
     q = _stand_in(q)
     try:
-        v = float(q)
+        v = q.numerator / q.denominator
     except OverflowError:
         return None
     return v if v or not q else None

@@ -12,7 +12,9 @@ The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
 The roots of u^k h with h of degree at most 2 and rational roots, the
 divisor restriction on most short faces, are read in closed form before
-any remainder sequence, and the output cannot depend on the path (see
+any Sturm chain: first on the polynomial itself, then on its squarefree
+part, so that repeated factors, the restrictions at non-hyperbolic points,
+take the closed form too.  The output cannot depend on the path (see
 :func:`real_roots`).  Signs are evaluated by homogeneous Horner, and gcds,
 univariate and bivariate, run as primitive integer pseudo-remainder
 sequences.  A bivariate gcd that is a monomial is certified first, without
@@ -20,7 +22,8 @@ a remainder sequence: by one specialization per variable at a point where
 the leading coefficient keeps its degree, exact and with no primes.  An
 algebraic number is one :class:`RealRoot`: a squarefree defining polynomial
 together with an isolating rational interval, its narrowest interval so far
-and the signs decided at it.  Quadratic interval refinement narrows it onto
+and the signs decided at it, built by one constructor from the integers
+that isolation holds.  Quadratic interval refinement narrows it onto
 the cells bisection would reach.  A polynomial's sign there is certified by
 its value at the midpoint against a bound on its slope, or else is one
 Tarski query, the sign variations of one signed remainder sequence at the
@@ -252,21 +255,37 @@ class RealRoot:
     zero of ``poly``.  Such a root also keeps ``poly`` as a positive integer
     multiple, its narrowest isolating interval [a/q, b/q] so far with the
     sign of that polynomial at a/q, and the signs already decided at it,
-    which the roots :meth:`refine` returns share.
+    which the roots :meth:`refine` returns share.  Every root this module
+    makes comes from :meth:`_of`, from the integers its caller already
+    holds; ``RealRoot(poly, lo, hi)`` reads those integers off Fractions.
     """
 
     __slots__ = ("poly", "lo", "hi", "_f", "_a", "_b", "_q", "_sa", "_signs")
 
     def __init__(self, poly: tuple[Fraction, ...], lo: Fraction,
                  hi: Fraction):
-        self.poly, self.lo, self.hi = poly, lo, hi
-        self._q = q = lcm(lo.denominator, hi.denominator)
-        self._a = a = lo.numerator * (q // lo.denominator)
-        self._b = hi.numerator * (q // hi.denominator)
+        q = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (q // lo.denominator)
         # only an irrational root keeps a defining polynomial
-        self._f = f = None if lo == hi else int_multiple(poly)
-        self._sa = _sign_at(f, a, q) if f else 0
-        self._signs: dict = {}
+        f = None if lo == hi else int_multiple(poly)
+        self._set(poly, f, a, hi.numerator * (q // hi.denominator), q,
+                  _sign_at(f, a, q) if f else 0, {})
+
+    @classmethod
+    def _of(cls, poly, f, a: int, b: int, q: int, sa: int,
+            signs: dict) -> "RealRoot":
+        """The root of ``poly`` in [a/q, b/q], where its positive primitive
+        integer multiple f has the sign sa at a/q; the rational a/q when f is
+        None."""
+        r = cls.__new__(cls)
+        r._set(poly, f, a, b, q, sa, signs)
+        return r
+
+    def _set(self, poly, f, a, b, q, sa, signs) -> None:
+        self.poly, self._f, self._sa, self._signs = poly, f, sa, signs
+        self._a, self._b, self._q = a, b, q
+        self.lo = Fraction(a, q)
+        self.hi = Fraction(b, q) if f is not None else self.lo
 
     @property
     def is_rational(self) -> bool:
@@ -275,6 +294,11 @@ class RealRoot:
     @property
     def exact(self) -> Fraction | None:
         return self.lo if self._f is None else None
+
+    @property
+    def cell(self) -> tuple[int, int, int]:
+        """The narrowest interval so far, [a/q, b/q], as integers (a, b, q)."""
+        return self._a, self._b, self._q
 
     def refine(self, width) -> "RealRoot":
         """Shrink the isolating interval below the requested width.
@@ -294,12 +318,9 @@ class RealRoot:
         if d:
             a, b, q = _cell(f, a, b, q, self._sa, d)
             if a == b:
-                return RealRoot(self.poly, Fraction(a, q), Fraction(a, q))
+                return RealRoot._of(self.poly, None, a, a, q, 0, {})
             self._a, self._b, self._q = a, b, q
-        r = RealRoot.__new__(RealRoot)
-        r.poly, r._f, r._sa, r._signs = self.poly, f, self._sa, self._signs
-        r.lo, r.hi, r._a, r._b, r._q = Fraction(a, q), Fraction(b, q), a, b, q
-        return r
+        return RealRoot._of(self.poly, f, a, b, q, self._sa, self._signs)
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
         """Exact sign of g at this algebraic number, remembered per g: by
@@ -355,7 +376,8 @@ class RealRoot:
 
 def rational_root(value) -> RealRoot:
     v = Fraction(value)
-    return RealRoot((-v, ONE), v, v)
+    return RealRoot._of((-v, ONE), None, v.numerator, v.numerator,
+                        v.denominator, 0, {})
 
 
 def _isolate(*fs: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -481,34 +503,43 @@ def _low_degree_roots(f: Sequence[int]) -> list[Fraction] | None:
 def real_roots(f) -> list[RealRoot]:
     """All distinct real roots of f, ascending, as :class:`RealRoot`.
 
-    A polynomial u^k h with h of degree at most 2 and rational real roots,
-    the divisor restriction of most charts, is answered in closed form
-    (:func:`_low_degree_roots`).  The bytes a report prints cannot depend
-    on which path ran: a rational root is ``rational_root(v)`` either way,
-    and irrational roots, whose printed intervals come from bisection,
-    never take the closed form.  Otherwise the squarefree part is isolated
-    by Sturm bisection on integer coefficients; each root is then decided
-    rational or not (see :func:`_settle`), and the rational ones are
-    deflated, so every irrational root carries a defining polynomial with
-    no rational roots at all.
+    Roots are read in closed form (:func:`_low_degree_roots`) in two steps:
+    first on f itself, then on its squarefree part g, so that u^k times a
+    linear or quadratic polynomial with rational real roots, the divisor
+    restriction of most charts, and such a polynomial with repeated
+    factors, the restriction at a non-hyperbolic point, need no Sturm chain.
+    The bytes a report prints cannot depend on which path ran: a rational
+    root is ``rational_root(v)`` either way, and irrational roots, whose
+    printed intervals come from bisection, never take the closed form.
+    Otherwise g is isolated by Sturm bisection on integer coefficients; each
+    root is then decided rational or not (see :func:`_settle`), and the
+    rational ones are deflated, so every irrational root carries a defining
+    polynomial with no rational roots at all.
     """
     f = int_multiple(f)
     roots = _low_degree_roots(f)
+    if roots is None:
+        g = _isquarefree(f)
+        roots = _low_degree_roots(g)
     if roots is not None:
         return [rational_root(v) for v in sorted(roots)]
-    g = _isquarefree(f)
     settled = [_settle(g, a, b, q) for a, b, q in _isolate(g)]
     h = g
     for v, *_ in settled:
         if v is not None:
             h = _iquo(h, (-v.numerator, v.denominator))
     poly = _monic(h)
+    # h has a positive leading coefficient and its simple real roots are
+    # the irrational ones, so at the left end of each one's interval it has
+    # the sign (-1)^m, m the number of irrational roots from that one up
+    sa = (-1) ** sum(v is None for v, *_ in settled)
     out = []
     for v, a, b, q in settled:
         if v is not None:
             out.append(rational_root(v))
         else:
-            out.append(RealRoot(poly, Fraction(a, q), Fraction(b, q)))
+            out.append(RealRoot._of(poly, h, a, b, q, sa, {}))
+            sa = -sa
     return out
 
 

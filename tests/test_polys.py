@@ -483,23 +483,86 @@ def test_low_degree_roots_leaves_the_rest_to_bisection(f):
 
 
 _ROOT = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_MULT = st.integers(1, 4)
+# a u^2 + b u + c with a > 0 and b^2 < 4 a c, times a sign
+_COMPLEX_PAIR = st.builds(
+    lambda a, b, e, s: up([s * (b * b // (4 * a) + e), s * b, s * a]),
+    st.integers(1, 12), st.integers(-12, 12), st.integers(1, 30),
+    st.sampled_from([1, -1]))
 _LOW = st.one_of(
     st.tuples(_COEF, _LEAD),
     st.tuples(_COEF, _COEF, _LEAD),
     # quadratics with rational roots: a square discriminant, or D = 0
     st.tuples(_ROOT, _ROOT).map(up_from_roots),
     _ROOT.map(lambda r: up_from_roots([r, r])),
+    # repeated factors: (u - a)^m (u - b)^n, whose squarefree part the
+    # closed form reads, and (u - a)^m q(u) with q of negative discriminant,
+    # whose squarefree part is a cubic unless a = 0
+    st.builds(lambda a, b, m, n: up_from_roots([a] * m + [b] * n),
+              _ROOT, _ROOT, _MULT, _MULT),
+    st.builds(lambda a, m, q: up_mul(up_from_roots([a] * m), q),
+              st.one_of(st.just(F(0)), _ROOT), _MULT, _COMPLEX_PAIR),
 )
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+def _closed_form_roots(f) -> list:
+    """``real_roots`` with the Sturm path switched off."""
+    def refuse(*args):
+        raise AssertionError("Sturm isolation ran")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "_isolate", refuse)
+        return real_roots(f)
+
+
+@settings(max_examples=900, deadline=None, derandomize=True, database=None)
 @given(_LOW, st.integers(0, 3),
        st.fractions(max_denominator=30).filter(lambda c: c != 0))
+@example(up_from_roots([-1] * 3), 1, F(-1))  # -u (1 + u)^3, from a chart
+@example(up_from_roots([-1, -1, -2, -2]), 2, F(1))  # u^2 (u + 1)^2 (u + 2)^2
+@example(up([1, 0, 1]), 2, F(1))  # u^2 (u^2 + 1)
 def test_low_degree_roots_match_bisection(h, k, c):
-    """c u^k h with h linear or quadratic: the closed form prints what the
-    Sturm path prints, root by root."""
+    """c u^k h with h linear, quadratic or with repeated factors: the
+    closed form prints what the Sturm path prints, root by root, and where
+    the squarefree part is u^(0 or 1) times at most a quadratic with
+    rational roots, it answers without Sturm isolation."""
     f = (F(0),) * k + tuple(c * F(a) for a in h)
-    assert _printed(real_roots(f)) == _printed(_bisected_roots(f))
+    want = _printed(_bisected_roots(f))
+    assert _printed(real_roots(f)) == want
+    g = polys._isquarefree(polys.int_multiple(f))
+    if polys._low_degree_roots(g) is not None:
+        assert _printed(_closed_form_roots(f)) == want
+
+
+def test_real_roots_build_what_the_fraction_constructor_builds():
+    """Every irrational root of ``real_roots``, built from the isolation's
+    integers, against ``RealRoot(poly, lo, hi)``, which reads them off the
+    printed interval: the same defining polynomial and sign at the left
+    end, the same refined intervals and the same signs.  The polynomials
+    mix rational roots, some repeated, with irrational ones, so the
+    defining polynomial is deflated and its sign at each left end differs
+    from that of the squarefree part."""
+    rng = random.Random(20261020)
+    irrational = 0
+    for _ in range(60):
+        f, factors = _irrational_squarefree(rng)
+        rationals = [F(rng.randint(-30, 30), rng.randint(1, 6))
+                     for _ in range(rng.randint(1, 3))]
+        whole = _product([f, up_from_roots(rationals + rationals[:1])])
+        rand = up(F(rng.randint(-20, 20), rng.randint(1, 5))
+                  for _ in range(rng.randint(2, 6)))
+        checks = [up_deriv(whole), rand, up_mul(rng.choice(factors), rand)]
+        for r in real_roots(whole):
+            if r.is_rational:
+                continue
+            irrational += 1
+            again = RealRoot(r.poly, r.lo, r.hi)
+            assert (r._f, r._sa) == (again._f, again._sa)
+            assert [r.sign_of(g) for g in checks] == [again.sign_of(g)
+                                                     for g in checks]
+            for e in (15, 40, 300):
+                got, want = r.refine(F(1, 10**e)), again.refine(F(1, 10**e))
+                assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert irrational > 60
 
 
 def test_bp_gcd_shared_factor():
