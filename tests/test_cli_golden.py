@@ -62,6 +62,17 @@ HIGH_BIT = ("dx = -15322381*x*y^3; dy = -13002826*x^4 - 14126853*x^3 "
 # u = -1 and u = 1 are triple zeros, Degenerate records at rational points
 REPEATED_ROOTS = "dx = 4/3*x^3; dy = x^2*y"
 HUGE = "1" + "0" * 400
+# divisor points near +-10^310 in Xpos, Xneg and fan:1, past the float
+# range: their positions and tangent eigenvalues print a null approximation
+# (24 in the inventory's two copies) and six match-table rows a null
+# position, while the points near +-10^-310 in the Y charts print subnormal
+# floats; the verdict holds (exit 0)
+HUGE_POSITIONS = "dx = x^2; dy = x*y + y^2 - 1" + "0" * 620 + "*x^2"
+# the same field with 10^700 at weight (1,1): the divisor points near
+# +-10^-350 and their transverse eigenvalues underflow, and the points near
+# +-10^350 and their tangent eigenvalues overflow, so all print a null
+# approximation beside their exact intervals
+TINY_POSITIONS = "dx = x^2; dy = x*y + y^2 - 1" + "0" * 700 + "*x^2"
 
 CASES = {
     "polytope-quartic": ("polytope", "--field", QUARTIC),
@@ -107,6 +118,8 @@ CASES = {
     "singularities-sheared": ("singularities", "--field", SHEARED),
     "singularities-rational-json": ("singularities", "--json",
                                     "--field", RATIONAL_SHEARED),
+    "singularities-tiny-json": ("singularities", "--weight", "1,1", "--json",
+                                "--field", TINY_POSITIONS),
     "singularities-radial-no-weight": ("singularities", "--field", RADIAL),
     "singularities-radial-weighted": ("singularities", "--weight", "1,1",
                                       "--field", RADIAL),
@@ -132,6 +145,8 @@ CASES = {
     "check-equivalence-high-bit": ("check-equivalence", "--field", HIGH_BIT),
     "check-equivalence-repeated-roots": ("check-equivalence", "--field",
                                          REPEATED_ROOTS),
+    "check-equivalence-huge-positions": ("check-equivalence", "--field",
+                                        HUGE_POSITIONS),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
