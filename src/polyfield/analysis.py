@@ -27,6 +27,7 @@ symmetric cut-off loses nothing; Xneg is the mirror image.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -167,6 +168,48 @@ def approximate_text(q, digits: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the report's text: each renderer below writes one fixed shape with the
+# bytes of json.dumps(indent=2, sort_keys=True), at the indent ``nl`` (a
+# newline and the spaces before the shape's first line), keys in sorted order
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(v: Optional[float]) -> str:
+    """A value of :func:`approximate`, a finite float or None, as JSON."""
+    return "null" if v is None else float.__repr__(v)
+
+
+def _list_text(items: list, nl: str) -> str:
+    """A JSON list of values already written at the indent ``nl + "  "``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _object_text(pairs: list, nl: str) -> str:
+    """A JSON object of (key, value text) pairs given in key order, the
+    values written at the indent ``nl + "  "``."""
+    if not pairs:
+        return "{}"
+    inner = nl + "  "
+    return "{" + ",".join([f"{inner}{_quote(k)}: {t}"
+                           for k, t in pairs]) + nl + "}"
+
+
+def _realroot_text(r: RealRoot, approx: str, nl: str) -> str:
+    """The root ``r`` whose approximation has the text ``approx``."""
+    i = nl + "  "
+    j = i + "  "
+    poly = ("," + j).join([_quote(str(c)) for c in r.poly])
+    return (f'{{{i}"approx": {approx},'
+            f'{i}"interval": [{j}{_quote(str(r.lo))},{j}{_quote(str(r.hi))}'
+            f'{i}],{i}"poly": [{j}{poly}{i}]{nl}}}')
+
+
+# ---------------------------------------------------------------------------
 # records
 
 
@@ -190,19 +233,16 @@ class Eigenvalue:
         return approximate(self.value)
 
     def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "approx": self.approx,
-            "exact": None if self.exact is None else str(self.exact),
-        }
+        return json.loads(_eigenvalue_text(self, "\n"))
 
 
-def _realroot_json(r: RealRoot) -> dict:
-    return {
-        "poly": [str(c) for c in r.poly],
-        "interval": [str(r.lo), str(r.hi)],
-        "approx": approximate(r),
-    }
+def _eigenvalue_text(e: Optional[Eigenvalue], nl: str) -> str:
+    if e is None:
+        return "null"
+    i = nl + "  "
+    exact = "null" if e.exact is None else _quote(str(e.exact))
+    return (f'{{{i}"approx": {_float_text(e.approx)},{i}"exact": {exact},'
+            f'{i}"sign": {int.__repr__(e.sign)}{nl}}}')
 
 
 @dataclass(frozen=True)
@@ -232,15 +272,50 @@ class SingularityRecord:
                 and self.position.exact == 0)
 
     def to_json(self) -> dict:
-        return {
-            "chart": self.chart,
-            "branch": self.branch,
-            "position": None if self.position is None else _realroot_json(self.position),
-            "classification": self.classification,
-            "tangent": None if self.tangent is None else self.tangent.to_json(),
-            "transverse": None if self.transverse is None else self.transverse.to_json(),
-            "characteristic_orbit": self.characteristic_orbit,
-        }
+        return json.loads(_record_text(self, _position_text(self), "\n"))
+
+
+def _position_text(r: SingularityRecord) -> str:
+    """The approximation of the record's position as JSON: null for a
+    curve of singularities and outside the float range."""
+    if r.position is None:
+        return "null"
+    return _float_text(approximate(r.position))
+
+
+def _record_text(r: SingularityRecord, approx: str, nl: str) -> str:
+    """The record ``r``, whose position's approximation has the text
+    ``approx`` (see :func:`_position_text`)."""
+    i = nl + "  "
+    pos = ("null" if r.position is None
+           else _realroot_text(r.position, approx, i))
+    return (f'{{{i}"branch": {_quote(r.branch)},'
+            f'{i}"characteristic_orbit": '
+            f'{"true" if r.characteristic_orbit else "false"},'
+            f'{i}"chart": {_quote(r.chart)},'
+            f'{i}"classification": {_quote(r.classification)},'
+            f'{i}"position": {pos},'
+            f'{i}"tangent": {_eigenvalue_text(r.tangent, i)},'
+            f'{i}"transverse": {_eigenvalue_text(r.transverse, i)}{nl}}}')
+
+
+def _inventory_text(inv: dict, approx: dict, nl: str) -> str:
+    """The inventory ``inv`` as an object of record lists, sorted by chart;
+    ``approx`` maps each chart to its records' :func:`_position_text`."""
+    c = nl + "  "
+    k = c + "  "
+    return _object_text(
+        [(chart, _list_text([_record_text(r, t, k) for r, t in
+                             zip(inv[chart], approx[chart])], c))
+         for chart in sorted(inv)], nl)
+
+
+def inventory_text(inv: dict[str, list[SingularityRecord]],
+                   nl: str = "\n") -> str:
+    """The JSON of an inventory, chart by chart, at the indent ``nl``."""
+    return _inventory_text(
+        inv, {chart: list(map(_position_text, recs))
+              for chart, recs in inv.items()}, nl)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +403,24 @@ class DegeneracyWitness:
     point_exact: Optional[tuple[Fraction, Fraction]]
 
     def to_json(self) -> dict:
-        return {
-            "segment_normal": list(self.segment_normal),
-            "quadrant": list(self.quadrant),
-            "parameter": _realroot_json(self.parameter),
-            "point": [self.point[0], self.point[1]],
-            "point_exact": None if self.point_exact is None else
-            [str(self.point_exact[0]), str(self.point_exact[1])],
-        }
+        return json.loads(_witness_text(self, "\n"))
+
+
+def _ints_text(values, nl: str) -> str:
+    return _list_text(list(map(int.__repr__, values)), nl)
+
+
+def _witness_text(w: DegeneracyWitness, nl: str) -> str:
+    i = nl + "  "
+    exact = ("null" if w.point_exact is None
+             else _list_text([_quote(str(v)) for v in w.point_exact], i))
+    parameter = _realroot_text(w.parameter,
+                               _float_text(approximate(w.parameter)), i)
+    return (f'{{{i}"parameter": {parameter},'
+            f'{i}"point": {_list_text(list(map(_float_text, w.point)), i)},'
+            f'{i}"point_exact": {exact},'
+            f'{i}"quadrant": {_ints_text(w.quadrant, i)},'
+            f'{i}"segment_normal": {_ints_text(w.segment_normal, i)}{nl}}}')
 
 
 def _segment_parameter_polys(seg: Segment, field: PlanarField):
@@ -532,27 +617,53 @@ class EquivalenceReport:
     witnesses: tuple[DegeneracyWitness, ...]
 
     def to_json(self) -> dict:
-        inv = {chart: [r.to_json() for r in recs]
-               for chart, recs in sorted(self.inventory.items())}
-        return {
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "hypotheses": dict(self.hypotheses),
-            "shear": str(self.shear),
-            "field_after_shear": format_field(self.field_after_shear),
-            "weight": None if self.weight is None else list(self.weight.as_tuple()),
-            "inventory": {"field": inv, "principal_part": inv},
-            # each record, as the field and its upper principal part both
-            # carry it, chart by chart and stably sorted by branch
-            "match_table": [
-                {"chart": chart, "branch": r["branch"],
-                 "position": r["position"] and r["position"]["approx"],
-                 "field": r["classification"],
-                 "principal_part": r["classification"], "matched": True}
-                for chart in self.inventory
-                for r in sorted(inv[chart], key=lambda rec: rec["branch"])],
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
+        """The report as the CLI prints it, parsed."""
+        return json.loads(self.json_text())
+
+    def json_text(self, nl: str = "\n") -> str:
+        """The report as JSON at the indent ``nl``.  The inventory's text
+        is written once and stands for the field and its upper principal
+        part; each position's approximation is read once, for its record
+        and its match-table row."""
+        i, j = nl + "  ", nl + "    "
+        inv = self.inventory
+        approx = {chart: list(map(_position_text, recs))
+                  for chart, recs in inv.items()}
+        inv_text = _inventory_text(inv, approx, j)
+        # each record, as the field and its upper principal part both carry
+        # it, chart by chart and stably sorted by branch
+        rows = [_match_row_text(chart, r, t, j) for chart, recs in inv.items()
+                for r, t in sorted(zip(recs, approx[chart]),
+                                   key=lambda rt: rt[0].branch)]
+        hypotheses = _object_text(
+            [(k, "true" if ok else "false")
+             for k, ok in sorted(self.hypotheses.items())], i)
+        weight = ("null" if self.weight is None
+                  else _ints_text(self.weight.as_tuple(), i))
+        witnesses = [_witness_text(w, j) for w in self.witnesses]
+        return (
+            f'{{{i}"field_after_shear": '
+            f'{_quote(format_field(self.field_after_shear))},'
+            f'{i}"hypotheses": {hypotheses},'
+            f'{i}"inventory": {{{j}"field": {inv_text},'
+            f'{j}"principal_part": {inv_text}{i}}},'
+            f'{i}"match_table": {_list_text(rows, i)},'
+            f'{i}"reasons": {_list_text(list(map(_quote, self.reasons)), i)},'
+            f'{i}"shear": {_quote(str(self.shear))},'
+            f'{i}"verdict": {_quote(self.verdict)},'
+            f'{i}"weight": {weight},'
+            f'{i}"witnesses": {_list_text(witnesses, i)}{nl}}}')
+
+
+def _match_row_text(chart: str, r: SingularityRecord, approx: str,
+                    nl: str) -> str:
+    """The match-table row of ``r``: the same classification on both sides,
+    at the position whose approximation has the text ``approx``."""
+    i = nl + "  "
+    cls = _quote(r.classification)
+    return (f'{{{i}"branch": {_quote(r.branch)},{i}"chart": {_quote(chart)},'
+            f'{i}"field": {cls},{i}"matched": true,{i}"position": {approx},'
+            f'{i}"principal_part": {cls}{nl}}}')
 
 
 def equivalence_verdict(field: PlanarField) -> EquivalenceReport:

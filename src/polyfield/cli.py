@@ -21,6 +21,7 @@ from .analysis import (
     Analysis,
     approximate_text,
     equivalence_verdict,
+    inventory_text,
     return_map_test,
 )
 from .fans import FanError, complete_fan
@@ -43,33 +44,28 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Text(str):
+    """A value already written as JSON at the indent where it is placed."""
+
+
 def _write(o, nl: str, out: list) -> None:
     """Append ``o`` to ``out`` as ``json.dumps`` with ``indent=2`` and
     ``sort_keys=True`` writes it, at the indent ``nl`` (a newline and the
     spaces before it).  With an indent the standard library runs one
-    generator per container, which took a quarter to a third of a verdict.
-
-    A value that is the very object of the previous key's value is copied
-    from the text already written for it: the report's inventory sits
-    under two adjacent keys.  Only adjacent siblings share an indent, which
-    the copied text carries."""
+    generator per container.  A :class:`_Text` is copied as it is: the
+    verdict and the inventory come from ``analysis``'s renderers."""
     t = type(o)
     if t is str:
         out.append(_quote(o))
+    elif t is _Text:
+        out.append(o)
     elif t is dict:
         sep, inner = "{", nl + "  "
-        prev = span = None
         for k in sorted(o):
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(f"{sep}{inner}{_quote(k)}: ")
-            v = o[k]
-            if span and v is prev:
-                out.append("".join(out[span[0]:span[1]]))
-            else:
-                start = len(out)
-                _write(v, inner, out)
-                prev, span = v, (start, len(out))
+            _write(o[k], inner, out)
             sep = ","
         out.append(nl + "}" if o else "{}")
     elif t is list or t is tuple:
@@ -216,11 +212,8 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
     w = a.weight
     inv = a.inventory
     if args.json:
-        _emit({
-            "weight": list(w.as_tuple()),
-            "charts": {c: [r.to_json() for r in recs]
-                       for c, recs in inv.items()},
-        })
+        _emit({"weight": list(w.as_tuple()),
+               "charts": _Text(inventory_text(inv, "\n  "))})
         return 0
     header = (f"{'chart':8s} {'branch':6s} {'position':>14s} "
               f"{'classification':20s} {'tangent':>10s} {'transverse':>10s} "
@@ -240,7 +233,7 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
 
 def _cmd_check_equivalence(args: argparse.Namespace) -> int:
     rep = equivalence_verdict(_read_field(args))
-    _emit({"report": rep.to_json()})
+    _emit({"report": _Text(rep.json_text("\n  "))})
     return 0 if rep.verdict == "Equivalent" else 3
 
 

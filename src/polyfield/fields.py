@@ -400,33 +400,41 @@ def _format_monomial(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
+def _join_terms(terms, names: tuple[str, ...]) -> str:
+    """``(exponents, positive, magnitude text)`` terms as text, in order;
+    a magnitude of "1" is dropped before a monomial."""
+    out = []
+    for key, positive, mag in terms:
+        mono = _format_monomial(names, key)
+        body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+        if out:
+            out.append(f"+ {body}" if positive else f"- {body}")
+        else:
+            out.append(body if positive else f"-{body}")
+    return " ".join(out) if out else "0"
+
+
 def format_poly(comp: Mapping, names: tuple[str, ...]) -> str:
     """An exponent-tuple -> coefficient dict as text, highest key first."""
-    if not comp:
-        return "0"
-    out = []
-    for key in sorted(comp, reverse=True):
-        c = comp[key]
-        mono = _format_monomial(names, key)
-        mag = abs(c)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if not out:
-            out.append(body if c > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(out)
+    return _join_terms(((key, comp[key] > 0, str(abs(comp[key])))
+                        for key in sorted(comp, reverse=True)), names)
 
 
 def format_field(f: PlanarField) -> str:
-    """Canonical text form; ``parse_field`` round-trips it exactly."""
-    P, Q = f.components()
-    xy = ("x", "y")
-    return f"dx = {format_poly(P, xy)}; dy = {format_poly(Q, xy)}"
+    """Canonical text form; ``parse_field`` round-trips it exactly.  The
+    coefficients are written from the integer numerators over ``f.den``,
+    each reduced by its own gcd with ``den``."""
+    den, xy = f.den, ("x", "y")
+
+    def mag(c: int) -> str:
+        c = abs(c)
+        g = gcd(c, den)
+        return f"{c // g}" if g == den else f"{c // g}/{den // g}"
+
+    P, Q = (_join_terms(((key, c > 0, mag(c))
+                         for key, c in sorted(comp.items(), reverse=True)), xy)
+            for comp in f.int_components())
+    return f"dx = {P}; dy = {Q}"
 
 
 # ---------------------------------------------------------------------------

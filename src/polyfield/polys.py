@@ -273,18 +273,18 @@ class RealRoot:
 
     @classmethod
     def _of(cls, poly, f, a: int, b: int, q: int, sa: int,
-            signs: dict) -> "RealRoot":
+            signs: dict, lo: Fraction | None = None) -> "RealRoot":
         """The root of ``poly`` in [a/q, b/q], where its positive primitive
         integer multiple f has the sign sa at a/q; the rational a/q when f is
-        None."""
+        None.  ``lo``, where given, is the Fraction a/q."""
         r = cls.__new__(cls)
-        r._set(poly, f, a, b, q, sa, signs)
+        r._set(poly, f, a, b, q, sa, signs, lo)
         return r
 
-    def _set(self, poly, f, a, b, q, sa, signs) -> None:
+    def _set(self, poly, f, a, b, q, sa, signs, lo=None) -> None:
         self.poly, self._f, self._sa, self._signs = poly, f, sa, signs
         self._a, self._b, self._q = a, b, q
-        self.lo = Fraction(a, q)
+        self.lo = Fraction(a, q) if lo is None else lo
         self.hi = Fraction(b, q) if f is not None else self.lo
 
     @property
@@ -375,9 +375,12 @@ class RealRoot:
 
 
 def rational_root(value) -> RealRoot:
-    v = Fraction(value)
-    return RealRoot._of((-v, ONE), None, v.numerator, v.numerator,
-                        v.denominator, 0, {})
+    """The rational number ``value`` as a RealRoot; a Fraction is kept as
+    its ``lo`` and ``hi``, so only the defining polynomial's constant is
+    built."""
+    v = value if type(value) is Fraction else Fraction(value)
+    n = v.numerator
+    return RealRoot._of((-v, ONE), None, n, n, v.denominator, 0, {}, v)
 
 
 def _isolate(*fs: Sequence[int]) -> list[tuple[int, int, int]]:

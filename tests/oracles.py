@@ -343,10 +343,91 @@ def principal_part(a):
     return part
 
 
+# The verdict report as dicts, built field by field: what
+# ``json.dumps(indent=2, sort_keys=True)`` of these prints is what the CLI's
+# renderers in ``polyfield.analysis`` must print.
+
+
+def eigenvalue_json(e):
+    return {
+        "sign": e.sign,
+        "approx": e.approx,
+        "exact": None if e.exact is None else str(e.exact),
+    }
+
+
+def realroot_json(r):
+    from polyfield.analysis import approximate
+
+    return {
+        "poly": [str(c) for c in r.poly],
+        "interval": [str(r.lo), str(r.hi)],
+        "approx": approximate(r),
+    }
+
+
+def record_json(r):
+    return {
+        "chart": r.chart,
+        "branch": r.branch,
+        "position": None if r.position is None else realroot_json(r.position),
+        "classification": r.classification,
+        "tangent": None if r.tangent is None else eigenvalue_json(r.tangent),
+        "transverse": (None if r.transverse is None
+                       else eigenvalue_json(r.transverse)),
+        "characteristic_orbit": r.characteristic_orbit,
+    }
+
+
+def witness_json(w):
+    return {
+        "segment_normal": list(w.segment_normal),
+        "quadrant": list(w.quadrant),
+        "parameter": realroot_json(w.parameter),
+        "point": [w.point[0], w.point[1]],
+        "point_exact": None if w.point_exact is None else
+        [str(w.point_exact[0]), str(w.point_exact[1])],
+    }
+
+
+def field_text(f):
+    """``format_field``'s text, written from the Fraction coefficients."""
+    from polyfield.fields import format_poly
+
+    P, Q = (format_poly(comp, ("x", "y")) for comp in f.components())
+    return f"dx = {P}; dy = {Q}"
+
+
 def inventory_json(inv):
     """An inventory as the verdict report writes it."""
-    return {chart: [r.to_json() for r in recs]
+    return {chart: [record_json(r) for r in recs]
             for chart, recs in sorted(inv.items())}
+
+
+def report_json(rep):
+    """An :class:`EquivalenceReport` as the CLI prints it."""
+    from polyfield.fields import format_field
+
+    inv = inventory_json(rep.inventory)
+    return {
+        "verdict": rep.verdict,
+        "reasons": list(rep.reasons),
+        "hypotheses": dict(rep.hypotheses),
+        "shear": str(rep.shear),
+        "field_after_shear": format_field(rep.field_after_shear),
+        "weight": None if rep.weight is None else list(rep.weight.as_tuple()),
+        "inventory": {"field": inv, "principal_part": inv},
+        # each record, as the field and its upper principal part both
+        # carry it, chart by chart and stably sorted by branch
+        "match_table": [
+            {"chart": chart, "branch": r["branch"],
+             "position": r["position"] and r["position"]["approx"],
+             "field": r["classification"],
+             "principal_part": r["classification"], "matched": True}
+            for chart in rep.inventory
+            for r in sorted(inv[chart], key=lambda rec: rec["branch"])],
+        "witnesses": [witness_json(w) for w in rep.witnesses],
+    }
 
 
 def reference_period(alpha, beta):

@@ -82,8 +82,8 @@ def test_write_rejects_what_is_not_json():
 
 
 def test_write_matches_stdlib_on_shared_containers():
-    """One container object in several places: the writer copies the text
-    of a value only from the previous key's, at the same indent."""
+    """One container object in several places, at one indent or at
+    several."""
     inv = {"Xpos": [{"poly": ["1", "1"], "approx": -1.0}], "Ypos": []}
     row = ["a", {"b": [1, 2]}]
     trees = [
