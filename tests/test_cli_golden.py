@@ -73,12 +73,32 @@ HUGE_POSITIONS = "dx = x^2; dy = x*y + y^2 - 1" + "0" * 620 + "*x^2"
 # +-10^350 and their tangent eigenvalues overflow, so all print a null
 # approximation beside their exact intervals
 TINY_POSITIONS = "dx = x^2; dy = x*y + y^2 - 1" + "0" * 700 + "*x^2"
+# the Xpos restriction is (u - 1)(u^2 - 2)^2 up to a constant: root
+# isolation runs its Sturm path on a polynomial that is not squarefree and
+# deflates the rational root 1, and the SemiHyperbolic records at +-sqrt(2)
+# take tangent sign 0 from the Tarski query (exit 0)
+REPEATED_IRRATIONAL = ("dx = x^5; dy = y^5 - x*y^4 - 4*x^2*y^3 + 4*x^3*y^2 "
+                       "+ 5*x^4*y - 4*x^5")
+# coefficients written unreduced, as zero and over 1, and monomials met
+# twice: x^2*y and y*x^2 cancel, 10/4*y and -1/2*y sum to 2*y; the parsed
+# field, and so the field after the shear, is in lowest terms (exit 3)
+UNREDUCED = ("dx = 4/6*x^2*y - 2/3*yx^2 + 3/9*x*y^3 + 0/5*y + 7; "
+             "dy = 10/4*y - 1/2*y + 2/1*y^2*x^2 - 1/3")
 
 CASES = {
     "polytope-quartic": ("polytope", "--field", QUARTIC),
     "polytope-radial": ("polytope", "--field", RADIAL),
     "polytope-zero": ("polytope", "--field", ZERO),
     "polytope-parse-error": ("polytope", "--field", "dx = oops"),
+    # the position of each parse error: the denominator's digits, the token
+    # after '^', the keyword's first letter, the first trailing token
+    "principal-part-zero-denominator": ("principal-part", "--field",
+                                        "dx = 2/0*x; dy = y"),
+    "check-equivalence-missing-exponent": ("check-equivalence", "--field",
+                                           "dx = x^; dy = y"),
+    "singularities-keyword-in-poly": ("singularities", "--field",
+                                      "dx = x + dy; dy = y"),
+    "fan-trailing-input": ("fan", "--field", "dx = x; dy = y; 3"),
     "fan-quartic": ("fan", "--field", QUARTIC),
     "fan-sheared": ("fan", "--field", SHEARED),
     "fan-radial": ("fan", "--field", RADIAL),
@@ -147,6 +167,11 @@ CASES = {
                                          REPEATED_ROOTS),
     "check-equivalence-huge-positions": ("check-equivalence", "--field",
                                         HUGE_POSITIONS),
+    "check-equivalence-repeated-irrational-factor": ("check-equivalence",
+                                                     "--field",
+                                                     REPEATED_IRRATIONAL),
+    "check-equivalence-unreduced-fractions": ("check-equivalence", "--field",
+                                              UNREDUCED),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
