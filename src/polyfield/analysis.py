@@ -52,15 +52,16 @@ from .fields import (
     favorable_shear,
     format_field,
     max_level,
+    ratio_text,
 )
 from .polys import (
     RealRoot,
+    _igcd,
     bp_gcd,
     has_real_branch,
     int_multiple,
     ival,
     real_roots,
-    up_gcd,
     xgcd,
 )
 from .polytope import (
@@ -108,9 +109,8 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
         return Fraction(0)
     n = len(f) - 1
     if root.is_rational:
-        x = root.exact
-        return Fraction(sn * ival(f, x.numerator, x.denominator),
-                        sd * x.denominator ** n)
+        a, _, q = root.cell
+        return Fraction(sn * ival(f, a, q), sd * q ** n)
     if sign is None:
         sign = root.sign_of(f)
     if sign == 0:
@@ -130,15 +130,27 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
         r = root.refine(Fraction((b - a) ** 2, q * q))
 
 
-def _stand_in(q) -> Fraction:
-    """``q`` itself, the exact value of a rational RealRoot ``q``, or the
-    reading of u at an irrational one from below 1e-12.  Isolation bisects
-    at 0 first, so the root has the sign of its isolating interval."""
-    if not isinstance(q, RealRoot):
-        return q
-    if q.is_rational:
-        return q.exact
-    return _reading(q, _U, _POSITION_WIDTH, 1 if q.hi > 0 else -1)
+def _stand_in(q) -> tuple[int, int]:
+    """As integers (n, d), d > 0: ``q`` itself, the exact value of a
+    rational RealRoot ``q``, or the reading of u at an irrational one from
+    below 1e-12.  Isolation bisects at 0 first, so the root has the sign of
+    its isolating interval."""
+    if isinstance(q, RealRoot):
+        a, b, d = q.cell
+        if a != b:
+            q = _reading(q, _U, _POSITION_WIDTH, 1 if b > 0 else -1)
+        else:
+            return a, d
+    return q.numerator, q.denominator
+
+
+def _float(n: int, d: int) -> Optional[float]:
+    """The float of n/d, or None outside the float range."""
+    try:
+        v = n / d
+    except OverflowError:
+        return None
+    return v if v or not n else None
 
 
 def approximate(q) -> Optional[float]:
@@ -146,25 +158,20 @@ def approximate(q) -> Optional[float]:
     when it lies outside the float range: it overflows, or it is nonzero and
     underflows to zero.  Every exact value a report prints as a float goes
     through here or through :func:`approximate_text`."""
-    q = _stand_in(q)
-    try:
-        v = q.numerator / q.denominator
-    except OverflowError:
-        return None
-    return v if v or not q else None
+    return _float(*_stand_in(q))
 
 
 def approximate_text(q, digits: int) -> str:
     """``approximate(q)`` to ``digits`` significant digits; outside the
     float range ``>1e308`` or ``<-1e308`` when |q| >= 1, else ``(0,5e-324)``
     or ``(-5e-324,0)``, on the side of the sign of ``q``."""
-    q = _stand_in(q)
-    v = approximate(q)
+    n, d = _stand_in(q)
+    v = _float(n, d)
     if v is not None:
         return f"{v:.{digits}g}"
-    if abs(q) >= 1:
-        return ">1e308" if q > 0 else "<-1e308"
-    return "(0,5e-324)" if q > 0 else "(-5e-324,0)"
+    if abs(n) >= d:
+        return ">1e308" if n > 0 else "<-1e308"
+    return "(0,5e-324)" if n > 0 else "(-5e-324,0)"
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +207,16 @@ def _object_text(pairs: list, nl: str) -> str:
 
 
 def _realroot_text(r: RealRoot, approx: str, nl: str) -> str:
-    """The root ``r`` whose approximation has the text ``approx``."""
+    """The root ``r`` whose approximation has the text ``approx``: its
+    interval and monic polynomial written from their integers."""
     i = nl + "  "
     j = i + "  "
-    poly = ("," + j).join([_quote(str(c)) for c in r.poly])
+    a, b, q = r.interval
+    f = r.int_poly
+    poly = f'",{j}"'.join([ratio_text(c, f[-1]) for c in f])
     return (f'{{{i}"approx": {approx},'
-            f'{i}"interval": [{j}{_quote(str(r.lo))},{j}{_quote(str(r.hi))}'
-            f'{i}],{i}"poly": [{j}{poly}{i}]{nl}}}')
+            f'{i}"interval": [{j}"{ratio_text(a, q)}",{j}"{ratio_text(b, q)}"'
+            f'{i}],{i}"poly": [{j}"{poly}"{i}]{nl}}}')
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +444,8 @@ def _segment_parameter_polys(seg: Segment, field: PlanarField):
     return [a for a, _ in pairs], [b for _, b in pairs]
 
 
-def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
-    """The positive roots of gcd(ia(t), ib(t)), of gcd(ia(-t), ib(-t))
-    when ``odd``."""
-    g = up_gcd(*(tuple(-c if odd and k % 2 else c for k, c in enumerate(f))
-                 for f in (ia, ib)))
+def _positive_roots(g) -> list[RealRoot]:
+    """The positive roots of the integer polynomial g."""
     # roots at t = 0 sit on the axes and do not count
     shift = 0
     while shift < len(g) and g[shift] == 0:
@@ -447,7 +454,7 @@ def _positive_roots(ia, ib, odd: bool) -> list[RealRoot]:
     if len(g) < 2:
         return []
     # isolation bisects at 0 first, so no interval holds 0 inside
-    return [root for root in real_roots(g) if root.hi > 0]
+    return [root for root in real_roots(g) if root.interval[1] > 0]
 
 
 def check_nondegenerate(upp: UpperPrincipalPart):
@@ -467,8 +474,11 @@ def check_nondegenerate(upp: UpperPrincipalPart):
                 "an upper segment with empty coefficient data")
         dx, dy = seg.direction
         _, wu, wv = xgcd(dx, dy)
-        # the direction is primitive, so some quadrant has each parity
-        positive = {odd: _positive_roots(ia, ib, odd) for odd in (False, True)}
+        # the direction is primitive, so some quadrant has each parity; and
+        # gcd(ia(-t), ib(-t)) is g(-t) up to sign
+        g = _igcd(ia, ib)
+        g_odd = tuple(-c if k % 2 else c for k, c in enumerate(g))
+        positive = {False: _positive_roots(g), True: _positive_roots(g_odd)}
         for s1 in (1, -1):
             for s2 in (1, -1):
                 # t = x^dx y^dy is negative in the quadrant when exactly one
@@ -476,7 +486,7 @@ def check_nondegenerate(upp: UpperPrincipalPart):
                 odd = (s1 < 0 and dx % 2 == 1) != (s2 < 0 and dy % 2 == 1)
                 for root in positive[odd]:
                     # an irrational root is read at its float's midpoint
-                    m = _stand_in(root)
+                    m = Fraction(*_stand_in(root))
                     point = (s1 * m**wu, s2 * m**wv)
                     witnesses.append(DegeneracyWitness(
                         segment_normal=seg.inward_normal,

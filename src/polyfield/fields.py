@@ -251,23 +251,19 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(.))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` and their positions.  Each match starts where
+    the last ended, as a match fails only on a rest of newlines."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        start = m.start(m.lastindex)
-        if m.group(1):
-            tokens.append(("num", m.group(1), start))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), start))
+    for m in _TOKEN.finditer(text):
+        num, name, ch = m.groups()
+        if num:
+            tokens.append(("num", num, m.start(1)))
+        elif name:
+            tokens.append(("name", name, m.start(2)))
+        elif ch in "=;+-*/^":
+            tokens.append((ch, ch, m.start(3)))
         else:
-            ch = m.group(3)
-            if ch not in "=;+-*/^":
-                raise ParseError(f"unexpected character {ch!r}", start)
-            tokens.append((ch, ch, start))
-        pos = m.end()
+            raise ParseError(f"unexpected character {ch!r}", m.start(3))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -303,38 +299,36 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return PlanarField.from_components(P, Q)
+        # both components over the lcm of the written denominators
+        den = lcm(*(d for terms in (P, Q) for _, _, d in terms))
+        return PlanarField._from_int_components(
+            *(_sum_over(terms, den) for terms in (P, Q)), den)
 
     def _expect_name(self, name: str):
         tok = self.advance()
         if tok[0] != "name" or tok[1] != name:
             raise ParseError(f"expected '{name}', found {tok[1]!r}", tok[2])
 
-    def parse_poly(self) -> dict:
-        out: dict = {}
+    def parse_poly(self) -> list[tuple[tuple[int, int], int, int]]:
+        """The signed terms, as (monomial, numerator, denominator)."""
+        terms = []
         sign = 1
         tok = self.peek()
         if tok[0] in "+-":
             self.advance()
             sign = -1 if tok[0] == "-" else 1
-        self._accumulate(out, sign)
         while True:
+            key, num, den = self.parse_term()
+            terms.append((key, sign * num, den))
             tok = self.peek()
-            if tok[0] in "+-":
-                self.advance()
-                self._accumulate(out, -1 if tok[0] == "-" else 1)
-            else:
-                break
-        return {k: v for k, v in out.items() if v != 0}
+            if tok[0] not in "+-":
+                return terms
+            self.advance()
+            sign = -1 if tok[0] == "-" else 1
 
-    def _accumulate(self, out: dict, sign: int):
-        coeff, (i, j) = self.parse_term()
-        key = (i, j)
-        out[key] = out.get(key, Fraction(0)) + sign * coeff
-
-    def parse_term(self) -> tuple[Fraction, tuple[int, int]]:
+    def parse_term(self) -> tuple[tuple[int, int], int, int]:
         tok = self.peek()
-        coeff = Fraction(1)
+        num = den = 1
         have_any = False
         if tok[0] == "num":
             self.advance()
@@ -345,9 +339,6 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
             have_any = True
         i = j = 0
         while True:
@@ -379,7 +370,16 @@ class _Parser:
         if not have_any:
             tok = self.peek()
             raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
-        return coeff, (i, j)
+        return (i, j), num, den
+
+
+def _sum_over(terms, den: int) -> dict:
+    """The (monomial, numerator, denominator) terms summed, as integer
+    numerators over ``den``, a multiple of every denominator."""
+    out: dict = {}
+    for key, num, d in terms:
+        out[key] = out.get(key, 0) + num * (den // d)
+    return out
 
 
 def parse_field(text: str) -> PlanarField:
@@ -420,18 +420,17 @@ def format_poly(comp: Mapping, names: tuple[str, ...]) -> str:
                         for key in sorted(comp, reverse=True)), names)
 
 
+def ratio_text(n: int, d: int) -> str:
+    """The rational n/d, d > 0, as ``str(Fraction(n, d))`` writes it."""
+    g = gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
+
+
 def format_field(f: PlanarField) -> str:
     """Canonical text form; ``parse_field`` round-trips it exactly.  The
-    coefficients are written from the integer numerators over ``f.den``,
-    each reduced by its own gcd with ``den``."""
+    coefficients are written from the integer numerators over ``f.den``."""
     den, xy = f.den, ("x", "y")
-
-    def mag(c: int) -> str:
-        c = abs(c)
-        g = gcd(c, den)
-        return f"{c // g}" if g == den else f"{c // g}/{den // g}"
-
-    P, Q = (_join_terms(((key, c > 0, mag(c))
+    P, Q = (_join_terms(((key, c > 0, ratio_text(abs(c), den))
                          for key, c in sorted(comp.items(), reverse=True)), xy)
             for comp in f.int_components())
     return f"dx = {P}; dy = {Q}"

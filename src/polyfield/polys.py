@@ -12,22 +12,23 @@ The real-root machinery (Sturm chains, isolation, refinement, sign queries)
 is exact; floating point values are derived afterwards for reporting only.
 The roots of u^k h with h of degree at most 2 and rational roots, the
 divisor restriction on most short faces, are read in closed form before
-any Sturm chain: first on the polynomial itself, then on its squarefree
+any Sturm isolation: first on the polynomial itself, then on its squarefree
 part, so that repeated factors, the restrictions at non-hyperbolic points,
 take the closed form too.  The output cannot depend on the path (see
 :func:`real_roots`).  Signs are evaluated by homogeneous Horner, and gcds,
 univariate and bivariate, run as primitive integer pseudo-remainder
-sequences.  A bivariate gcd that is a monomial is certified first, without
-a remainder sequence: by one specialization per variable at a point where
-the leading coefficient keeps its degree, exact and with no primes.  An
-algebraic number is one :class:`RealRoot`: a squarefree defining polynomial
-together with an isolating rational interval, its narrowest interval so far
-and the signs decided at it, built by one constructor from the integers
-that isolation holds.  Quadratic interval refinement narrows it onto
-the cells bisection would reach.  A polynomial's sign there is certified by
-its value at the midpoint against a bound on its slope, or else is one
-Tarski query, the sign variations of one signed remainder sequence at the
-two ends, whatever the distance to the polynomial's own roots.
+sequences, the one of (f, f') once per root isolation.  A bivariate gcd
+that is a monomial is certified first, without a remainder sequence: by one
+specialization per variable at a point where the leading coefficient keeps
+its degree, exact and with no primes.  An algebraic number is one
+:class:`RealRoot` of integers: a squarefree defining polynomial together
+with an isolating rational interval, its narrowest interval so far and the
+signs decided at it, built by one constructor from the integers that
+isolation holds.  Quadratic interval refinement narrows it onto the cells
+bisection would reach.  A polynomial's sign there is certified by its
+value at the midpoint against a bound on its slope, or else is one Tarski
+query, the sign variations of one signed remainder sequence at the two
+ends, whatever the distance to the polynomial's own roots.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ def up_deriv(f: Sequence) -> tuple:
     return tuple(i * c for i, c in enumerate(f) if i > 0)
 
 
-def up_gcd(f, g) -> tuple[Fraction, ...]:
-    """Monic greatest common divisor (gcd(0, g) = monic g)."""
-    return _monic(_igcd(int_multiple(f), int_multiple(g)))
-
-
 # ---------------------------------------------------------------------------
 # integer kernels
 #
@@ -67,16 +63,18 @@ def up_gcd(f, g) -> tuple[Fraction, ...]:
 
 def int_multiple(f: Sequence) -> tuple[int, ...]:
     """The primitive integer polynomial that is a positive multiple of f;
-    integer coefficients are accepted as they are."""
+    integer coefficients skip the pass over denominators."""
     n = len(f)
     while n and f[n - 1] == 0:
         n -= 1
-    if not n:
-        return ()
-    den = lcm(*(c.denominator for c in f[:n]))
-    ints = [c.numerator * (den // c.denominator) for c in f[:n]]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints) if g != 1 else tuple(ints)
+    f = f[:n]
+    try:
+        g = gcd(*f)
+    except TypeError:  # a Fraction coefficient
+        den = lcm(*(c.denominator for c in f))
+        f = [c.numerator * (den // c.denominator) for c in f]
+        g = gcd(*f)
+    return tuple(c // g for c in f) if g > 1 else tuple(f)
 
 
 def _iprimitive(f: Sequence[int]) -> tuple[int, ...]:
@@ -84,8 +82,9 @@ def _iprimitive(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in f) if g > 1 else tuple(f)
 
 
-def _monic(f: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c, f[-1]) for c in f) if f else ()
+def _positive(f: Sequence[int]) -> tuple[int, ...]:
+    """f or -f, whichever has a positive leading coefficient."""
+    return tuple(f) if not f or f[-1] > 0 else tuple(-c for c in f)
 
 
 def ival(f: Sequence[int], a: int, q: int) -> int:
@@ -171,17 +170,14 @@ def _igcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     a, b = (f, g) if len(f) >= len(g) else (g, f)
     while b:
         a, b = b, _iprimitive(_iprem(a, b))
-    a = _iprimitive(a)
-    return a if not a or a[-1] > 0 else tuple(-c for c in a)
+    return _positive(_iprimitive(a))
 
 
 def _isquarefree(f: Sequence[int]) -> tuple[int, ...]:
     """Primitive squarefree part with a positive leading coefficient."""
     if len(f) < 2:
         return (1,) if f else ()
-    g = _igcd(f, up_deriv(f))
-    q = _iquo(f, g)
-    return q if q[-1] > 0 else tuple(-c for c in q)
+    return _positive(_iquo(f, _igcd(f, up_deriv(f))))
 
 
 def _isturm(f: Sequence[int],
@@ -235,11 +231,14 @@ def _root_bound(f: Sequence[int]) -> int:
 
 
 def count_real_roots(f) -> int:
-    g = _isquarefree(int_multiple(f))
-    if len(g) < 2:
+    """The number of distinct real roots of f, from its Sturm chain at a
+    root bound and its negative; Sturm's theorem needs no squarefree f
+    (Basu, Pollack & Roy, 2006, theorem 2.50)."""
+    f = int_multiple(f)
+    if len(f) < 2:
         return 0
-    chains = [_isturm(g)]
-    bound = _root_bound(g)
+    chains = [_isturm(f)]
+    bound = _root_bound(f)
     return _variations(chains, -bound, 1) - _variations(chains, bound, 1)
 
 
@@ -251,49 +250,62 @@ class RealRoot:
     """A real algebraic number: squarefree defining polynomial plus an
     isolating rational interval [lo, hi].  For rational values lo == hi.
 
-    An irrational root's interval is open at both ends: neither endpoint is a
-    zero of ``poly``.  Such a root also keeps ``poly`` as a positive integer
-    multiple, its narrowest isolating interval [a/q, b/q] so far with the
-    sign of that polynomial at a/q, and the signs already decided at it,
-    which the roots :meth:`refine` returns share.  Every root this module
-    makes comes from :meth:`_of`, from the integers its caller already
-    holds; ``RealRoot(poly, lo, hi)`` reads those integers off Fractions.
+    A root holds integers only: its ``interval`` (a, b, q) for [a/q, b/q],
+    its defining polynomial as a primitive integer polynomial f (q u - a
+    at a rational a/q), and its narrowest interval so far, its cell, with
+    f's sign at the cell's left end and the signs already decided at it,
+    which the roots :meth:`refine` returns share.  ``lo``, ``hi``,
+    ``exact`` and the monic ``poly`` are Fractions built on access.  An
+    irrational root's interval is open at both ends: neither endpoint is a
+    zero of f, so its cell never shrinks to a point.  Every root this
+    module makes comes from :meth:`_of`, from the integers its caller
+    already holds; ``RealRoot(poly, lo, hi)`` reads them off Fractions.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_f", "_a", "_b", "_q", "_sa", "_signs")
+    __slots__ = ("_f", "interval", "_a", "_b", "_q", "_sa", "_signs")
 
-    def __init__(self, poly: tuple[Fraction, ...], lo: Fraction,
+    def __init__(self, poly: Sequence[Fraction], lo: Fraction,
                  hi: Fraction):
         q = lcm(lo.denominator, hi.denominator)
         a = lo.numerator * (q // lo.denominator)
-        # only an irrational root keeps a defining polynomial
-        f = None if lo == hi else int_multiple(poly)
-        self._set(poly, f, a, hi.numerator * (q // hi.denominator), q,
-                  _sign_at(f, a, q) if f else 0, {})
+        f = int_multiple(poly)
+        self._set(f, a, hi.numerator * (q // hi.denominator), q,
+                  _sign_at(f, a, q) if lo != hi else 0, {})
 
     @classmethod
-    def _of(cls, poly, f, a: int, b: int, q: int, sa: int,
-            signs: dict, lo: Fraction | None = None) -> "RealRoot":
-        """The root of ``poly`` in [a/q, b/q], where its positive primitive
-        integer multiple f has the sign sa at a/q; the rational a/q when f is
-        None.  ``lo``, where given, is the Fraction a/q."""
+    def _of(cls, f: tuple[int, ...], a: int, b: int, q: int, sa: int,
+            signs: dict) -> "RealRoot":
+        """The root of f in [a/q, b/q], where f has the sign sa at a/q; the
+        rational a/q, with sa = 0, when a == b."""
         r = cls.__new__(cls)
-        r._set(poly, f, a, b, q, sa, signs, lo)
+        r._set(f, a, b, q, sa, signs)
         return r
 
-    def _set(self, poly, f, a, b, q, sa, signs, lo=None) -> None:
-        self.poly, self._f, self._sa, self._signs = poly, f, sa, signs
-        self._a, self._b, self._q = a, b, q
-        self.lo = Fraction(a, q) if lo is None else lo
-        self.hi = Fraction(b, q) if f is not None else self.lo
+    def _set(self, f, a, b, q, sa, signs) -> None:
+        self._f, self._sa, self._signs = f, sa, signs
+        self.interval, self._a, self._b, self._q = (a, b, q), a, b, q
 
     @property
     def is_rational(self) -> bool:
-        return self._f is None
+        return self._a == self._b
+
+    @property
+    def int_poly(self) -> tuple[int, ...]:
+        """The defining polynomial as a primitive integer polynomial."""
+        return self._f
+
+    @property
+    def poly(self) -> tuple[Fraction, ...]:
+        """The monic defining polynomial."""
+        f = self._f
+        return tuple(Fraction(c, f[-1]) for c in f)
+
+    lo = property(lambda self: Fraction(self.interval[0], self.interval[2]))
+    hi = property(lambda self: Fraction(self.interval[1], self.interval[2]))
 
     @property
     def exact(self) -> Fraction | None:
-        return self.lo if self._f is None else None
+        return Fraction(self._a, self._q) if self._a == self._b else None
 
     @property
     def cell(self) -> tuple[int, int, int]:
@@ -301,26 +313,26 @@ class RealRoot:
         return self._a, self._b, self._q
 
     def refine(self, width) -> "RealRoot":
-        """Shrink the isolating interval below the requested width.
+        """Shrink the isolating interval below the requested width, a
+        rational number.
 
         Returns a root, with this one's signs, over the narrowest interval
         known so far when that is narrow enough, else over the cell that
         bisection from it reaches (:func:`_cell`).
         """
-        f = self._f
-        if f is None:
-            return self
-        width = Fraction(width)
         a, b, q = self._a, self._b, self._q
+        if a == b:
+            return self
+        wn, wd = width.as_integer_ratio()
         # the fewest bisection steps d with (b - a) / (2^d q) <= width
-        d = (-(-(b - a) * width.denominator // (width.numerator * q))
-             - 1).bit_length()
+        d = (-(-(b - a) * wd // (wn * q)) - 1).bit_length()
+        f = self._f
         if d:
             a, b, q = _cell(f, a, b, q, self._sa, d)
             if a == b:
-                return RealRoot._of(self.poly, None, a, a, q, 0, {})
+                return RealRoot._of(f, a, a, q, 0, {})
             self._a, self._b, self._q = a, b, q
-        return RealRoot._of(self.poly, f, a, b, q, self._sa, self._signs)
+        return RealRoot._of(f, a, b, q, self._sa, self._signs)
 
     def sign_of(self, g: Sequence[Fraction]) -> int:
         """Exact sign of g at this algebraic number, remembered per g: by
@@ -332,11 +344,11 @@ class RealRoot:
         key = tuple(g)
         s = self._signs.get(key)
         if s is None:
-            f, a, b, q = self._f, self._a, self._b, self._q
+            a, b, q = self._a, self._b, self._q
             g = int_multiple(key)
-            s = _sign_at(g, a, q) if f is None else _certified_sign(g, a, b, q)
-            if not s and f is not None:
-                chains = [_isturm(f, g)]
+            s = _sign_at(g, a, q) if a == b else _certified_sign(g, a, b, q)
+            if not s and a != b:
+                chains = [_isturm(self._f, g)]
                 s = _variations(chains, a, q) - _variations(chains, b, q)
             self._signs[key] = s
         return s
@@ -344,16 +356,18 @@ class RealRoot:
     def equals(self, other: "RealRoot") -> bool:
         if self is other:
             return True
+        (a1, b1, q1), (a2, b2, q2) = self.cell, other.cell
         if self.is_rational and other.is_rational:
-            return self.lo == other.lo
+            return a1 * q2 == a2 * q1
         if self.is_rational != other.is_rational:
             # irrational RealRoots are built from polynomials with their
             # rational roots deflated away, so the two can never coincide
             rat, irr = (self, other) if self.is_rational else (other, self)
-            return (irr.lo < rat.lo < irr.hi
-                    and _sign_at(irr._f, rat._a, rat._q) == 0)
-        lo = max(Fraction(self._a, self._q), Fraction(other._a, other._q))
-        hi = min(Fraction(self._b, self._q), Fraction(other._b, other._q))
+            a, b, q = irr.cell
+            n, _, d = rat.cell
+            return a * d < n * q < b * d and _sign_at(irr._f, n, d) == 0
+        # the common part of the two cells, over q1 q2
+        lo, hi = max(a1 * q2, a2 * q1), min(b1 * q2, b2 * q1)
         if lo >= hi:
             return False
         h = _igcd(self._f, other._f)
@@ -361,8 +375,7 @@ class RealRoot:
             return False
         # lo and hi are endpoints of isolating intervals, so not zeros of h,
         # and h has at most the one simple root common to both in between
-        return (_sign_at(h, lo.numerator, lo.denominator)
-                != _sign_at(h, hi.numerator, hi.denominator))
+        return _sign_at(h, lo, q1 * q2) != _sign_at(h, hi, q1 * q2)
 
     def __lt__(self, other: "RealRoot") -> bool:
         if self is other or self.equals(other):
@@ -374,20 +387,25 @@ class RealRoot:
         return a.hi < b.lo
 
 
+def _rational(n: int, d: int) -> RealRoot:
+    """The rational n/d, d > 0, as a RealRoot in lowest terms."""
+    g = gcd(n, d)
+    return RealRoot._of((-n // g, d // g), n // g, n // g, d // g, 0, {})
+
+
 def rational_root(value) -> RealRoot:
-    """The rational number ``value`` as a RealRoot; a Fraction is kept as
-    its ``lo`` and ``hi``, so only the defining polynomial's constant is
-    built."""
-    v = value if type(value) is Fraction else Fraction(value)
-    n = v.numerator
-    return RealRoot._of((-v, ONE), None, n, n, v.denominator, 0, {}, v)
+    """The rational number ``value`` as a RealRoot."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return _rational(value.numerator, value.denominator)
 
 
-def _isolate(*fs: Sequence[int]) -> list[tuple[int, int, int]]:
+def _isolate(*fs: Sequence[int], chains=None) -> list[tuple[int, int, int]]:
     """Ascending disjoint intervals (a/q, b/q], each holding one root of the
     product of the squarefree, pairwise coprime integer polynomials fs, by
-    Sturm bisection of (-B, B] on the sum of the factors' root counts."""
-    chains = [_isturm(f) for f in fs]
+    Sturm bisection of (-B, B] on the sum of the factors' root counts.
+    ``chains``, where given, are the factors' Sturm chains."""
+    chains = chains or [_isturm(f) for f in fs]
     bound = max(map(_root_bound, fs))
     out = []
     stack = [(-bound, bound, 1, _variations(chains, -bound, 1),
@@ -479,15 +497,18 @@ def _settle(f: Sequence[int], a: int, b: int, q: int):
     return None, a, b, q
 
 
-def _low_degree_roots(f: Sequence[int]) -> list[Fraction] | None:
-    """The real roots of the integer polynomial f = u^k h, h(0) != 0, when
-    h has degree at most 2 and its real roots are rational; None otherwise.
-    0 is a root exactly when k > 0, and never one of h."""
+def _low_degree_roots(f: Sequence[int]) -> list[tuple[int, int]] | None:
+    """The real roots of the integer polynomial f = u^k h, h(0) != 0, as
+    ascending (n, d) for n/d, d > 0, when h has degree at most 2 and its
+    real roots are rational; None otherwise.  0 is a root exactly when
+    k > 0, and never one of h."""
     k = next((i for i, c in enumerate(f) if c), 0)
-    h = f[k:]
-    roots = [Fraction(0)] if k else []
+    h = _positive(f[k:])
+    if len(h) > 3:
+        return None
+    roots = []
     if len(h) == 2:
-        roots.append(Fraction(-h[0], h[1]))
+        roots.append((-h[0], h[1]))
     elif len(h) == 3:
         c, b, a = h
         d = b * b - 4 * a * c
@@ -495,11 +516,11 @@ def _low_degree_roots(f: Sequence[int]) -> list[Fraction] | None:
             r = isqrt(d)
             if r * r != d:
                 return None
-            roots += (Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a))
+            roots += ((-b - r, 2 * a), (-b + r, 2 * a))
         elif d == 0:
-            roots.append(Fraction(-b, 2 * a))
-    elif len(h) > 3:
-        return None
+            roots.append((-b, 2 * a))
+    if k:  # between h's negative and positive roots
+        roots.insert(sum(n < 0 for n, _ in roots), (0, 1))
     return roots
 
 
@@ -510,28 +531,35 @@ def real_roots(f) -> list[RealRoot]:
     first on f itself, then on its squarefree part g, so that u^k times a
     linear or quadratic polynomial with rational real roots, the divisor
     restriction of most charts, and such a polynomial with repeated
-    factors, the restriction at a non-hyperbolic point, need no Sturm chain.
-    The bytes a report prints cannot depend on which path ran: a rational
-    root is ``rational_root(v)`` either way, and irrational roots, whose
-    printed intervals come from bisection, never take the closed form.
-    Otherwise g is isolated by Sturm bisection on integer coefficients; each
-    root is then decided rational or not (see :func:`_settle`), and the
-    rational ones are deflated, so every irrational root carries a defining
+    factors, the restriction at a non-hyperbolic point, need no Sturm
+    isolation.  The remainder sequence of (f, f') runs once: its last
+    element is gcd(f, f') up to a constant (Basu, Pollack & Roy, 2006,
+    section 2.2), so f is squarefree, and isolated on that chain, when it
+    is a constant, and otherwise g is f divided by it, chained anew.  The
+    bytes a report prints cannot depend on the path: a rational root is its
+    value in lowest terms either way, and irrational roots, whose printed
+    intervals come from bisection, never take the closed form.  Each root
+    is then decided rational or not (see :func:`_settle`), and the rational
+    ones are deflated, so every irrational root carries a defining
     polynomial with no rational roots at all.
     """
     f = int_multiple(f)
     roots = _low_degree_roots(f)
     if roots is None:
-        g = _isquarefree(f)
-        roots = _low_degree_roots(g)
+        g = _positive(f)
+        chains = [_isturm(g)]
+        gcd_ff = chains[0][-1]
+        if len(gcd_ff) > 1:
+            g = _positive(_iquo(g, _iprimitive(gcd_ff)))
+            roots = _low_degree_roots(g)
+            chains = None
     if roots is not None:
-        return [rational_root(v) for v in sorted(roots)]
-    settled = [_settle(g, a, b, q) for a, b, q in _isolate(g)]
+        return [_rational(n, d) for n, d in roots]
+    settled = [_settle(g, a, b, q) for a, b, q in _isolate(g, chains=chains)]
     h = g
     for v, *_ in settled:
         if v is not None:
             h = _iquo(h, (-v.numerator, v.denominator))
-    poly = _monic(h)
     # h has a positive leading coefficient and its simple real roots are
     # the irrational ones, so at the left end of each one's interval it has
     # the sign (-1)^m, m the number of irrational roots from that one up
@@ -539,9 +567,9 @@ def real_roots(f) -> list[RealRoot]:
     out = []
     for v, a, b, q in settled:
         if v is not None:
-            out.append(rational_root(v))
+            out.append(_rational(v.numerator, v.denominator))
         else:
-            out.append(RealRoot._of(poly, h, a, b, q, sa, {}))
+            out.append(RealRoot._of(h, a, b, q, sa, {}))
             sa = -sa
     return out
 

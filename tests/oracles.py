@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from polyfield.fields import ParseError, PlanarField
 
 
 def det(a, b):
@@ -200,6 +203,41 @@ def bp_mul(f, g):
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, Fraction(0)) + a * b
     return {k: c for k, c in out.items() if c != 0}
+
+
+def up_gcd(f, g):
+    """The monic gcd of two polynomials with rational coefficients, by
+    polyfield's primitive integer remainder sequence (gcd(0, g) = monic g)."""
+    from polyfield import polys
+
+    h = polys._igcd(polys.int_multiple(f), polys.int_multiple(g))
+    return tuple(Fraction(c, h[-1]) for c in h)
+
+
+def sturm_real_roots(f):
+    """``polys.real_roots`` in two steps, each with its own remainder
+    sequence: the squarefree part g of f by ``_isquarefree``, then Sturm
+    bisection of g by ``_isolate`` with ``_settle`` and deflation, or the
+    closed form where f or g is u^k times a linear or quadratic polynomial
+    with rational roots.  Roots are built from Fractions, by
+    ``RealRoot(poly, lo, hi)`` and ``rational_root``."""
+    from polyfield import polys
+
+    f = polys.int_multiple(f)
+    g = polys._isquarefree(f) if len(f) > 1 else f
+    for p in (f, g):
+        closed = polys._low_degree_roots(p)
+        if closed is not None:
+            return [polys.rational_root(Fraction(n, d)) for n, d in closed]
+    settled = [polys._settle(g, a, b, q) for a, b, q in polys._isolate(g)]
+    h = g
+    for v, *_ in settled:
+        if v is not None:
+            h = polys._iquo(h, (-v.numerator, v.denominator))
+    poly = tuple(Fraction(c, h[-1]) for c in h)
+    return [polys.rational_root(v) if v is not None
+            else polys.RealRoot(poly, Fraction(a, q), Fraction(b, q))
+            for v, a, b, q in settled]
 
 
 def up_eval(f, x):
@@ -486,3 +524,147 @@ def principal_return_integral(a):
     val, _ = quad(lambda th: g(*table.eval(th)), 0.0, table.period,
                   epsabs=1e-11, epsrel=1e-11, limit=200)
     return val
+
+
+# The parser as it was written on Fractions: each term's coefficient a
+# Fraction, summed per monomial.  ``polyfield.fields`` keeps integers.
+
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(.))")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            break
+        start = m.start(m.lastindex)
+        if m.group(1):
+            tokens.append(("num", m.group(1), start))
+        elif m.group(2):
+            tokens.append(("name", m.group(2), start))
+        else:
+            ch = m.group(3)
+            if ch not in "=;+-*/^":
+                raise ParseError(f"unexpected character {ch!r}", start)
+            tokens.append((ch, ch, start))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse_field(self) -> PlanarField:
+        self._expect_name("dx")
+        self.expect("=", "'='")
+        P = self.parse_poly()
+        self.expect(";", "';'")
+        self._expect_name("dy")
+        self.expect("=", "'='")
+        Q = self.parse_poly()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return PlanarField.from_components(P, Q)
+
+    def _expect_name(self, name: str):
+        tok = self.advance()
+        if tok[0] != "name" or tok[1] != name:
+            raise ParseError(f"expected '{name}', found {tok[1]!r}", tok[2])
+
+    def parse_poly(self) -> dict:
+        out: dict = {}
+        sign = 1
+        tok = self.peek()
+        if tok[0] in "+-":
+            self.advance()
+            sign = -1 if tok[0] == "-" else 1
+        self._accumulate(out, sign)
+        while True:
+            tok = self.peek()
+            if tok[0] in "+-":
+                self.advance()
+                self._accumulate(out, -1 if tok[0] == "-" else 1)
+            else:
+                break
+        return {k: v for k, v in out.items() if v != 0}
+
+    def _accumulate(self, out: dict, sign: int):
+        coeff, (i, j) = self.parse_term()
+        key = (i, j)
+        out[key] = out.get(key, Fraction(0)) + sign * coeff
+
+    def parse_term(self) -> tuple[Fraction, tuple[int, int]]:
+        tok = self.peek()
+        coeff = Fraction(1)
+        have_any = False
+        if tok[0] == "num":
+            self.advance()
+            num = int(tok[1])
+            if self.peek()[0] == "/":
+                self.advance()
+                den_tok = self.expect("num", "a denominator")
+                den = int(den_tok[1])
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok[2])
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            have_any = True
+        i = j = 0
+        while True:
+            tok = self.peek()
+            if tok[0] == "*":
+                self.advance()
+                tok = self.peek()
+                if tok[0] != "name":
+                    raise ParseError(f"expected a variable after '*', found {tok[1]!r}", tok[2])
+            if tok[0] != "name":
+                break
+            self.advance()
+            letters = tok[1]
+            if letters in ("dx", "dy"):
+                raise ParseError(f"unexpected keyword '{letters}' inside a polynomial", tok[2])
+            if any(ch not in "xy" for ch in letters):
+                raise ParseError(f"unknown variable {letters!r}", tok[2])
+            for k, ch in enumerate(letters):
+                exp = 1
+                if k == len(letters) - 1 and self.peek()[0] == "^":
+                    self.advance()
+                    exp_tok = self.expect("num", "an exponent")
+                    exp = int(exp_tok[1])
+                if ch == "x":
+                    i += exp
+                else:
+                    j += exp
+            have_any = True
+        if not have_any:
+            tok = self.peek()
+            raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
+        return coeff, (i, j)
+
+
+def reference_parse_field(text):
+    """``parse_field`` as the Fraction parser above reads ``text``."""
+    return _ReferenceParser(text).parse_field()

@@ -24,6 +24,7 @@ from oracles import (
     reference_period,
     scaled,
     shortest_unimodular_chain_length,
+    up_gcd,
 )
 from test_polytope import _brute_hull
 
@@ -47,7 +48,6 @@ from polyfield.polys import (
     det2,
     real_roots,
     up_deriv,
-    up_gcd,
 )
 from polyfield.polytope import (
     build_polytope,

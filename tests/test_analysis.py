@@ -200,9 +200,10 @@ def test_degenerate_segment_produces_witness():
 
 
 def test_witness_search_isolates_once_per_twist_parity(monkeypatch):
-    # quadrants whose twist t -> -t agrees share one gcd and its roots
+    # one integer gcd g per upper segment serves both twists, g(t) and
+    # g(-t), and quadrants whose twist t -> -t agrees share its roots
     calls = Counter()
-    for name in ("up_gcd", "real_roots"):
+    for name in ("_igcd", "real_roots"):
         real = getattr(analysis, name)
 
         def counting(*args, real=real, name=name):
@@ -213,7 +214,7 @@ def test_witness_search_isolates_once_per_twist_parity(monkeypatch):
     upp = Analysis(parse_field("dx = y^2 + x^2*y; dy = 0")).upper
     ok, witnesses = check_nondegenerate(upp)
     assert len(upp.polytope.upper) == 1
-    assert calls == {"up_gcd": 2, "real_roots": 2}
+    assert calls == {"_igcd": 1, "real_roots": 2}
     # the parabola y = -x^2 meets the two lower quadrants, in loop order
     assert not ok
     assert [w.quadrant for w in witnesses] == [(1, -1), (-1, -1)]

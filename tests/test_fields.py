@@ -3,10 +3,10 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate
+from oracles import evaluate, reference_parse_field
 from polyfield import fields
 from polyfield.fields import (
     AdmissibilityError,
@@ -261,3 +261,77 @@ def test_fields_hold_integers_in_lowest_terms(P, Q, point):
     p, q = evaluate(f, x, y)
     for lam, g in zip(lams, sheared):
         assert evaluate(g, x - lam * y, y) == (p - lam * q, q)
+
+
+# texts in the grammar of ``parse_field``: signs, coefficients written
+# unreduced or as zero, repeated and juxtaposed variables, ^0, terms that
+# cancel and any spacing, and one-character mutations of them
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def _term(draw) -> str:
+    coeff = draw(st.one_of(
+        st.just(""),
+        st.integers(0, 40).map(str),
+        st.tuples(st.integers(0, 40), st.integers(0, 12)).map(
+            lambda nd: f"{nd[0]}/{nd[1]}")))
+    factors = draw(st.lists(st.tuples(
+        st.sampled_from(["x", "y", "xy", "yx", "xx", "yxy"]),
+        st.sampled_from(["", "^0", "^1", "^2", "^3", "^12"]),
+        st.sampled_from(["*", "", " ", " * "])), max_size=3))
+    body = "".join(f"{sep}{v}{e}" for v, e, sep in factors)
+    if coeff and body.startswith(("*", " *")):
+        return coeff + body
+    return (coeff + body.lstrip("* ")) or "y"
+
+
+@st.composite
+def _poly(draw) -> str:
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), _term()),
+                          min_size=1, max_size=5))
+    if draw(st.booleans()):  # a term and its negation cancel
+        sign, t = terms[draw(st.integers(0, len(terms) - 1))]
+        terms.append(("-" if sign == "+" else "+", t))
+    sign, first = terms[0]
+    out = ("-" if sign == "-" else draw(st.sampled_from(["", "+"]))) + first
+    for sign, t in terms[1:]:
+        out += draw(_SPACE) + sign + draw(_SPACE) + t
+    return out
+
+
+@st.composite
+def _field_text(draw) -> str:
+    sp = [draw(_SPACE) for _ in range(6)]
+    # a trailing space or tab is a parse error, so most texts end without
+    text = (f"{sp[0]}dx{sp[1]}={sp[2]}{draw(_poly())};{sp[3]}dy{sp[4]}="
+            f"{sp[5]}{draw(_poly())}"
+            f"{draw(st.sampled_from(['', '', '', '  ', chr(10)]))}")
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(list("xyzd0123456789+-*/^=;. \n")
+                                  + ["", "\u0663", "\u00e9"]))
+        skip = draw(st.integers(0, 1))
+        text = text[:k] + ch + text[k + skip:]
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        f = parse(text)
+    except FieldError as e:
+        return type(e), str(e), getattr(e, "position", None)
+    return f.numerators, f.den
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_field_text())
+@example("dx = 4/6*x^2*y - 2/3*yx^2 + 3/9*x*y^3 + 0/5*y + 7; "
+         "dy = 10/4*y - 1/2*y + 2/1*y^2*x^2 - 1/3")
+@example("dx = 2/0*x; dy = y")
+@example("dx = x; dy = y \n")
+@example("dx = x; dy = y\n\n")
+def test_parser_matches_the_fraction_parser(text):
+    """The integer parser builds the field the Fraction parser builds, in
+    lowest terms, or raises the same error at the same position."""
+    assert _parsed(parse_field, text) == _parsed(reference_parse_field, text)

@@ -14,9 +14,11 @@ from oracles import (
     bp_mul,
     cauchy_bound,
     squarefree,
+    sturm_real_roots,
     up,
     up_eval,
     up_from_roots,
+    up_gcd,
     up_mul,
 )
 from polyfield import polys
@@ -32,7 +34,6 @@ from polyfield.polys import (
     rational_root,
     real_roots,
     up_deriv,
-    up_gcd,
 )
 
 
@@ -563,6 +564,32 @@ def test_real_roots_build_what_the_fraction_constructor_builds():
                 got, want = r.refine(F(1, 10**e)), again.refine(F(1, 10**e))
                 assert (got.lo, got.hi) == (want.lo, want.hi)
     assert irrational > 60
+
+
+# the remainder sequence of (f, f') runs once in real_roots: against the
+# two steps, squarefree part then Sturm isolation, on products of factors
+# with multiplicities 1-3
+_CHAIN_FACTOR = st.one_of(
+    st.fractions(-20, 20, max_denominator=9).map(lambda r: up_from_roots([r])),
+    st.integers(2, 30).map(lambda c: up([-c, 0, 1])),
+    st.tuples(_COEF, _COEF, _LEAD).map(up),
+    st.tuples(_COEF, _COEF, _COEF, _LEAD).map(up),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_CHAIN_FACTOR, st.integers(1, 3)), min_size=1,
+                max_size=4),
+       st.fractions(max_denominator=7).filter(lambda c: c != 0))
+@example([(up([-1, 1]), 1), (up([-2, 0, 1]), 2)], F(1))  # (u - 1)(u^2 - 2)^2
+@example([(up([-2, 0, 1]), 3), (up([-3, 0, 1]), 1)], F(-2, 3))
+def test_one_chain_real_roots_match_the_two_step_reference(factors, c):
+    f = _product([h for h, m in factors for _ in range(m)])
+    assume(len(f) - 1 <= 12)
+    f = tuple(c * a for a in f)
+    assert ([(r.lo, r.hi, r.poly, r.exact) for r in real_roots(f)]
+            == [(r.lo, r.hi, r.poly, r.exact) for r in sturm_real_roots(f)])
+    assert count_real_roots(f) == _sympy_up(f).count_roots()
 
 
 def test_bp_gcd_shared_factor():
