@@ -84,6 +84,11 @@ REPEATED_IRRATIONAL = ("dx = x^5; dy = y^5 - x*y^4 - 4*x^2*y^3 + 4*x^3*y^2 "
 # field, and so the field after the shear, is in lowest terms (exit 3)
 UNREDUCED = ("dx = 4/6*x^2*y - 2/3*yx^2 + 3/9*x*y^3 + 0/5*y + 7; "
              "dy = 10/4*y - 1/2*y + 2/1*y^2*x^2 - 1/3")
+# the support minimum of the first and last fan vectors is positive, so
+# fan:1 and fan:2 are multiplied by no power of their divisor and have no
+# term on it: each divisor branch is a CurveOfSingularities record
+POSITIVE_LEVEL = ("dx = -3/2*x^4*y - 4*x*y - 1/3*y^3 - 3*y^2 - 4/3; "
+                  "dy = -3*x^3*y^2 - 2/3*y^2")
 
 CASES = {
     "polytope-quartic": ("polytope", "--field", QUARTIC),
@@ -110,6 +115,8 @@ CASES = {
                                   "--field", PERTURBED),
     "compactify-fan-2": ("compactify", "--chart", "2", "--field", QUARTIC),
     "compactify-fan-8": ("compactify", "--chart", "8", "--field", PERTURBED),
+    "compactify-positive-fan-level": ("compactify", "--chart", "1",
+                                      "--field", POSITIVE_LEVEL),
     "compactify-fan-out-of-range": ("compactify", "--chart", "9",
                                     "--field", QUARTIC),
     "compactify-fan-bad-weight": ("compactify", "--chart", "2",
@@ -172,6 +179,8 @@ CASES = {
                                                      REPEATED_IRRATIONAL),
     "check-equivalence-unreduced-fractions": ("check-equivalence", "--field",
                                               UNREDUCED),
+    "check-equivalence-positive-fan-level": ("check-equivalence", "--field",
+                                             POSITIVE_LEVEL),
     "return-map-rotation": ("return-map", "--field", ROTATION),
     "return-map-quartic": ("return-map", "--field", QUARTIC),
     "return-map-radial-weighted": ("return-map", "--weight", "1,1",
