@@ -95,26 +95,27 @@ _POSITION_WIDTH = Fraction(1, 10**12)
 _EIGENVALUE_WIDTH = Fraction(1, 10**15)
 
 
-def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
-    """The value that reports g at ``root``: exact at a rational root, 0
-    where g's exact sign there (``sign``, or ``root.sign_of``) is 0, else g
-    at the midpoint of bisection's dyadic cell below ``width``, or below the
-    square of the last width, the first on which g has that sign at the
-    midpoint and both ends and its end values differ by at most 1e-9 of the
-    smaller; inside (-_TINY, _TINY), the first of the three with that sign.
-    ``g = (f, sn, sd)`` stands for f * sn / sd with f a primitive integer
-    polynomial and sn / sd > 0 (see ``charts.Branch``)."""
+def _reading(root: RealRoot, g, width, sign=None) -> tuple[int, int]:
+    """The value that reports g at ``root``, as integers (n, d) in lowest
+    terms, d > 0: exact at a rational root, 0 where g's exact sign there
+    (``sign``, or ``root.sign_of``) is 0, else g at the midpoint of
+    bisection's dyadic cell below ``width``, or below the square of the
+    last width, the first on which g has that sign at the midpoint and both
+    ends and its end values differ by at most 1e-9 of the smaller; inside
+    (-_TINY, _TINY), the first of the three with that sign.  ``g = (f, sn,
+    sd)`` stands for f * sn / sd with f a primitive integer polynomial and
+    sn / sd > 0 (see ``charts.Branch``)."""
     f, sn, sd = g
     if not f:
-        return Fraction(0)
+        return 0, 1
     n = len(f) - 1
-    if root.is_rational:
-        a, _, q = root.cell
-        return Fraction(sn * ival(f, a, q), sd * q ** n)
+    a, b, q = root.cell
+    if a == b:
+        return _lowest(sn * ival(f, a, q), sd * q ** n)
     if sign is None:
         sign = root.sign_of(f)
     if sign == 0:
-        return Fraction(0)
+        return 0, 1
     r = root.refine(width)
     while True:
         a, b, q = r.cell
@@ -124,10 +125,16 @@ def _reading(root: RealRoot, g, width, sign=None) -> Fraction:
                               for t in (a + b, 2 * a, 2 * b)]
         signed = [v for v in vals if (v > 0) - (v < 0) == sign]
         if len(signed) == 3 and abs(hi - lo) * 10**9 <= min(abs(lo), abs(hi)):
-            return Fraction(sn * mid, sd * den)
+            return _lowest(sn * mid, sd * den)
         if signed and max(map(abs, vals)) * sn < _TINY * sd * den:
-            return Fraction(sn * signed[0], sd * den)
+            return _lowest(sn * signed[0], sd * den)
         r = root.refine(Fraction((b - a) ** 2, q * q))
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d, d > 0, in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _stand_in(q) -> tuple[int, int]:
@@ -138,9 +145,8 @@ def _stand_in(q) -> tuple[int, int]:
     if isinstance(q, RealRoot):
         a, b, d = q.cell
         if a != b:
-            q = _reading(q, _U, _POSITION_WIDTH, 1 if b > 0 else -1)
-        else:
-            return a, d
+            return _reading(q, _U, _POSITION_WIDTH, 1 if b > 0 else -1)
+        return a, d
     return q.numerator, q.denominator
 
 
@@ -227,20 +233,30 @@ def _realroot_text(r: RealRoot, approx: str, nl: str) -> str:
 class Eigenvalue:
     """One eigenvalue of the on-divisor Jacobian.
 
-    The sign is decided exactly; ``exact`` is filled when the base point is
-    rational.  ``value`` is the reading of the polynomial there from below
-    1e-15 (see :func:`_reading`): the exact value at a rational point, else
-    a value with the exact sign, above _TINY from an isolating interval
-    whose end values differ by at most 1e-9 of the smaller.
+    The sign is decided exactly.  ``num``/``den`` (in lowest terms, den > 0)
+    is the reading of the polynomial at the base point from below 1e-15
+    (see :func:`_reading`): the exact value at a rational point, where
+    ``is_exact`` holds, else a value with the exact sign, above _TINY from
+    an isolating interval whose end values differ by at most 1e-9 of the
+    smaller.  ``value`` and ``exact`` give the reading as a Fraction.
     """
 
     sign: int
-    value: Fraction
-    exact: Optional[Fraction] = None
+    num: int
+    den: int
+    is_exact: bool
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def exact(self) -> Optional[Fraction]:
+        return self.value if self.is_exact else None
 
     @property
     def approx(self) -> Optional[float]:
-        return approximate(self.value)
+        return _float(self.num, self.den)
 
     def to_json(self) -> dict:
         return json.loads(_eigenvalue_text(self, "\n"))
@@ -250,7 +266,7 @@ def _eigenvalue_text(e: Optional[Eigenvalue], nl: str) -> str:
     if e is None:
         return "null"
     i = nl + "  "
-    exact = "null" if e.exact is None else _quote(str(e.exact))
+    exact = f'"{ratio_text(e.num, e.den)}"' if e.is_exact else "null"
     return (f'{{{i}"approx": {_float_text(e.approx)},{i}"exact": {exact},'
             f'{i}"sign": {int.__repr__(e.sign)}{nl}}}')
 
@@ -332,11 +348,9 @@ def inventory_text(inv: dict[str, list[SingularityRecord]],
 # locating and classifying divisor singularities
 
 
-def _eigenvalue_at(root: RealRoot, poly) -> Eigenvalue:
-    value = _reading(root, poly, _EIGENVALUE_WIDTH)
-    n = value.numerator
-    return Eigenvalue(sign=(n > 0) - (n < 0), value=value,
-                      exact=value if root.is_rational else None)
+def _eigenvalue_at(root: RealRoot, g) -> Eigenvalue:
+    n, d = _reading(root, g, _EIGENVALUE_WIDTH)
+    return Eigenvalue((n > 0) - (n < 0), n, d, root.is_rational)
 
 
 #: an unclassified divisor point (None: the branch), as classify reads it

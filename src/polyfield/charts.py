@@ -5,7 +5,10 @@ exponent tuples to coefficients.  Directional and fan charts hold integer
 numerators over one positive scale, with keys (i, j) for u**i * v**j; the
 polar chart holds rationals, with keys (c, s, k) for
 Cs(theta)**c * Sn(theta)**s * r**k, where Cs/Sn are the generalized
-trigonometric functions attached to the weight.
+trigonometric functions attached to the weight.  A directional or fan
+chart reads its divisor branches off the field's terms at divisor level 0
+as it is built, and pulls the whole field back only when its components
+are read.
 """
 
 from __future__ import annotations
@@ -33,13 +36,10 @@ from .polytope import Polytope
 
 TrigKey = tuple[int, int, int]
 
-#: the divisor branches of a chart, in the order they are scanned
-_BRANCHES = {"v": ("v=0",), "u": ("u=0",), "uv": ("v=0", "u=0")}
-
 
 class Branch(NamedTuple):
     """The integer polynomials of one divisor branch over the chart's
-    ``scale`` (see :func:`_branch_polys`), and the derivative and the
+    ``scale`` (see :func:`_divisor_pass`), and the derivative and the
     transverse polynomial as the readings evaluate them: ``(f, c, scale)``
     for the polynomial f * c / scale, with f primitive and c > 0."""
 
@@ -54,21 +54,45 @@ class Branch(NamedTuple):
 class ChartField:
     """A compactified field in one directional or fan chart.
 
-    ``u_num``/``v_num`` are the du/dv polynomial components as integer
-    numerators over the positive ``scale``; ``u_comp``/``v_comp`` give them
-    as rationals.  ``normalization`` records the monomial the raw pullback
-    was multiplied by to clear denominators.
+    ``divisor_terms`` maps each divisor branch to the coefficients, by
+    exponent along the branch, of its restriction and its transverse
+    polynomial: the pullback of the field's terms at divisor level 0, read
+    when the chart is built.  ``branches`` gives their polynomials, built
+    once.  ``u_num``/``v_num`` are the du/dv polynomial components as integer
+    numerators over the positive ``scale``, pulled back from ``pullback``,
+    the arguments of :func:`monomial_pullback`, on first use; ``u_comp``/
+    ``v_comp`` give them as rationals.  ``normalization`` records the
+    monomial the raw pullback was multiplied by to clear denominators.
+    The pullback is injective once the chart map and the normalization
+    are fixed, so comparing ``pullback`` compares the components.
     """
 
     label: str
-    u_num: dict
-    v_num: dict
     scale: int
     divisor: str
     normalization: dict[str, int]
+    divisor_terms: dict[str, tuple[dict, dict]]
+    pullback: tuple
     weight: Optional[WeightVector] = None
     chart: Optional[ChartMap] = None
     delta: Optional[int] = None
+
+    @cached_property
+    def branches(self) -> dict[str, Branch]:
+        return {b: _branch_polys(r, t, self.scale)
+                for b, (r, t) in self.divisor_terms.items()}
+
+    @cached_property
+    def _components(self) -> tuple[dict, dict]:
+        return monomial_pullback(*self.pullback)[:2]
+
+    @property
+    def u_num(self) -> dict:
+        return self._components[0]
+
+    @property
+    def v_num(self) -> dict:
+        return self._components[1]
 
     @property
     def u_comp(self) -> dict:
@@ -77,11 +101,6 @@ class ChartField:
     @property
     def v_comp(self) -> dict:
         return {k: Fraction(c, self.scale) for k, c in self.v_num.items()}
-
-    @cached_property
-    def branches(self) -> dict[str, Branch]:
-        """The polynomials of each divisor branch, built once."""
-        return {b: _branch_polys(self, b) for b in _BRANCHES[self.divisor]}
 
     def to_json(self) -> dict:
         def enc(comp):
@@ -128,53 +147,113 @@ class PolarField:
                 f"({format_poly(self.r, names)}) dr")
 
 
-def _slice(comp: dict, along: int, across: int, level: int) -> tuple:
-    """The polynomial, in the ``along`` exponent, of the terms of ``comp``
-    whose ``across`` exponent equals ``level``; ``comp`` has no zero
-    values, so neither has its top coefficient."""
-    coeffs = {k[along]: c for k, c in comp.items() if k[across] == level}
-    return tuple(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1))
+def _poly(coeffs: dict) -> tuple:
+    """The polynomial with the nonzero coefficients ``coeffs``, by degree."""
+    if not coeffs:
+        return ()
+    f = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        f[e] = c
+    return tuple(f)
 
 
 def _reading_form(f: tuple, scale: int) -> tuple:
     """``(f / c, c, scale)`` with c > 0 the content of f, or ((), 0, scale)."""
     c = gcd(*f)
-    return tuple(x // c for x in f), c, scale
+    return (f if c == 1 else tuple([x // c for x in f])), c, scale
 
 
-def _branch_polys(cf: ChartField, branch: str) -> Branch:
-    """Restriction, its derivative and transverse polynomial along one
-    divisor branch.
-
-    On {v = 0} the restriction is u' at v = 0 and the transverse eigenvalue
-    polynomial is the v-linear part of v'; the {u = 0} branch mirrors the
-    roles.  The off-diagonal Jacobian entry vanishes identically on the
-    branch; that structural fact is re-checked here rather than assumed.
-    """
-    if branch == "v=0":
-        tangent, normal, along, across = cf.u_num, cf.v_num, 0, 1
-    else:
-        tangent, normal, along, across = cf.v_num, cf.u_num, 1, 0
-    if any(k[across] == 0 for k in normal):
-        raise InternalConsistencyError(
-            f"{cf.label}: divisor branch {branch} is not invariant")
-    restriction = _slice(tangent, along, across, 0)
+def _branch_polys(restriction: dict, transverse: dict, scale: int) -> Branch:
+    """The branch whose restriction and transverse polynomial have the
+    coefficients ``restriction`` and ``transverse`` over ``scale``."""
+    restriction, transverse = _poly(restriction), _poly(transverse)
     derivative = up_deriv(restriction)
-    transverse = _slice(normal, along, across, 1)
     return Branch(restriction, derivative, transverse,
-                  _reading_form(derivative, cf.scale),
-                  _reading_form(transverse, cf.scale))
+                  _reading_form(derivative, scale),
+                  _reading_form(transverse, scale))
 
 
 def _strip_zeros(comp: dict) -> dict:
     return {k: c for k, c in comp.items() if c != 0}
 
 
-def _check_nonnegative(u_num: dict, v_num: dict, where: str) -> None:
-    for (i, j) in list(u_num) + list(v_num):
-        if i < 0 or j < 0:
+def _divisor_pass(numerators, den, forward, signs, normalization, divisor,
+                  label, where) -> tuple[dict, int]:
+    """The divisor terms of the chart that :func:`monomial_pullback` builds
+    from the same arguments (see ``ChartField.divisor_terms``), and its
+    scale, in one pass over the field's terms.
+
+    A term at (m, n) pulls back to the du monomial (i + 1, j) and the dv
+    monomial (i, j + 1).  On {v = 0} the restriction is u' at v = 0, the du
+    terms with j = 0, and the transverse eigenvalue polynomial is the
+    v-linear part of v', the dv terms with j = 0; the {u = 0} branch
+    mirrors the roles, with i = 0.  So only the terms at divisor level 0
+    are pulled back, and those that could break the two structural facts
+    re-checked here rather than assumed: no pulled-back monomial has a
+    negative exponent, and the off-diagonal Jacobian entry vanishes on the
+    branch (no dv term at j = -1, no du term at i = -1).  The errors are
+    those of the full pullback: the first negative du exponent, then the
+    first negative dv exponent, then invariance branch by branch.
+    """
+    (f00, f01), (f10, f11) = forward
+    det = f00 * f11 - f01 * f10
+    if det == 0:
+        raise InternalConsistencyError(f"chart matrix {forward} is singular")
+    # A^-1 = adj(A) / det; a negative det moves its sign into the numerators
+    flip_m, flip_n, flip = signs[0] < 0, signs[1] < 0, det < 0
+    eu, ev = normalization
+    on_v, on_u = divisor in ("v", "uv"), divisor in ("u", "uv")
+    # a term with i > ti and j > tj reaches no branch and breaks nothing
+    ti, tj = (0 if on_u else -1), (0 if on_v else -1)
+    # along exponent -> coefficient, of each branch's two polynomials
+    rv, tv, ru, tu = {}, {}, {}, {}
+    negative_du, negative_dv, open_v, open_u = [], [], False, False
+    for (m, n), (a, b) in numerators.items():
+        i = eu + f00 * m + f10 * n
+        j = ev + f01 * m + f11 * n
+        if i > ti and j > tj:
+            continue
+        swirl = f11 * a - f01 * b
+        radial = f00 * b - f10 * a
+        if ((flip_m and m % 2 == 1) != (flip_n and n % 2 == 1)) != flip:
+            swirl, radial = -swirl, -radial
+        if swirl:
+            if i < -1 or j < 0:
+                negative_du.append((i + 1, j))
+            else:
+                if not j and on_v:
+                    rv[i + 1] = swirl
+                if on_u and i <= 0:
+                    if i:
+                        open_u = True
+                    else:
+                        tu[j] = swirl
+        if radial:
+            if i < 0 or j < -1:
+                negative_dv.append((i, j + 1))
+            else:
+                if not i and on_u:
+                    ru[j + 1] = radial
+                if on_v and j <= 0:
+                    if j:
+                        open_v = True
+                    else:
+                        tv[i] = radial
+    negative = negative_du + negative_dv
+    if negative:
+        i, j = negative[0]
+        raise InternalConsistencyError(
+            f"negative exponent ({i},{j}) in {where}")
+    for branch, is_open in (("v=0", open_v), ("u=0", open_u)):
+        if is_open:
             raise InternalConsistencyError(
-                f"negative exponent ({i},{j}) in {where}")
+                f"{label}: divisor branch {branch} is not invariant")
+    terms = {}
+    if on_v:
+        terms["v=0"] = rv, tv
+    if on_u:
+        terms["u=0"] = ru, tu
+    return terms, den * abs(det)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +274,11 @@ def directional_plc(f: PlanarField, w: WeightVector, direction: str) -> ChartFie
     if f.is_zero:
         raise FieldError("cannot compactify the zero field")
     delta = max_level(f, w) + 1
-    u_num, v_num, scale = monomial_pullback(f.numerators, f.den, forward,
-                                            signs, (0, delta - 1))
-    _check_nonnegative(u_num, v_num, f"{direction} chart")
-    return ChartField(direction, u_num, v_num, scale, divisor="v",
-                      normalization={"v": delta - 1}, weight=w, delta=delta)
+    pullback = (f.numerators, f.den, forward, signs, (0, delta - 1))
+    terms, scale = _divisor_pass(*pullback, "v", direction,
+                                 f"{direction} chart")
+    return ChartField(direction, scale, "v", {"v": delta - 1}, terms,
+                      pullback, weight=w, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +328,12 @@ def fan_chart_field(f: PlanarField, cmap: ChartMap,
     """
     eu = max(0, -minima[0])
     ev = max(0, -minima[1])
-    u_num, v_num, scale = monomial_pullback(f.numerators, f.den, cmap.forward,
-                                            (1, 1), (eu, ev))
-    _check_nonnegative(u_num, v_num, f"fan chart {cmap.index}")
-    return ChartField(f"fan:{cmap.index}", u_num, v_num, scale,
-                      divisor=cmap.divisor, normalization={"u": eu, "v": ev},
-                      chart=cmap)
+    pullback = (f.numerators, f.den, cmap.forward, (1, 1), (eu, ev))
+    label = f"fan:{cmap.index}"
+    terms, scale = _divisor_pass(*pullback, cmap.divisor, label,
+                                 f"fan chart {cmap.index}")
+    return ChartField(label, scale, cmap.divisor, {"u": eu, "v": ev},
+                      terms, pullback, chart=cmap)
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,13 @@ class PlanarField:
 # Variables are the single letters x and y; juxtaposed letters multiply
 # ("xy^2" is x * y^2).  Repeated variables accumulate exponents.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(.))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """The tokens of ``text`` and their positions.  Each match starts where
-    the last ended, as a match fails only on a rest of newlines."""
+    the last ended, as a match fails only on a rest of whitespace, which
+    is skipped like the whitespace between tokens."""
     tokens = []
     for m in _TOKEN.finditer(text):
         num, name, ch = m.groups()

@@ -49,7 +49,7 @@ ONE = Fraction(1)
 def up_deriv(f: Sequence) -> tuple:
     """The derivative of f, integer or rational, with no trailing zeros
     when f has none."""
-    return tuple(i * c for i, c in enumerate(f) if i > 0)
+    return tuple([i * f[i] for i in range(1, len(f))])
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +470,37 @@ def _cell(f: Sequence[int], a: int, b: int, q: int, sa: int,
     return a, b, q
 
 
+def _nearest(n: int, d: int, bound: int) -> tuple[int, int]:
+    """The fraction p/s, s <= bound, nearest n/d (d > 0), as integers in
+    lowest terms: ``Fraction(n, d).limit_denominator(bound)``, whose
+    continued-fraction step and tie rule (the last convergent before the
+    semiconvergent when both are as near) it follows on integers."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    x, y = n, d
+    while True:
+        k = x // y
+        q2 = q0 + k * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + k * p1, q2
+        x, y = y, x - k * y
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, times d q1 q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 def _settle(f: Sequence[int], a: int, b: int, q: int):
     """Decide the one simple root of f in (a/q, b/q]: its exact value when it
-    is rational, else an interval [a/q, b/q] narrower than 1/(2 lc^2) with f
-    nonzero at both ends, returned as (None, a, b, q).
+    is rational, as integers (p, s) in lowest terms, else an interval
+    [a/q, b/q] narrower than 1/(2 lc^2) with f nonzero at both ends,
+    returned as (None, a, b, q).
 
     A rational root p/s of a primitive integer f has s | lc, and two such
     fractions lie at least 1/lc^2 apart, so the fraction nearest the
@@ -481,7 +508,8 @@ def _settle(f: Sequence[int], a: int, b: int, q: int):
     """
     sb = _sign_at(f, b, q)
     if sb == 0:
-        return Fraction(b, q), a, b, q
+        g = gcd(b, q)
+        return (b // g, q // g), a, b, q
     sa = _sign_at(f, a, q)
     while not sa:  # a is the root to the left: bisect it away
         a2, b, q = _cell(f, a, b, q, -sb, 1)
@@ -490,10 +518,9 @@ def _settle(f: Sequence[int], a: int, b: int, q: int):
     d = ((b - a) * 2 * f[-1] ** 2 // q).bit_length()
     a, b, q = _cell(f, a, b, q, sa, d)
     # the candidate is the root itself when _cell met it (a == b)
-    cand = Fraction(a + b, 2 * q).limit_denominator(abs(f[-1]))
-    p, s = cand.numerator, cand.denominator
+    p, s = _nearest(a + b, 2 * q, abs(f[-1]))
     if a == b or (a * s < p * q < b * s and _sign_at(f, p, s) == 0):
-        return cand, a, b, q
+        return (p, s), a, b, q
     return None, a, b, q
 
 
@@ -559,7 +586,7 @@ def real_roots(f) -> list[RealRoot]:
     h = g
     for v, *_ in settled:
         if v is not None:
-            h = _iquo(h, (-v.numerator, v.denominator))
+            h = _iquo(h, (-v[0], v[1]))
     # h has a positive leading coefficient and its simple real roots are
     # the irrational ones, so at the left end of each one's interval it has
     # the sign (-1)^m, m the number of irrational roots from that one up
@@ -567,7 +594,7 @@ def real_roots(f) -> list[RealRoot]:
     out = []
     for v, a, b, q in settled:
         if v is not None:
-            out.append(_rational(v.numerator, v.denominator))
+            out.append(_rational(*v))
         else:
             out.append(RealRoot._of(h, a, b, q, sa, {}))
             sa = -sa

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from polyfield.fields import ParseError, PlanarField
+from polyfield.fields import InternalConsistencyError, ParseError, PlanarField
 
 
 def det(a, b):
@@ -233,9 +233,9 @@ def sturm_real_roots(f):
     h = g
     for v, *_ in settled:
         if v is not None:
-            h = polys._iquo(h, (-v.numerator, v.denominator))
+            h = polys._iquo(h, (-v[0], v[1]))
     poly = tuple(Fraction(c, h[-1]) for c in h)
-    return [polys.rational_root(v) if v is not None
+    return [polys.rational_root(Fraction(*v)) if v is not None
             else polys.RealRoot(poly, Fraction(a, q), Fraction(b, q))
             for v, a, b, q in settled]
 
@@ -280,12 +280,12 @@ def bisection_refine(f, a, b, q, sa, width):
 
 def bisection_settle(f, a, b, q):
     """``polys._settle`` by bisection alone: the one simple root of the
-    primitive integer polynomial f in (a/q, b/q] as its value when it is
-    rational, else (None, a, b, q) with b - a kept and the interval
-    narrower than 1/(2 lc^2), f nonzero at both ends."""
+    primitive integer polynomial f in (a/q, b/q] as its value (p, s) in
+    lowest terms when it is rational, else (None, a, b, q) with b - a kept
+    and the interval narrower than 1/(2 lc^2), f nonzero at both ends."""
     sb = _sign_at(f, b, q)
     if sb == 0:
-        return Fraction(b, q), a, b, q
+        return _pair(Fraction(b, q)), a, b, q
     sa = _sign_at(f, a, q)
     lc = abs(f[-1])
     limit = 2 * lc * lc
@@ -293,7 +293,7 @@ def bisection_settle(f, a, b, q):
         c, a, b, q = a + b, 2 * a, 2 * b, 2 * q
         s = _sign_at(f, c, q)
         if s == 0:
-            return Fraction(c, q), a, b, q
+            return _pair(Fraction(c, q)), a, b, q
         if s == sb:
             b = c
         else:
@@ -301,8 +301,12 @@ def bisection_settle(f, a, b, q):
     cand = Fraction(a + b, 2 * q).limit_denominator(lc)
     p, s = cand.numerator, cand.denominator
     if a * s < p * q < b * s and _sign_at(f, p, s) == 0:
-        return cand, a, b, q
+        return (p, s), a, b, q
     return None, a, b, q
+
+
+def _pair(v):
+    return v.numerator, v.denominator
 
 
 def reference_pullback(field, forward, signs, normalization):
@@ -325,6 +329,54 @@ def reference_pullback(field, forward, signs, normalization):
         if radial:
             v_comp[(i, j + 1)] = radial
     return u_comp, v_comp
+
+
+def level_slice(comp, along, across, level):
+    """The polynomial, in the ``along`` exponent, of the terms of ``comp``
+    whose ``across`` exponent equals ``level``; ``comp`` has no zero
+    values, so neither has its top coefficient."""
+    coeffs = {k[along]: c for k, c in comp.items() if k[across] == level}
+    return tuple(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1))
+
+
+def reference_exponent_check(u_num, v_num, where):
+    """Raise, as a chart pulled back in full does, for the first negative
+    exponent among the du terms and then among the dv terms."""
+    for (i, j) in list(u_num) + list(v_num):
+        if i < 0 or j < 0:
+            raise InternalConsistencyError(
+                f"negative exponent ({i},{j}) in {where}")
+
+
+def reference_branches(cf):
+    """The divisor branches of the chart field ``cf`` sliced out of its
+    full pullback ``cf.u_num``, ``cf.v_num``: on {v = 0} the restriction
+    is the du terms at v-level 0 and the transverse polynomial the dv terms
+    at v-level 1, on {u = 0} the roles mirror; a dv term at v-level 0 (a du
+    term at u-level 0) leaves the branch not invariant."""
+    from polyfield.charts import Branch
+    from polyfield.polys import up_deriv
+
+    def reading(f):
+        c = gcd(*f)
+        return tuple(x // c for x in f), c, cf.scale
+
+    names = {"v": ("v=0",), "u": ("u=0",), "uv": ("v=0", "u=0")}
+    out = {}
+    for branch in names[cf.divisor]:
+        if branch == "v=0":
+            tangent, normal, along, across = cf.u_num, cf.v_num, 0, 1
+        else:
+            tangent, normal, along, across = cf.v_num, cf.u_num, 1, 0
+        if any(k[across] == 0 for k in normal):
+            raise InternalConsistencyError(
+                f"{cf.label}: divisor branch {branch} is not invariant")
+        restriction = level_slice(tangent, along, across, 0)
+        derivative = up_deriv(restriction)
+        transverse = level_slice(normal, along, across, 1)
+        out[branch] = Branch(restriction, derivative, transverse,
+                             reading(derivative), reading(transverse))
+    return out
 
 
 def add(f, g):
@@ -530,7 +582,7 @@ def principal_return_integral(a):
 # Fraction, summed per monomial.  ``polyfield.fields`` keeps integers.
 
 
-_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(.))")
+_REF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(\S))")
 
 
 def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:

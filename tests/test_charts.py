@@ -1,7 +1,11 @@
+import importlib.util
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +16,14 @@ from oracles import (
     apply_inverse,
     eval_uv,
     evaluate,
+    level_slice,
+    reference_branches,
+    reference_exponent_check,
     reference_pullback,
     uv_support,
 )
 from polyfield.analysis import Analysis
 from polyfield.charts import (
-    _slice,
     directional_plc,
     fan_chart_field,
     level_data,
@@ -29,13 +35,16 @@ from polyfield.fans import build_fan, chart_maps, complete_fan
 from polyfield.fields import (
     DIRECTIONS,
     FieldError,
+    InternalConsistencyError,
     PlanarField,
     WeightVector,
     directional_map,
+    favorable_shear,
     make_favorable,
     max_level,
     monomial_pullback,
     parse_field,
+    shear,
 )
 from polyfield.polys import up_deriv
 from polyfield.polytope import build_polytope, polytope_after_plc
@@ -221,9 +230,9 @@ def test_branch_polynomials_match_the_fraction_reference():
                     tangent, normal, along, across = ref_u, ref_v, 0, 1
                 else:
                     tangent, normal, along, across = ref_v, ref_u, 1, 0
-                restriction = _slice(tangent, along, across, 0)
+                restriction = level_slice(tangent, along, across, 0)
                 want = (restriction, up_deriv(restriction),
-                        _slice(normal, along, across, 1))
+                        level_slice(normal, along, across, 1))
                 assert tuple(tuple(F(c, cf.scale) for c in poly)
                              for poly in branch[:3]) == want
                 checked[cf.label[:1], forward[0][0] * forward[1][1]
@@ -231,6 +240,113 @@ def test_branch_polynomials_match_the_fraction_reference():
     # Y charts have det -beta < 0, X and fan charts a positive det
     assert checked["Y", True] >= 1500 and checked["X", False] >= 1500
     assert checked["f", False] >= 1000
+
+
+def _corpora():
+    """The benchmark's corpus module, which imports nothing of polyfield."""
+    path = Path(__file__).parents[1] / "perfbench" / "corpora.py"
+    spec = importlib.util.spec_from_file_location("_bench_corpora", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _seeded_fields():
+    """The 137 verdict corpus fields, then 2,400 seeded fields: small ones
+    drawn as the verdict-random corpus is, large ones as verdict-large's,
+    and small ones sheared by a rational step."""
+    corpora = _corpora()
+    texts = [op.argv[op.argv.index("--field") + 1]
+             for work in (corpora.verdict_random(), corpora.verdict_large())
+             for op in work.ops]
+    fields = [parse_field(t) for t in texts]
+    rng = random.Random(2510)
+    small = [PlanarField.from_components(*corpora._random_small_field(rng))
+             for _ in range(1800)]
+    large = [PlanarField.from_components(*corpora._random_large_field(
+        rng, rng.randint(3, 7), rng.randint(4, 9), rng.choice((3, 8, 16))))
+        for _ in range(300)]
+    sheared = [shear(f, rng.choice((1, -1, 2, -2, F(1, 2), F(-1, 3))))
+               for f in small[:300]]
+    return [f for f in fields + small + large + sheared if not f.is_zero]
+
+
+def _charts(f):
+    """The charts a verdict on ``f`` reads, or, where ``f`` has no
+    favorable shear, its directional charts at two weights."""
+    try:
+        g, lam, polytope = favorable_shear(f)
+    except FieldError:
+        return [directional_plc(f, w, d) for w in (WeightVector(1, 1), W12)
+                for d in DIRECTIONS], None
+    a = Analysis(g, polytope=polytope)
+    return [*a.directional.values(), *a.fan_charts.values()], (a, lam)
+
+
+def test_branches_are_the_slices_of_the_full_pullback():
+    """Every chart's branches, read off the terms at divisor level 0, are
+    the slices of its full pullback, on the corpus fields and 2,400 seeded
+    ones: sheared fields, fields with no favorable shear, and fields with
+    a fan vector whose support minimum is positive, so that its chart has
+    no term on that divisor, among them."""
+    seen = Counter()
+    for f in _seeded_fields():
+        charts, verdict = _charts(f)
+        for cf in charts:
+            assert cf.branches == reference_branches(cf)
+            seen[cf.label[:1]] += 1
+            seen["empty restriction"] += any(
+                not b.restriction for b in cf.branches.values())
+        if verdict is None:
+            seen["not favorable"] += 1
+            continue
+        a, lam = verdict
+        seen["sheared"] += lam != 0
+        seen["positive level"] += any(m > 0 for m in a.fan_minima[0])
+    assert seen["X"] >= 4000 and seen["Y"] >= 4000 and seen["f"] >= 8000
+    assert seen["sheared"] >= 1000 and seen["not favorable"] >= 20
+    assert seen["positive level"] >= 100 and seen["empty restriction"] >= 100
+
+
+def test_fan_chart_minima_off_by_one_raise_the_full_pullback_error():
+    """Fan charts built from minima one too large: each raises the error
+    of its full pullback, the first negative du exponent, else the first
+    negative dv exponent, else a branch that is not invariant, with the
+    same message; where the pullback is sound the branches are its
+    slices."""
+    raised = Counter()
+    for f in _seeded_fields()[:600]:
+        _, verdict = _charts(f)
+        if verdict is None:
+            continue
+        a, _ = verdict
+        minima, _ = a.fan_minima
+        for j, cmap in enumerate(a.chart_maps[1:], start=1):
+            for du, dv in ((1, 0), (0, 1), (1, 1)):
+                shifted = (minima[j - 1] + du, minima[j] + dv)
+                norm = tuple(max(0, -m) for m in shifted)
+                u_num, v_num, scale = monomial_pullback(
+                    a.field.numerators, a.field.den, cmap.forward, (1, 1),
+                    norm)
+                full = SimpleNamespace(u_num=u_num, v_num=v_num, scale=scale,
+                                       divisor=cmap.divisor,
+                                       label=f"fan:{cmap.index}")
+                try:
+                    reference_exponent_check(u_num, v_num,
+                                             f"fan chart {cmap.index}")
+                    want = reference_branches(full)
+                except InternalConsistencyError as e:
+                    want = str(e)
+                try:
+                    got = fan_chart_field(a.field, cmap, shifted).branches
+                except InternalConsistencyError as e:
+                    got = str(e)
+                assert got == want
+                raised["sound" if isinstance(want, dict)
+                       else "invariant" if "invariant" in want
+                       else "negative"] += 1
+    assert raised["negative"] >= 1000 and raised["invariant"] >= 50
+    assert raised["sound"] >= 200
 
 
 def test_directional_rejects_zero_field():

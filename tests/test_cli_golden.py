@@ -104,6 +104,9 @@ CASES = {
     "singularities-keyword-in-poly": ("singularities", "--field",
                                       "dx = x + dy; dy = y"),
     "fan-trailing-input": ("fan", "--field", "dx = x; dy = y; 3"),
+    # trailing spaces and tabs are skipped like a trailing newline
+    "principal-part-trailing-space": ("principal-part", "--field",
+                                      "dx = x; dy = y \t "),
     "fan-quartic": ("fan", "--field", QUARTIC),
     "fan-sheared": ("fan", "--field", SHEARED),
     "fan-radial": ("fan", "--field", RADIAL),

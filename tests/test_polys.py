@@ -332,6 +332,38 @@ def test_settle_matches_bisection(factors):
             assert ours == want
 
 
+#: an interval [a/q, b/q] between two fractions with denominators at most
+#: 12, whose midpoint is as near the one as the other
+_TIED = st.builds(lambda x, y: (x.numerator * y.denominator,
+                                y.numerator * x.denominator,
+                                x.denominator * y.denominator),
+                  st.fractions(-3, 3, max_denominator=12),
+                  st.fractions(-3, 3, max_denominator=12))
+_INTERVAL = st.one_of(
+    _TIED,
+    st.tuples(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+              st.integers(1, 10**40)),
+    st.tuples(st.integers(-500, 500), st.integers(-500, 500),
+              st.integers(1, 300)))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(_INTERVAL, st.one_of(st.just(1), st.integers(1, 13),
+                            st.integers(1, 10**12)))
+@example((0, 1, 1), 1)  # 0 and 1 tie at 1/2
+@example((-1, 0, 1), 1)  # -1 and 0 tie at -1/2
+@example((2, 3, 6), 3)  # 1/3 and 1/2 tie at 5/12
+@example((7, 7, 4), 1)  # 7/4 itself, nearer 2 than 1
+def test_nearest_is_limit_denominator(interval, bound):
+    """``_nearest``, the candidate of ``_settle`` on integers, picks what
+    ``Fraction.limit_denominator`` picks at the interval's midpoint, ties
+    included."""
+    a, b, q = interval
+    want = F(a + b, 2 * q).limit_denominator(bound)
+    assert polys._nearest(a + b, 2 * q, bound) == (want.numerator,
+                                                   want.denominator)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.lists(_REFINE_FACTOR, min_size=1, max_size=2),
        st.lists(st.integers(1, 700), min_size=1, max_size=4))
