@@ -202,7 +202,7 @@ def _list_text(items: list, nl: str) -> str:
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
-def _object_text(pairs: list, nl: str) -> str:
+def object_text(pairs: list, nl: str) -> str:
     """A JSON object of (key, value text) pairs given in key order, the
     values written at the indent ``nl + "  "``."""
     if not pairs:
@@ -294,8 +294,8 @@ class SingularityRecord:
 
     @property
     def at_chart_origin(self) -> bool:
-        return (self.position is not None and self.position.is_rational
-                and self.position.exact == 0)
+        return (self.position is not None
+                and self.position.interval[:2] == (0, 0))
 
     def to_json(self) -> dict:
         return json.loads(_record_text(self, _position_text(self), "\n"))
@@ -330,7 +330,7 @@ def _inventory_text(inv: dict, approx: dict, nl: str) -> str:
     ``approx`` maps each chart to its records' :func:`_position_text`."""
     c = nl + "  "
     k = c + "  "
-    return _object_text(
+    return object_text(
         [(chart, _list_text([_record_text(r, t, k) for r, t in
                              zip(inv[chart], approx[chart])], c))
          for chart in sorted(inv)], nl)
@@ -402,7 +402,8 @@ def _chart_records(cf: ChartField, roots: dict) -> list[SingularityRecord]:
                 positions = roots[key] = real_roots(restriction)
         skip_origin = branch == "u=0" and cf.divisor == "uv"
         recs += [classify(cf, _Site(branch, p)) for p in positions
-                 if not (skip_origin and p is not None and p.exact == 0)]
+                 if not (skip_origin and p is not None
+                         and p.interval[:2] == (0, 0))]
     return recs
 
 
@@ -430,7 +431,8 @@ class DegeneracyWitness:
         return json.loads(_witness_text(self, "\n"))
 
 
-def _ints_text(values, nl: str) -> str:
+def ints_text(values, nl: str) -> str:
+    """A JSON list of integers at the indent ``nl``."""
     return _list_text(list(map(int.__repr__, values)), nl)
 
 
@@ -443,8 +445,8 @@ def _witness_text(w: DegeneracyWitness, nl: str) -> str:
     return (f'{{{i}"parameter": {parameter},'
             f'{i}"point": {_list_text(list(map(_float_text, w.point)), i)},'
             f'{i}"point_exact": {exact},'
-            f'{i}"quadrant": {_ints_text(w.quadrant, i)},'
-            f'{i}"segment_normal": {_ints_text(w.segment_normal, i)}{nl}}}')
+            f'{i}"quadrant": {ints_text(w.quadrant, i)},'
+            f'{i}"segment_normal": {ints_text(w.segment_normal, i)}{nl}}}')
 
 
 def _segment_parameter_polys(seg: Segment, field: PlanarField):
@@ -659,11 +661,11 @@ class EquivalenceReport:
         rows = [_match_row_text(chart, r, t, j) for chart, recs in inv.items()
                 for r, t in sorted(zip(recs, approx[chart]),
                                    key=lambda rt: rt[0].branch)]
-        hypotheses = _object_text(
+        hypotheses = object_text(
             [(k, "true" if ok else "false")
              for k, ok in sorted(self.hypotheses.items())], i)
         weight = ("null" if self.weight is None
-                  else _ints_text(self.weight.as_tuple(), i))
+                  else ints_text(self.weight.as_tuple(), i))
         witnesses = [_witness_text(w, j) for w in self.witnesses]
         return (
             f'{{{i}"field_after_shear": '

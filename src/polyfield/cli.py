@@ -13,15 +13,17 @@ import argparse
 import ast
 import functools
 import json
-import math
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .analysis import (
     Analysis,
     approximate_text,
     equivalence_verdict,
+    ints_text,
     inventory_text,
+    object_text,
     return_map_test,
 )
 from .fans import FanError, complete_fan
@@ -40,56 +42,18 @@ from .portrait import PortraitSpec, render_portrait
 from .trig import QuadratureError
 
 SCHEMA_VERSION = "1"
-_LITERALS = {None: "null", True: "true", False: "false"}
-_quote = json.encoder.encode_basestring_ascii
-
-
-class _Text(str):
-    """A value already written as JSON at the indent where it is placed."""
-
-
-def _write(o, nl: str, out: list) -> None:
-    """Append ``o`` to ``out`` as ``json.dumps`` with ``indent=2`` and
-    ``sort_keys=True`` writes it, at the indent ``nl`` (a newline and the
-    spaces before it).  With an indent the standard library runs one
-    generator per container.  A :class:`_Text` is copied as it is: the
-    verdict and the inventory come from ``analysis``'s renderers."""
-    t = type(o)
-    if t is str:
-        out.append(_quote(o))
-    elif t is _Text:
-        out.append(o)
-    elif t is dict:
-        sep, inner = "{", nl + "  "
-        for k in sorted(o):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            out.append(f"{sep}{inner}{_quote(k)}: ")
-            _write(o[k], inner, out)
-            sep = ","
-        out.append(nl + "}" if o else "{}")
-    elif t is list or t is tuple:
-        sep, inner = "[", nl + "  "
-        for v in o:
-            out.append(sep + inner)
-            _write(v, inner, out)
-            sep = ","
-        out.append(nl + "]" if o else "[]")
-    elif o is None or t is bool:
-        out.append(_LITERALS[o])
-    elif isinstance(o, float):
-        out.append(float.__repr__(o) if math.isfinite(o) else
-                   "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
-    out: list = []
-    _write({"schema_version": SCHEMA_VERSION, **payload}, "\n", out)
-    print("".join(out))
+    print(json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                     indent=2, sort_keys=True))
+
+
+def _emit_text(payload: dict) -> None:
+    """Print a document whose values ``analysis``'s renderers have written
+    as JSON text at the indent of a top-level value."""
+    payload["schema_version"] = json.dumps(SCHEMA_VERSION)
+    print(object_text(sorted(payload.items()), "\n"))
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -122,28 +86,17 @@ def _analysis(args: argparse.Namespace) -> Analysis:
     return Analysis(f, WeightVector(int(parts[0]), int(parts[1])))
 
 
-def _segment_json(s) -> dict:
-    return {
-        "start": list(s.start),
-        "end": list(s.end),
-        "inward_normal": list(s.inward_normal),
-        "level": s.level,
-        "tag": s.tag,
-        "points": [list(q) for q in s.points],
-    }
-
-
 def _polytope_json(p: Polytope) -> dict:
     out = {
-        "support": [list(q) for q in sorted(p.support)],
-        "vertices": [list(q) for q in p.vertices],
-        "segments": [_segment_json(s) for s in p.segments],
+        "support": sorted(p.support),
+        "vertices": p.vertices,
+        "segments": [asdict(s) for s in p.segments],
         "is_point": p.is_point,
         "is_segment": p.is_segment,
     }
     try:
         w, level = plc_weight(p)
-        out["weight"] = list(w.as_tuple())
+        out["weight"] = w.as_tuple()
         out["upper_level"] = level
     except FieldError:
         out["weight"] = None
@@ -198,7 +151,7 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
     upp = _analysis(args).upper
     _emit({
         "field": format_field(upp.field),
-        "upper_segments": [_segment_json(s) for s in upp.polytope.upper],
+        "upper_segments": [asdict(s) for s in upp.polytope.upper],
     })
     return 0
 
@@ -212,8 +165,8 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
     w = a.weight
     inv = a.inventory
     if args.json:
-        _emit({"weight": list(w.as_tuple()),
-               "charts": _Text(inventory_text(inv, "\n  "))})
+        _emit_text({"weight": ints_text(w.as_tuple(), "\n  "),
+                    "charts": inventory_text(inv, "\n  ")})
         return 0
     header = (f"{'chart':8s} {'branch':6s} {'position':>14s} "
               f"{'classification':20s} {'tangent':>10s} {'transverse':>10s} "
@@ -233,7 +186,7 @@ def _cmd_singularities(args: argparse.Namespace) -> int:
 
 def _cmd_check_equivalence(args: argparse.Namespace) -> int:
     rep = equivalence_verdict(_read_field(args))
-    _emit({"report": _Text(rep.json_text("\n  "))})
+    _emit_text({"report": rep.json_text("\n  ")})
     return 0 if rep.verdict == "Equivalent" else 3
 
 

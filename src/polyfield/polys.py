@@ -393,13 +393,6 @@ def _rational(n: int, d: int) -> RealRoot:
     return RealRoot._of((-n // g, d // g), n // g, n // g, d // g, 0, {})
 
 
-def rational_root(value) -> RealRoot:
-    """The rational number ``value`` as a RealRoot."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return _rational(value.numerator, value.denominator)
-
-
 def _isolate(*fs: Sequence[int], chains=None) -> list[tuple[int, int, int]]:
     """Ascending disjoint intervals (a/q, b/q], each holding one root of the
     product of the squarefree, pairwise coprime integer polynomials fs, by

@@ -214,6 +214,14 @@ def up_gcd(f, g):
     return tuple(Fraction(c, h[-1]) for c in h)
 
 
+def rational_root(value):
+    """The rational number ``value`` as a ``polys.RealRoot``."""
+    from polyfield import polys
+
+    value = Fraction(value)
+    return polys._rational(value.numerator, value.denominator)
+
+
 def sturm_real_roots(f):
     """``polys.real_roots`` in two steps, each with its own remainder
     sequence: the squarefree part g of f by ``_isquarefree``, then Sturm
@@ -228,14 +236,14 @@ def sturm_real_roots(f):
     for p in (f, g):
         closed = polys._low_degree_roots(p)
         if closed is not None:
-            return [polys.rational_root(Fraction(n, d)) for n, d in closed]
+            return [rational_root(Fraction(n, d)) for n, d in closed]
     settled = [polys._settle(g, a, b, q) for a, b, q in polys._isolate(g)]
     h = g
     for v, *_ in settled:
         if v is not None:
             h = polys._iquo(h, (-v[0], v[1]))
     poly = tuple(Fraction(c, h[-1]) for c in h)
-    return [polys.rational_root(Fraction(*v)) if v is not None
+    return [rational_root(Fraction(*v)) if v is not None
             else polys.RealRoot(poly, Fraction(a, q), Fraction(b, q))
             for v, a, b, q in settled]
 

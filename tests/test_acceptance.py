@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from oracles import (
     add,
     apply_forward,
@@ -26,6 +28,7 @@ from oracles import (
     shortest_unimodular_chain_length,
     up_gcd,
 )
+from test_cli_golden import CASES
 from test_polytope import _brute_hull
 
 from polyfield.analysis import (
@@ -38,6 +41,7 @@ from polyfield.analysis import (
 from polyfield.charts import DIRECTIONS, directional_plc
 from polyfield.fans import _unimodular_chain, chart_maps, complete_fan
 from polyfield.fields import (
+    ParseError,
     PlanarField,
     WeightVector,
     format_field,
@@ -285,3 +289,66 @@ def test_criterion_11_round_trips():
             u2 = x * w ** alpha
             assert abs(w ** -beta - y) <= 1e-12
             assert abs(u2 * w ** -alpha - x) <= 1e-12
+
+
+def _assert_time_reversal(f: PlanarField) -> None:
+    """The verdict on -f against the verdict on f: reversing time keeps
+    every decision and position and flips every eigenvalue."""
+    try:
+        rep = equivalence_verdict(f)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            equivalence_verdict(scaled(f, -1))
+        return
+    rev = equivalence_verdict(scaled(f, -1))
+    assert (rev.verdict, rev.reasons, rev.hypotheses, rev.shear) == \
+        (rep.verdict, rep.reasons, rep.hypotheses, rep.shear), f
+    assert list(rev.inventory) == list(rep.inventory), f
+    for chart, recs in rep.inventory.items():
+        assert len(rev.inventory[chart]) == len(recs), (f, chart)
+        for r, s in zip(recs, rev.inventory[chart]):
+            assert (s.branch, s.classification) == \
+                (r.branch, r.classification), (f, chart)
+            assert (s.position is None) == (r.position is None), (f, chart)
+            if r.position is not None:
+                assert s.position.interval == r.position.interval, (f, chart)
+            for e, g in ((r.tangent, s.tangent), (r.transverse, s.transverse)):
+                assert (g is None) == (e is None), (f, chart)
+                if e is not None:
+                    assert (g.sign, g.num, g.den, g.is_exact) == \
+                        (-e.sign, -e.num, e.den, e.is_exact), (f, chart)
+
+
+_GOLDEN_FIELDS = sorted({argv[argv.index("--field") + 1]
+                         for argv in CASES.values() if "--field" in argv})
+
+
+@pytest.mark.parametrize("text", _GOLDEN_FIELDS)
+def test_criterion_12a_time_reversal_on_golden_fields(text):
+    try:
+        f = parse_field(text)
+    except ParseError:
+        return
+    _assert_time_reversal(f)
+
+
+def test_criterion_12b_time_reversal_on_random_fields():
+    """Small fields, sheared ones (which the verdict must often shear back)
+    and ones with a coefficient past the float range."""
+    rng = random.Random(27182)
+    checked = 0
+    while checked < 330:
+        f = _random_field(rng)
+        if f.is_zero:
+            continue
+        kind = checked % 3
+        if kind == 1:
+            f = shear(f, rng.choice([F(1), F(-1), F(2), F(1, 2)]))
+        elif kind == 2:
+            terms = f.terms()
+            p = rng.choice(sorted(terms))
+            big = F(10) ** rng.choice([20, 310, 700])
+            terms[p] = tuple(c * big for c in terms[p])
+            f = PlanarField(terms)
+        _assert_time_reversal(f)
+        checked += 1

@@ -13,6 +13,7 @@ from oracles import (
     bp,
     bp_mul,
     cauchy_bound,
+    rational_root,
     squarefree,
     sturm_real_roots,
     up,
@@ -31,7 +32,6 @@ from polyfield.polys import (
     det2,
     has_real_branch,
     primitive,
-    rational_root,
     real_roots,
     up_deriv,
 )
