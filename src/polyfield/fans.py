@@ -13,7 +13,6 @@ breaking one of those constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -32,7 +31,30 @@ class FanError(ValueError):
     """A skeleton that cannot be completed, or an invalid fan."""
 
 
-def sweep_key(v: IVec):
+class SweepKey(tuple):
+    """(sector, x, y) for a direction (x, y) in lowest terms.
+
+    The sectors 0-6 are (0,1), the second quadrant, (-1,0), the third
+    quadrant, (0,-1), the fourth quadrant and (1,0).  Within a quadrant the
+    sweep turns counterclockwise, so there one integer cross-multiplication
+    orders two directions.  Equality and hashing are the tuple's.
+    """
+
+    def __lt__(self, other: "SweepKey") -> bool:
+        return self[0] < other[0] or (
+            self[0] == other[0] and self[1] * other[2] > self[2] * other[1])
+
+    def __gt__(self, other: "SweepKey") -> bool:
+        return other < self
+
+    def __le__(self, other: "SweepKey") -> bool:
+        return not other < self
+
+    def __ge__(self, other: "SweepKey") -> bool:
+        return not self < other
+
+
+def sweep_key(v: IVec) -> SweepKey:
     """Sort key ordering directions from (0,1) around to (1,0).
 
     The sweep starts at (0,1), passes through the second quadrant, (-1,0),
@@ -43,17 +65,16 @@ def sweep_key(v: IVec):
     x, y = v
     if x == 0 and y == 0:
         raise ValueError("zero vector has no direction")
+    if x > 0 and y > 0:
+        raise ValueError(f"direction {v} lies in the open first quadrant")
     if x == 0:
-        return (0, Fraction(0)) if y > 0 else (4, Fraction(0))
-    if y == 0:
-        return (2, Fraction(0)) if x < 0 else (6, Fraction(0))
-    if x < 0 and y > 0:
-        return (1, Fraction(-x, y))
-    if x < 0 and y < 0:
-        return (3, Fraction(y, x))
-    if x > 0 and y < 0:
-        return (5, Fraction(x, -y))
-    raise ValueError(f"direction {v} lies in the open first quadrant")
+        sector = 0 if y > 0 else 4
+    elif y == 0:
+        sector = 2 if x < 0 else 6
+    else:
+        sector = 1 if y > 0 else 3 if x < 0 else 5
+    g = gcd(x, y)
+    return SweepKey((sector, x // g, y // g))
 
 
 @dataclass(frozen=True)

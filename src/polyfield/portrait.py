@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .analysis import Analysis, approximate, approximate_text
 from .charts import polar_field
 from .fields import FieldError, WeightVector
-from .trig import TrigTable, build_trig, period
+from .trig import build_trig, period
 
 _MARKER_FILL = {
     "Hyperbolic": "#d62728",
@@ -164,65 +164,139 @@ def divisor_markers(a: Analysis) -> tuple[tuple[DiskMarker, ...], bool]:
 # trajectories
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first integration."""
-    from scipy.integrate import solve_ivp
+#: accepted solver steps per trajectory branch: a branch that takes this
+#: many ends there and its polyline is marked truncated.  The longest branch
+#: of the default portraits takes 335 steps (cusp-w35, weight (3,5)).
+MAX_STEPS = 2000
 
-    return solve_ivp(*args, **kwargs)
+#: the plane's origin side (r = 49) and the divisor side (r = 1e-7): a
+#: branch that reaches either level ends at it and is marked truncated
+_STOP_LEVELS = (49.0, 1e-7)
+
+#: the root tolerance, absolute and relative, that scipy's solve_ivp gives
+#: brentq for its events: four machine epsilons
+_ROOT_TOL = 4 * math.ulp(1.0)
+
+_RHS_SOURCE = """\
+def rhs_for(sign):
+    def rhs(t, y):
+        theta, r = y.tolist()
+        cs, sn = trig(theta)
+        try:
+{powers}
+        except OverflowError:
+            # a float power overflowed at a trial stage; numpy's power
+            # gives inf there instead, and the solver rejects the step
+            r = float64(r)
+{powers}
+        return (sign * ({theta}), sign * ({r}))
+    return rhs
+"""
 
 
-def _compiled_terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
+def _terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
     # a coefficient beyond the float range raises OverflowError, exit 4
     return tuple((float(c), i, j, k)
                  for (i, j, k), c in sorted(comp.items()))
 
 
-def _trajectory(terms_theta, terms_r, table: TrigTable, seed, horizon: float,
-                tol: float, sign: float) -> tuple[list[tuple[float, float]], bool]:
+def _compile_rhs(terms_theta, terms_r, trig):
+    """The polar field's right-hand side, ``rhs_for(sign)(t, (theta, r))``.
+
+    It generates one function for both components and returns the same
+    floats, bit for bit, as the sum ``0.0 + c * cs**i * sn**j * r**k``
+    over ``terms`` taken term by term from the left: a power 0 is left out
+    (``c * 1.0 == c``), a power 1 is the variable itself, and each higher
+    power is one ``**`` shared by every term that uses it.  Where a power
+    of r overflows, every power of r is taken again on numpy's float64,
+    which gives inf.  The source holds only the ``repr`` of each float
+    coefficient and the integer exponents.
+    """
+    from numpy import float64
+
+    powers: dict[str, str] = {}
+
+    def total(terms) -> str:
+        parts = ["0.0"]
+        for c, *exps in terms:
+            factors = [f"({float.__repr__(float(c))})"]
+            for var, e in zip(("cs", "sn", "r"), exps):
+                e = int(e)
+                if e == 1:
+                    factors.append(var)
+                elif e > 1:
+                    name = f"{var}{e}"
+                    powers[name] = f"{name} = {var} ** {e}"
+                    factors.append(name)
+            parts.append(" * ".join(factors))
+        return " + ".join(parts)
+
+    theta, r = total(terms_theta), total(terms_r)
+    body = "\n".join(" " * 12 + line for line in powers.values()) \
+        or " " * 12 + "pass"
+    space = {"trig": trig, "float64": float64}
+    exec(compile(_RHS_SOURCE.format(powers=body, theta=theta, r=r),
+                 "<polar field>", "exec"), space)
+    return space["rhs_for"]
+
+
+def solve_ivp(rhs, seed, horizon: float, tol: float):
+    """One trajectory branch by DOP853 from t = 0 towards ``horizon``.
+
+    This is the step loop of scipy's ``solve_ivp(..., method="DOP853",
+    dense_output=True)`` with two terminal events, r - 49 and r - 1e-7: the
+    same steps, the same event roots (brentq on the step's dense output)
+    and the same rule of dropping a step's interpolant when t repeats.  A
+    branch also ends after ``MAX_STEPS`` accepted steps.  Returns the step
+    ends, their interpolants and whether the branch stopped short of the
+    horizon.
+    """
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
+
+    solver = DOP853(rhs, 0.0, list(seed), float(horizon), rtol=tol, atol=tol)
+    ts = [0.0]
+    interpolants = []
+    g = [seed[1] - level for level in _STOP_LEVELS]
+    steps = 0
+    while True:
+        solver.step()
+        done = solver.status != "running"
+        t_old, t = solver.t_old, solver.t
+        dense = solver.dense_output()
+        interpolants.append(dense)
+        r = solver.y[1]
+        g_new = [r - level for level in _STOP_LEVELS]
+        # solve_ivp's test for a zero of each event within the step
+        roots = [brentq(lambda s, level=level: dense(s)[1] - level, t_old, t,
+                        xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                 for a, b, level in zip(g, g_new, _STOP_LEVELS)
+                 if a <= 0 <= b or a >= 0 >= b]
+        if roots:
+            t = min(roots)
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            interpolants.pop()
+        else:
+            ts.append(t)
+        steps += 1
+        if done or roots or steps == MAX_STEPS:
+            return ts, interpolants, solver.status != "finished" or bool(roots)
+
+
+def _trajectory(rhs_for, seed, horizon: float, tol: float,
+                sign: float) -> tuple[list[tuple[float, float]], bool]:
     """Integrate one branch of an orbit; returns samples and a truncation flag."""
+    from scipy.integrate import OdeSolution
 
-    trig = table.eval
-
-    def rates(cs, sn, r):
-        td = 0.0
-        for c, i, j, k in terms_theta:
-            td += c * cs ** i * sn ** j * r ** k
-        rd = 0.0
-        for c, i, j, k in terms_r:
-            rd += c * cs ** i * sn ** j * r ** k
-        return (sign * td, sign * rd)
-
-    def rhs(t, y):
-        theta, r = y.tolist()
-        cs, sn = trig(theta)
-        try:
-            return rates(cs, sn, r)
-        except OverflowError:
-            # a float power overflowed at a trial stage; numpy's power gives
-            # inf there instead, and the solver rejects the step
-            from numpy import float64
-
-            return rates(cs, sn, float64(r))
-
-    def hit_centre(t, y):
-        return y[1] - 49.0
-
-    hit_centre.terminal = True
-
-    def hit_divisor(t, y):
-        return y[1] - 1e-7
-
-    hit_divisor.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, horizon), list(seed), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True,
-                    events=[hit_centre, hit_divisor])
-    end = float(sol.t[-1])
+    ts, interpolants, cut = solve_ivp(rhs_for(sign), seed, horizon, tol)
+    end = float(ts[-1])
     if end <= 0.0:
-        return [tuple(seed)], sol.status != 0
+        return [tuple(seed)], cut
     steps = 240
-    th, r = sol.sol([end * i / steps for i in range(steps + 1)]).tolist()
-    return list(zip(th, r)), sol.status != 0
+    th, r = OdeSolution(ts, interpolants)(
+        [end * i / steps for i in range(steps + 1)]).tolist()
+    return list(zip(th, r)), cut
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +316,21 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _points(pts, period: float, centre: float, radius: float) -> str:
+    """A polyline's points attribute: ``_disk_xy`` and ``_fmt`` of every
+    sample, in one pass over the samples and one over the text."""
+    tau = 2.0 * math.pi
+    cos, sin = math.cos, math.sin
+    out = []
+    for theta, r in pts:
+        # radius * rho and 2*pi*theta/period, as _disk_xy orders them
+        scale = radius * (1.0 / (1.0 + (0.0 if r < 0.0 else r)))
+        phi = tau * theta / period
+        out.append("%.3f,%.3f" % (centre + scale * cos(phi),
+                                  centre - scale * sin(phi)))
+    return " ".join(out).replace("-0.000", "0.000")
+
+
 def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
     """The phase portrait of the analysed field, over its weight, as an
     SVG 1.1 document."""
@@ -251,8 +340,7 @@ def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
     pf = polar_field(a.field, a.weight)
     table = build_trig(a.weight)
     period = table.period
-    terms_theta = _compiled_terms(pf.theta)
-    terms_r = _compiled_terms(pf.r)
+    rhs_for = _compile_rhs(_terms(pf.theta), _terms(pf.r), table.eval)
 
     seeds = tuple(spec.seeds) if spec.seeds is not None \
         else default_seeds(period)
@@ -262,17 +350,12 @@ def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
     paths = []
     for seed in seeds:
         theta0 = seed[0] % period
-        back, cut_b = _trajectory(terms_theta, terms_r, table,
-                                  (theta0, seed[1]), spec.horizon,
+        back, cut_b = _trajectory(rhs_for, (theta0, seed[1]), spec.horizon,
                                   spec.tolerance, -1.0)
-        fore, cut_f = _trajectory(terms_theta, terms_r, table,
-                                  (theta0, seed[1]), spec.horizon,
+        fore, cut_f = _trajectory(rhs_for, (theta0, seed[1]), spec.horizon,
                                   spec.tolerance, 1.0)
-        pts = list(reversed(back)) + fore[1:]
-        coords = " ".join(
-            f"{_fmt(x)},{_fmt(y)}"
-            for x, y in (_disk_xy(th, r, period, centre, radius)
-                         for th, r in pts))
+        coords = _points(list(reversed(back)) + fore[1:], period, centre,
+                         radius)
         cls = "trajectory truncated" if (cut_b or cut_f) else "trajectory"
         paths.append(f'    <polyline class="{cls}" points="{coords}"/>')
 

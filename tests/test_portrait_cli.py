@@ -286,19 +286,40 @@ def _per_point_trajectory(terms_theta, terms_r, table, seed, horizon, tol,
     return samples, sol.status != 0
 
 
+def _loop_terms(comp):
+    return tuple((float(c), i, j, k) for (i, j, k), c in sorted(comp.items()))
+
+
+#: the horizon, and how every branch ends, where a case below says so
+_ENDS = {
+    # r' = -r: forward on the divisor's event (r = 0.85 e^-20 < 1e-7),
+    # backward on the plane origin's
+    "dx = x; dy = y": (20.0, "event"),
+    # the rotation: every branch runs to the horizon
+    "dx = -y; dy = x": (8.0, "horizon"),
+}
+
+
 @pytest.mark.parametrize("text,w", [
     (QUARTIC_TEXT, W12),
     ("dx = -x; dy = -y", WeightVector(1, 1)),
+    ("dx = x; dy = y", WeightVector(1, 1)),
+    ("dx = -y; dy = x", WeightVector(1, 1)),
 ])
 def test_portrait_matches_per_point_integrator(monkeypatch, text, w):
+    horizon, ends = _ENDS.get(text, (8.0, None))
     a = Analysis(parse_field(text), w)
-    spec = PortraitSpec()
+    pf = polar_field(a.field, a.weight)
+    terms = (_loop_terms(pf.theta), _loop_terms(pf.r), build_trig(w))
+    spec = PortraitSpec(horizon=horizon)
     svg = render_portrait(a, spec)
     fast = portrait._trajectory
-    pairs = []
+    pairs, signs = [], []
 
-    def both(*args):
-        pairs.append((fast(*args), _per_point_trajectory(*args)))
+    def both(rhs_for, seed, horizon, tol, sign):
+        signs.append(sign)
+        pairs.append((fast(rhs_for, seed, horizon, tol, sign),
+                      _per_point_trajectory(*terms, seed, horizon, tol, sign)))
         return pairs[-1][1]
 
     monkeypatch.setattr(portrait, "_trajectory", both)
@@ -306,19 +327,103 @@ def test_portrait_matches_per_point_integrator(monkeypatch, text, w):
     assert len(pairs) == 2 * len(default_seeds(1.0))
     # every sample, not just its three-decimal SVG rendering
     assert all(new == old for new, old in pairs)
+    if ends == "event":
+        level = {-1.0: 49.0, 1.0: 1e-7}
+        assert all(cut and abs(samples[-1][1] - level[sign]) < 1e-12
+                   for ((samples, cut), _), sign in zip(pairs, signs))
+    elif ends == "horizon":
+        assert not any(cut for (_, cut), _ in pairs)
+
+
+def _loop_rhs(terms_theta, terms_r, trig, sign):
+    """The right-hand side as a loop over (c, i, j, k) terms."""
+
+    def rates(cs, sn, r):
+        td = 0.0
+        for c, i, j, k in terms_theta:
+            td += c * cs ** i * sn ** j * r ** k
+        rd = 0.0
+        for c, i, j, k in terms_r:
+            rd += c * cs ** i * sn ** j * r ** k
+        return (sign * td, sign * rd)
+
+    def rhs(t, y):
+        theta, r = y.tolist()
+        cs, sn = trig(theta)
+        try:
+            return rates(cs, sn, r)
+        except OverflowError:
+            return rates(cs, sn, np.float64(r))
+
+    return rhs
+
+
+def test_compiled_rhs_matches_the_loop_form_bit_for_bit():
+    rng = random.Random(31)
+    table = build_trig(WeightVector(1, 2))
+    overflowed = 0
+    for _ in range(60):
+        comps = []
+        for _ in range(2):
+            monos = rng.sample([(i, j, k) for i in range(5) for j in range(5)
+                                for k in range(5)], rng.randint(0, 7))
+            # a high power of r overflows a float power at r ~ 6
+            if rng.random() < 0.3:
+                monos.append((rng.randint(0, 2), rng.randint(0, 2), 400))
+            comps.append(tuple(sorted(
+                (rng.choice((-1, 1)) * rng.uniform(0.1, 9.9)
+                 * 10.0 ** rng.randint(-30, 30), i, j, k)
+                for i, j, k in monos)))
+        compiled = portrait._compile_rhs(*comps, table.eval)
+        for sign in (-1.0, 1.0):
+            fast, slow = compiled(sign), _loop_rhs(*comps, table.eval, sign)
+            for _ in range(20):
+                y = np.array([rng.uniform(-10.0, 10.0),
+                              rng.choice((rng.uniform(0.0, 1.0),
+                                          rng.uniform(0.0, 60.0), 1e200))])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.asarray(slow(0.0, y), dtype=float)
+                    got = np.asarray(fast(0.0, y), dtype=float)
+                assert got.tobytes() == want.tobytes(), (comps, y)
+                overflowed += not np.isfinite(want).all()
+    # the float64 fallback ran, not just the float path
+    assert overflowed > 20
 
 
 def test_trajectory_survives_a_trial_stage_overflow():
     # r' = r**400 overflows a float power once a trial stage passes r ~ 6;
     # numpy gives inf there, the solver rejects the step and gives up
     table = build_trig(WeightVector(1, 1))
-    args = (((1.0, 0, 0, 0),), ((1.0, 0, 0, 400),), table, (0.0, 1.0), 8.0,
-            1e-9, 1.0)
+    terms = (((1.0, 0, 0, 0),), ((1.0, 0, 0, 400),))
+    rhs_for = portrait._compile_rhs(*terms, table.eval)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _per_point_trajectory(*args)
-        got = portrait._trajectory(*args)
+        want = _per_point_trajectory(*terms, table, (0.0, 1.0), 8.0, 1e-9, 1.0)
+        got = portrait._trajectory(rhs_for, (0.0, 1.0), 8.0, 1e-9, 1.0)
     assert got == want
     assert got[1] and len(got[0]) == 241
+
+
+def test_a_branch_on_a_limit_cycle_stops_at_the_step_bound(monkeypatch):
+    # the unit circle is a stable limit cycle: the forward branch settles
+    # on it, where neither event fires, so under a huge horizon only the
+    # step bound ends it; the backward branch ends at an event
+    integrate = portrait.solve_ivp
+    steps = []
+
+    def counted(*args):
+        ts, interpolants, cut = integrate(*args)
+        steps.append((len(interpolants), cut))
+        return ts, interpolants, cut
+
+    monkeypatch.setattr(portrait, "solve_ivp", counted)
+    a = Analysis(parse_field("dx = -y + x - x^3 - x*y^2; "
+                             "dy = x + y - x^2*y - y^3"), WeightVector(1, 1))
+    svg = render_portrait(a, PortraitSpec(seeds=((0.5, 0.9),), horizon=1e12,
+                                          size=96))
+    assert svg.count('<polyline class="trajectory truncated"') == 1
+    back, fore = steps
+    assert back[1] and back[0] < portrait.MAX_STEPS
+    assert fore == (portrait.MAX_STEPS, True)
 
 
 def test_spec_validation():
