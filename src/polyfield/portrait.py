@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .analysis import Analysis, approximate, approximate_text
@@ -48,7 +49,9 @@ class PortraitSpec:
     def validate(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("integration horizon must be finite and positive")
-        # scipy raises an rtol below 100 eps (2.2e-14), with a warning
+        # scipy raises an rtol below 100 eps (2.2e-14) to that, with a
+        # warning; solve_ivp's step loop has no such clamp and relies on
+        # this bound to keep it unreachable
         if not 1e-13 <= self.tolerance <= 1e-3:
             raise ValueError("step tolerance must lie in [1e-13, 1e-3]")
         if self.size < 64:
@@ -179,8 +182,7 @@ _ROOT_TOL = 4 * math.ulp(1.0)
 
 _RHS_SOURCE = """\
 def rhs_for(sign):
-    def rhs(t, y):
-        theta, r = y.tolist()
+    def rhs(t, theta, r):
         cs, sn = trig(theta)
         try:
 {powers}
@@ -201,7 +203,7 @@ def _terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
 
 
 def _compile_rhs(terms_theta, terms_r, trig):
-    """The polar field's right-hand side, ``rhs_for(sign)(t, (theta, r))``.
+    """The polar field's right-hand side, ``rhs_for(sign)(t, theta, r)``.
 
     It generates one function for both components and returns the same
     floats, bit for bit, as the sum ``0.0 + c * cs**i * sn**j * r**k``
@@ -240,63 +242,198 @@ def _compile_rhs(terms_theta, terms_r, trig):
     return space["rhs_for"]
 
 
+#: DOP853's step-size control (Hairer, Norsett & Wanner, Solving ODEs I,
+#: sec. II.4), as scipy sets it: a safety factor and the least and greatest
+#: factors by which one step may change the step size
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+
+
+@cache
+def _tableau():
+    """DOP853's tableau, read off scipy's public class: per stage s, the
+    row ``A[s, :s]`` and the node ``C[s]`` (s = 1..11 for a step, 13..15
+    for the dense output's extra stages), then B, E5, E3 and D.  The rows
+    are views of scipy's own arrays."""
+    from scipy.integrate import DOP853
+
+    n = DOP853.n_stages
+    rows = [None] + [DOP853.A[s][:s] for s in range(1, n)] + [None] \
+        + [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=n + 1)]
+    nodes = [0.0] + DOP853.C[1:].tolist() + [1.0] + DOP853.C_EXTRA.tolist()
+    return rows, nodes, DOP853.B, DOP853.E5, DOP853.E3, DOP853.D
+
+
 def solve_ivp(rhs, seed, horizon: float, tol: float):
     """One trajectory branch by DOP853 from t = 0 towards ``horizon``.
 
-    This is the step loop of scipy's ``solve_ivp(..., method="DOP853",
-    dense_output=True)`` with two terminal events, r - 49 and r - 1e-7: the
-    same steps, the same event roots (brentq on the step's dense output)
-    and the same rule of dropping a step's interpolant when t repeats.  A
-    branch also ends after ``MAX_STEPS`` accepted steps.  Returns the step
-    ends, their interpolants and whether the branch stopped short of the
-    horizon.
+    This is scipy's ``solve_ivp(..., method="DOP853", dense_output=True)``
+    with two terminal events, r - 49 and r - 1e-7, on plain floats: the
+    same initial step, steps, rejections, event roots (brentq on the step's
+    dense output) and rule of dropping a step's interpolant when t repeats,
+    bit for bit.  Each product of the stages with the tableau is the numpy
+    call scipy makes, on an array of the same shape and layout, so it sums
+    in the same BLAS order; everything elementwise is float arithmetic in
+    scipy's operation order.  ``rhs(t, theta, r)`` returns the two rates.
+
+    A branch ends after ``MAX_STEPS`` accepted steps, or where a step would
+    have to be shorter than ten float spacings of t (scipy's failure), on
+    the last accepted step.  Returns the step ends, one piece per kept step
+    (``t_old``, ``h``, then per component the interpolant rows in Horner
+    order and the value at ``t_old``, as ``trig.TrigTable`` holds them) and
+    whether the branch stopped short of the horizon.
     """
-    from scipy.integrate import DOP853
+    import numpy as np
     from scipy.optimize import brentq
 
-    solver = DOP853(rhs, 0.0, list(seed), float(horizon), rtol=tol, atol=tol)
+    rows, nodes, b, e5, e3, d = _tableau()
+    n = len(b)
+    norm = np.linalg.norm
+    # the stages K, one row each, written through a flat view; a stage
+    # product is ndarray.dot, which is np.dot, on scipy's K[:s].T
+    k = np.empty((len(nodes), 2))
+    cells = memoryview(k).cast("B").cast("d")
+    dots = [k[:s].T.dot for s in range(len(nodes))]
+
+    t, t_bound = 0.0, float(horizon)
+    th, r = float(seed[0]), float(seed[1])
+    f = rhs(t, th, r)
+
+    # select_initial_step, with scipy's RMS norm over the 2 components
+    root2 = 2 ** 0.5
+    s0, s1 = tol + abs(th) * tol, tol + abs(r) * tol
+    d0 = norm([th / s0, r / s1]) / root2
+    d1 = norm([f[0] / s0, f[1] / s1]) / root2
+    h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+                   t_bound))
+    f1 = rhs(t + h0, th + h0 * f[0], r + h0 * f[1])
+    d2 = norm([(f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1]) / root2 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = float(min(100 * h0, h1, t_bound))
+
     ts = [0.0]
-    interpolants = []
-    g = [seed[1] - level for level in _STOP_LEVELS]
-    steps = 0
-    while True:
-        solver.step()
-        done = solver.status != "running"
-        t_old, t = solver.t_old, solver.t
-        dense = solver.dense_output()
-        interpolants.append(dense)
-        r = solver.y[1]
+    pieces: list[tuple[float, ...]] = []
+    g = [r - level for level in _STOP_LEVELS]
+    for _ in range(MAX_STEPS):
+        # one accepted step, as RungeKutta._step_impl takes it
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, pieces, True
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            cells[0], cells[1] = f
+            for s in range(1, n):
+                a0, a1 = dots[s](rows[s]).tolist()
+                cells[2 * s], cells[2 * s + 1] = rhs(
+                    t + nodes[s] * h, th + a0 * h, r + a1 * h)
+            a0, a1 = dots[n](b).tolist()
+            y0, y1 = th + h * a0, r + h * a1
+            f_new = rhs(t + h, y0, y1)
+            cells[2 * n], cells[2 * n + 1] = f_new
+            # the scale keeps np.maximum's nan, which max() would drop
+            m0, m1 = abs(th), abs(y0)
+            s0 = tol + (m0 if m0 >= m1 or m0 != m0 else m1) * tol
+            m0, m1 = abs(r), abs(y1)
+            s1 = tol + (m0 if m0 >= m1 or m0 != m0 else m1) * tol
+            a0, a1 = dots[n + 1](e5).tolist()
+            n5 = norm([a0 / s0, a1 / s1]) ** 2
+            a0, a1 = dots[n + 1](e3).tolist()
+            n3 = norm([a0 / s0, a1 / s1]) ** 2
+            if n5 == 0 and n3 == 0:
+                error = 0.0
+            else:
+                error = float(abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * 2))
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * error ** -0.125)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.125)
+            rejected = True
+
+        # the step's dense output: three more stages, then the rows F
+        t_old, th_old, r_old, f_old = t, th, r, f
+        t, th, r, f = t_new, y0, y1, f_new
+        for s in range(n + 1, len(nodes)):
+            a0, a1 = dots[s](rows[s]).tolist()
+            cells[2 * s], cells[2 * s + 1] = rhs(
+                t_old + nodes[s] * h, th_old + a0 * h, r_old + a1 * h)
+        (p3, q3), (p4, q4), (p5, q5), (p6, q6) = d.dot(k).tolist()
+        dth, dr = th - th_old, r - r_old
+        # the Horner sum starts from zero: 0.0 + F[6]
+        piece = (t_old, t - t_old,
+                 0.0 + h * p6, h * p5, h * p4, h * p3,
+                 2 * dth - h * (f[0] + f_old[0]), h * f_old[0] - dth, dth,
+                 th_old,
+                 0.0 + h * q6, h * q5, h * q4, h * q3,
+                 2 * dr - h * (f[1] + f_old[1]), h * f_old[1] - dr, dr,
+                 r_old)
+        pieces.append(piece)
+
         g_new = [r - level for level in _STOP_LEVELS]
         # solve_ivp's test for a zero of each event within the step
-        roots = [brentq(lambda s, level=level: dense(s)[1] - level, t_old, t,
-                        xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-                 for a, b, level in zip(g, g_new, _STOP_LEVELS)
-                 if a <= 0 <= b or a >= 0 >= b]
-        if roots:
-            t = min(roots)
+        roots = [brentq(lambda s, level=level:
+                        _horner((s - t_old) / h, *piece[10:]) - level,
+                        t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                 for before, after, level in zip(g, g_new, _STOP_LEVELS)
+                 if before <= 0 <= after or before >= 0 >= after]
         g = g_new
-        if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
+        stop = min(roots) if roots else t
+        if len(ts) > 1 and ts[-1] == stop:
+            pieces.pop()
         else:
-            ts.append(t)
-        steps += 1
-        if done or roots or steps == MAX_STEPS:
-            return ts, interpolants, solver.status != "finished" or bool(roots)
+            ts.append(stop)
+        if roots or t - t_bound >= 0:
+            return ts, pieces, bool(roots)
+    return ts, pieces, True
+
+
+def _horner(x, c6, c5, c4, c3, c2, c1, c0, c):
+    """A piece's component at x = (t - t_old) / h, on floats or arrays, in
+    the operation order of ``Dop853DenseOutput``: from 0.0 + F[6] (``c6``)
+    it multiplies by x and 1 - x in turn and ends on the value at t_old."""
+    u = 1 - x
+    return ((((((c6 * x + c5) * u + c4) * x + c3) * u + c2) * x + c1)
+            * u + c0) * x + c
+
+
+def _sample(ts, pieces, times):
+    """The branch at ``times``, as arrays of theta and r: each time reads
+    the piece that ``OdeSolution`` reads (the lower one at a knot), all of
+    them in one pass."""
+    import numpy as np
+
+    at = np.searchsorted(ts, times, side="left") - 1
+    np.clip(at, 0, len(pieces) - 1, out=at)
+    rows = np.array(pieces)[at].T
+    x = (times - rows[0]) / rows[1]
+    return _horner(x, *rows[2:10]), _horner(x, *rows[10:])
 
 
 def _trajectory(rhs_for, seed, horizon: float, tol: float,
                 sign: float) -> tuple[list[tuple[float, float]], bool]:
-    """Integrate one branch of an orbit; returns samples and a truncation flag."""
-    from scipy.integrate import OdeSolution
+    """Integrate one branch of an orbit; returns its 241 samples at
+    ``end * i / 240`` and a truncation flag."""
+    import numpy as np
 
-    ts, interpolants, cut = solve_ivp(rhs_for(sign), seed, horizon, tol)
+    ts, pieces, cut = solve_ivp(rhs_for(sign), seed, horizon, tol)
     end = float(ts[-1])
     if end <= 0.0:
         return [tuple(seed)], cut
     steps = 240
-    th, r = OdeSolution(ts, interpolants)(
-        [end * i / steps for i in range(steps + 1)]).tolist()
-    return list(zip(th, r)), cut
+    th, r = _sample(ts, pieces, end * np.arange(steps + 1) / steps)
+    return list(zip(th.tolist(), r.tolist())), cut
 
 
 # ---------------------------------------------------------------------------

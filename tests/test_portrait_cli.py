@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -383,7 +384,7 @@ def test_compiled_rhs_matches_the_loop_form_bit_for_bit():
                                           rng.uniform(0.0, 60.0), 1e200))])
                 with np.errstate(over="ignore", invalid="ignore"):
                     want = np.asarray(slow(0.0, y), dtype=float)
-                    got = np.asarray(fast(0.0, y), dtype=float)
+                    got = np.asarray(fast(0.0, *y.tolist()), dtype=float)
                 assert got.tobytes() == want.tobytes(), (comps, y)
                 overflowed += not np.isfinite(want).all()
     # the float64 fallback ran, not just the float path
@@ -401,6 +402,25 @@ def test_trajectory_survives_a_trial_stage_overflow():
         got = portrait._trajectory(rhs_for, (0.0, 1.0), 8.0, 1e-9, 1.0)
     assert got == want
     assert got[1] and len(got[0]) == 241
+
+
+#: x' = 10**300 * x**3: the rates at the seed (0.1, 0.5) are so large that
+#: DOP853's first step would have to be shorter than ten float spacings of t
+HUGE_CUBIC_TEXT = "dx = 1" + "0" * 300 + "*x^3; dy = y"
+
+
+def test_a_branch_whose_first_step_fails_is_its_seed():
+    a = Analysis(parse_field(HUGE_CUBIC_TEXT), WeightVector(1, 1))
+    pf = polar_field(a.field, a.weight)
+    table = build_trig(a.weight)
+    terms = (_loop_terms(pf.theta), _loop_terms(pf.r))
+    rhs_for = portrait._compile_rhs(*terms, table.eval)
+    for sign in (-1.0, 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _per_point_trajectory(*terms, table, (0.1, 0.5), 8.0, 1e-9,
+                                         sign)
+            got = portrait._trajectory(rhs_for, (0.1, 0.5), 8.0, 1e-9, sign)
+        assert got == want == ([(0.1, 0.5)], True)
 
 
 def test_a_branch_on_a_limit_cycle_stops_at_the_step_bound(monkeypatch):
@@ -693,6 +713,21 @@ def test_cli_thirty_digit_coefficient_gets_a_verdict(capsys):
                         "dx = 123456789012345678901234567891*x + y^2; dy = y")
     assert code in (0, 3)
     assert json.loads(out)["report"]["verdict"] in ("Equivalent", "HypothesesFail")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_portrait_whose_first_step_fails(capsys):
+    # both branches of the seed fail their first step, so its polyline is
+    # the seed alone, drawn truncated
+    code, out, err = _run(capsys, "portrait", "--weight", "1,1", "--seed",
+                          "0.1,0.5", "--field", HUGE_CUBIC_TEXT)
+    assert code == 0 and "Traceback" not in err
+    assert out.count("<polyline") == 1
+    assert '<polyline class="trajectory truncated" points="524.308,299.501"/>' \
+        in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48de6d5157b1c6155e1f1898367f3411521d67be3670667e26108f2c95a5e311")
 
 
 def test_cli_zero_field_portrait(capsys):

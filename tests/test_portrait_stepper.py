@@ -1,0 +1,162 @@
+"""The portrait's DOP853 step loop against scipy's own stepper.
+
+``portrait.solve_ivp`` steps DOP853 on plain floats.  The oracle here is
+the loop it replaced: scipy's public ``DOP853`` solver, stepped one step at
+a time, with its ``dense_output()`` per step, solve_ivp's event test and
+brentq roots, and ``OdeSolution`` for the samples.  Every comparison is by
+the bytes of the floats.
+"""
+
+import random
+
+import numpy as np
+from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize import brentq
+
+from polyfield import portrait
+from polyfield.fields import WeightVector
+from polyfield.trig import build_trig
+
+
+def _scipy_branch(rhs, seed, horizon, tol):
+    """One branch on scipy's stepper: the right-hand side's arguments call
+    by call, the step ends, one piece per kept step built from
+    ``dense_output()``'s F and y_old, the kept interpolants, the number of
+    accepted steps and how the branch ended."""
+    calls = []
+
+    def fun(t, y):
+        args = (t, *y.tolist())
+        calls.append(args)
+        return rhs(*args)
+
+    solver = DOP853(fun, 0.0, list(seed), horizon, rtol=tol, atol=tol)
+    ts, pieces, dense = [0.0], [], []
+    g = [seed[1] - level for level in portrait._STOP_LEVELS]
+    for steps in range(portrait.MAX_STEPS):
+        solver.step()
+        if solver.status == "failed":
+            return calls, ts, pieces, dense, steps, "failed"
+        interpolant = solver.dense_output()
+        rows = interpolant.F[::-1]
+        piece = [interpolant.t_old, interpolant.h]
+        for i in range(2):
+            piece += [0.0 + rows[0][i], *rows[1:, i].tolist(),
+                      interpolant.y_old[i]]
+        pieces.append(tuple(float(v) for v in piece))
+        dense.append(interpolant)
+        g_new = [solver.y[1] - level for level in portrait._STOP_LEVELS]
+        roots = [brentq(lambda s, level=level: interpolant(s)[1] - level,
+                        solver.t_old, solver.t, xtol=portrait._ROOT_TOL,
+                        rtol=portrait._ROOT_TOL)
+                 for a, b, level in zip(g, g_new, portrait._STOP_LEVELS)
+                 if a <= 0 <= b or a >= 0 >= b]
+        g = g_new
+        t = min(roots) if roots else solver.t
+        if len(ts) > 1 and ts[-1] == t:
+            pieces.pop()
+            dense.pop()
+        else:
+            ts.append(t)
+        if roots:
+            return calls, ts, pieces, dense, steps + 1, "event"
+        if solver.status == "finished":
+            return calls, ts, pieces, dense, steps + 1, "finished"
+    return calls, ts, pieces, dense, portrait.MAX_STEPS, "step bound"
+
+
+def _random_terms(rng):
+    comp = []
+    monos = rng.sample([(i, j, k) for i in range(4) for j in range(4)
+                        for k in range(4)], rng.randint(1, 5))
+    for i, j, k in monos:
+        comp.append((rng.choice((-1, 1)) * rng.uniform(0.1, 9.9)
+                     * 10.0 ** rng.randint(-2, 1), i, j, k))
+    roll = rng.random()
+    if roll < 0.2:
+        # a power of r that overflows a float power once r passes ~6
+        comp.append((rng.uniform(0.5, 2.0), 0, 0, 400))
+    elif roll < 0.3:
+        # a rate so large that the first step needs less than ten float
+        # spacings of t, and fails
+        comp.append((1e300, rng.randint(0, 3), 0, 3))
+    return tuple(sorted(comp, key=lambda term: term[1:]))
+
+
+def _bytes(rows):
+    return np.array(rows, dtype=float).tobytes()
+
+
+#: theta' has an r**400 term, which overflows in two dense-output stages
+#: of this branch (sign +1, tolerance 1e-3), so the rows of theta's
+#: interpolant over its steps 411 and 412 hold nan.  At their right knots the lower piece gives nan and
+#: the upper one its start value: these knots show which piece a sample
+#: reads.  Among 1,101 seeded branches with an r**400 term only this one
+#: had such a knot; on finite rows both pieces give the same float there.
+NAN_ROWS = ((((0.7619274500084605, 0, 0, 400), (9.523377615248565, 1, 1, 1),
+              (-3.795939174770328, 3, 3, 3)),
+             ((16.80036716583476, 0, 0, 3), (-0.06077162380075942, 1, 2, 0))),
+            (2.075193069484559, 0.5943223192467129), 1.0, 1e-3)
+
+
+def test_steps_match_scipys_dop853_bit_for_bit():
+    rng = random.Random(2718)
+    table = build_trig(WeightVector(1, 2))
+    cases = [((_random_terms(rng), _random_terms(rng)),
+              (rng.uniform(-4.0, 4.0), rng.uniform(0.05, 1.0)),
+              rng.choice((-1.0, 1.0)), tol)
+             for tol in (1e-13, 1e-9, 1e-3) for _ in range(30)]
+    endings = {}
+    trials = accepted = overflows = split_knots = 0
+    for terms, seed, sign, tol in cases + [NAN_ROWS]:
+        rhs = portrait._compile_rhs(*terms, table.eval)(sign)
+        ours = []
+
+        def logged(t, theta, r):
+            ours.append((t, theta, r))
+            return rhs(t, theta, r)
+
+        with np.errstate(all="ignore"):
+            calls, ts, pieces, dense, steps, ending = _scipy_branch(
+                rhs, seed, 2.0, tol)
+            got_ts, got_pieces, cut = portrait.solve_ivp(
+                logged, seed, 2.0, tol)
+            values = [rhs(*args) for args in calls]
+        # every trial stage of every step, rejected ones included, and
+        # each step's t and y: the arguments of the right-hand side
+        assert _bytes(ours) == _bytes(calls), (terms, seed, tol)
+        assert _bytes(got_ts) == _bytes(ts)
+        assert _bytes(got_pieces) == _bytes(pieces)
+        assert len(got_pieces) == len(ts) - 1
+        assert cut == (ending != "finished")
+        if ending == "failed" and not pieces:
+            ending = "failed first step"
+        endings[ending] = endings.get(ending, 0) + 1
+        # 2 calls before the first step, 12 per trial step and 3 more
+        # for each accepted step's dense output
+        tried, rest = divmod(len(calls) - 2 - 3 * steps, 12)
+        assert rest == 0
+        trials += tried
+        accepted += steps
+        if any(k == 400 for comp in terms for *_, k in comp):
+            overflows += sum(not np.isfinite(v).all() for v in values)
+        if not pieces:
+            continue
+        # the vectorized sampling against OdeSolution at the knots, the
+        # branch ends and random times
+        end = ts[-1]
+        times = np.array(sorted(
+            ts + [0.0, end] + [rng.uniform(0.0, end) for _ in range(40)]
+            + [end * i / 240 for i in range(241)]))
+        with np.errstate(all="ignore"):
+            want = OdeSolution(ts, dense)(times)
+            got = np.array(portrait._sample(ts, got_pieces, times))
+            lower = OdeSolution(ts, dense)(ts)
+            upper = OdeSolution(ts, dense, alt_segment=True)(ts)
+        assert got.tobytes() == want.tobytes()
+        split_knots += lower.tobytes() != upper.tobytes()
+    # the data hold rejected steps, overflowing trial stages, a knot where
+    # the two pieces give different floats, and every way a branch ends
+    assert trials > accepted and overflows > 0 and split_knots > 0
+    assert all(endings.get(ending, 0) > 0 for ending in (
+        "failed first step", "failed", "step bound", "finished", "event"))
