@@ -250,49 +250,123 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 @cache
 def _tableau():
-    """DOP853's tableau, read off scipy's public class: per stage s, the
-    row ``A[s, :s]`` and the node ``C[s]`` (s = 1..11 for a step, 13..15
-    for the dense output's extra stages), then B, E5, E3 and D.  The rows
-    are views of scipy's own arrays."""
-    from scipy.integrate import DOP853
+    """DOP853's tableau (:mod:`polyfield.dop853`): per stage s, the row
+    ``A[s, :s]`` and the node ``C[s]`` (s = 1..11 for a step, 13..15 for
+    the dense output's extra stages), then B, E5, E3 and D.  The rows are
+    views of the module's arrays, laid out as scipy lays out its own."""
+    from . import dop853
 
-    n = DOP853.n_stages
-    rows = [None] + [DOP853.A[s][:s] for s in range(1, n)] + [None] \
-        + [a[:s] for s, a in enumerate(DOP853.A_EXTRA, start=n + 1)]
-    nodes = [0.0] + DOP853.C[1:].tolist() + [1.0] + DOP853.C_EXTRA.tolist()
-    return rows, nodes, DOP853.B, DOP853.E5, DOP853.E3, DOP853.D
+    n = dop853.N_STAGES
+    rows = [None] + [dop853.A[s][:s] for s in range(1, n)] + [None] \
+        + [a[:s] for s, a in enumerate(dop853.A_EXTRA, start=n + 1)]
+    nodes = [0.0] + dop853.C[1:].tolist() + [1.0] + dop853.C_EXTRA.tolist()
+    return rows, nodes, dop853.B, dop853.E5, dop853.E3, dop853.D
 
 
-def solve_ivp(rhs, seed, horizon: float, tol: float):
-    """One trajectory branch by DOP853 from t = 0 towards ``horizon``.
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A zero of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's ``brentq`` (its C routine and the wrapper's NaN
+    test) to Python floats: the same iterates and the same root, bit for
+    bit.  Like scipy it raises ValueError where f is NaN or f(a) and f(b)
+    share a sign, and RuntimeError after ``maxiter`` steps.
+    """
+    def call(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or nan here, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
+              levels: tuple[float, ...]):
+    """One solution of y' = rhs by DOP853 from t = 0 towards ``horizon``.
 
     This is scipy's ``solve_ivp(..., method="DOP853", dense_output=True)``
-    with two terminal events, r - 49 and r - 1e-7, on plain floats: the
-    same initial step, steps, rejections, event roots (brentq on the step's
-    dense output) and rule of dropping a step's interpolant when t repeats,
-    bit for bit.  Each product of the stages with the tableau is the numpy
-    call scipy makes, on an array of the same shape and layout, so it sums
-    in the same BLAS order; everything elementwise is float arithmetic in
-    scipy's operation order.  ``rhs(t, theta, r)`` returns the two rates.
+    with a terminal event y[1] - level per entry of ``levels``, on plain
+    floats: the same initial step, steps, rejections, event roots
+    (``_brentq`` on the step's dense output) and rule of dropping a step's
+    interpolant when t repeats, bit for bit.  Each product of the stages
+    with the tableau is the numpy call scipy makes, on an array of the same
+    shape and layout, so it sums in the same BLAS order; everything
+    elementwise is float arithmetic in scipy's operation order.
+    ``rhs(t, y0, y1)`` returns the two rates.
 
-    A branch ends after ``MAX_STEPS`` accepted steps, or where a step would
+    The loop ends after ``MAX_STEPS`` accepted steps, or where a step would
     have to be shorter than ten float spacings of t (scipy's failure), on
     the last accepted step.  Returns the step ends, one piece per kept step
     (``t_old``, ``h``, then per component the interpolant rows in Horner
     order and the value at ``t_old``, as ``trig.TrigTable`` holds them) and
-    whether the branch stopped short of the horizon.
+    whether the loop stopped short of the horizon.
     """
     import numpy as np
-    from scipy.optimize import brentq
 
     rows, nodes, b, e5, e3, d = _tableau()
     n = len(b)
-    norm = np.linalg.norm
+    float64, norm = np.float64, np.linalg.norm
     # the stages K, one row each, written through a flat view; a stage
-    # product is ndarray.dot, which is np.dot, on scipy's K[:s].T
+    # product is ndarray.dot, which is np.dot, on scipy's K[:s].T, and
+    # lands in ``prod``; an error norm is the ddot of ``pair`` with itself
     k = np.empty((len(nodes), 2))
     cells = memoryview(k).cast("B").cast("d")
+    prod, pair = np.empty(2), np.empty(2)
+    got, put = memoryview(prod), memoryview(pair)
     dots = [k[:s].T.dot for s in range(len(nodes))]
+    ddot = pair.dot
+    sqrt = math.sqrt
 
     t, t_bound = 0.0, float(horizon)
     th, r = float(seed[0]), float(seed[1])
@@ -300,7 +374,7 @@ def solve_ivp(rhs, seed, horizon: float, tol: float):
 
     # select_initial_step, with scipy's RMS norm over the 2 components
     root2 = 2 ** 0.5
-    s0, s1 = tol + abs(th) * tol, tol + abs(r) * tol
+    s0, s1 = atol + abs(th) * rtol, atol + abs(r) * rtol
     d0 = norm([th / s0, r / s1]) / root2
     d1 = norm([f[0] / s0, f[1] / s1]) / root2
     h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
@@ -315,7 +389,7 @@ def solve_ivp(rhs, seed, horizon: float, tol: float):
 
     ts = [0.0]
     pieces: list[tuple[float, ...]] = []
-    g = [r - level for level in _STOP_LEVELS]
+    g = [r - level for level in levels]
     for _ in range(MAX_STEPS):
         # one accepted step, as RungeKutta._step_impl takes it
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -332,26 +406,30 @@ def solve_ivp(rhs, seed, horizon: float, tol: float):
             h_abs = abs(h)
             cells[0], cells[1] = f
             for s in range(1, n):
-                a0, a1 = dots[s](rows[s]).tolist()
+                dots[s](rows[s], prod)
                 cells[2 * s], cells[2 * s + 1] = rhs(
-                    t + nodes[s] * h, th + a0 * h, r + a1 * h)
-            a0, a1 = dots[n](b).tolist()
-            y0, y1 = th + h * a0, r + h * a1
+                    t + nodes[s] * h, th + got[0] * h, r + got[1] * h)
+            dots[n](b, prod)
+            y0, y1 = th + h * got[0], r + h * got[1]
             f_new = rhs(t + h, y0, y1)
             cells[2 * n], cells[2 * n + 1] = f_new
             # the scale keeps np.maximum's nan, which max() would drop
             m0, m1 = abs(th), abs(y0)
-            s0 = tol + (m0 if m0 >= m1 or m0 != m0 else m1) * tol
+            s0 = atol + (m0 if m0 >= m1 or m0 != m0 else m1) * rtol
             m0, m1 = abs(r), abs(y1)
-            s1 = tol + (m0 if m0 >= m1 or m0 != m0 else m1) * tol
-            a0, a1 = dots[n + 1](e5).tolist()
-            n5 = norm([a0 / s0, a1 / s1]) ** 2
-            a0, a1 = dots[n + 1](e3).tolist()
-            n3 = norm([a0 / s0, a1 / s1]) ** 2
+            s1 = atol + (m0 if m0 >= m1 or m0 != m0 else m1) * rtol
+            # np.linalg.norm squared, kept on float64 so that an overflow
+            # or 0/0 gives numpy's inf or nan
+            dots[n + 1](e5, prod)
+            put[0], put[1] = got[0] / s0, got[1] / s1
+            n5 = float64(sqrt(ddot(pair))) ** 2
+            dots[n + 1](e3, prod)
+            put[0], put[1] = got[0] / s0, got[1] / s1
+            n3 = float64(sqrt(ddot(pair))) ** 2
             if n5 == 0 and n3 == 0:
                 error = 0.0
             else:
-                error = float(abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * 2))
+                error = float(abs(h) * n5 / sqrt((n5 + 0.01 * n3) * 2))
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** -0.125)
@@ -366,9 +444,10 @@ def solve_ivp(rhs, seed, horizon: float, tol: float):
         t_old, th_old, r_old, f_old = t, th, r, f
         t, th, r, f = t_new, y0, y1, f_new
         for s in range(n + 1, len(nodes)):
-            a0, a1 = dots[s](rows[s]).tolist()
+            dots[s](rows[s], prod)
             cells[2 * s], cells[2 * s + 1] = rhs(
-                t_old + nodes[s] * h, th_old + a0 * h, r_old + a1 * h)
+                t_old + nodes[s] * h, th_old + got[0] * h,
+                r_old + got[1] * h)
         (p3, q3), (p4, q4), (p5, q5), (p6, q6) = d.dot(k).tolist()
         dth, dr = th - th_old, r - r_old
         # the Horner sum starts from zero: 0.0 + F[6]
@@ -381,12 +460,12 @@ def solve_ivp(rhs, seed, horizon: float, tol: float):
                  r_old)
         pieces.append(piece)
 
-        g_new = [r - level for level in _STOP_LEVELS]
+        g_new = [r - level for level in levels]
         # solve_ivp's test for a zero of each event within the step
-        roots = [brentq(lambda s, level=level:
-                        _horner((s - t_old) / h, *piece[10:]) - level,
-                        t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-                 for before, after, level in zip(g, g_new, _STOP_LEVELS)
+        roots = [_brentq(lambda s, level=level:
+                         _horner((s - t_old) / h, *piece[10:]) - level,
+                         t_old, t, _ROOT_TOL, _ROOT_TOL)
+                 for before, after, level in zip(g, g_new, levels)
                  if before <= 0 <= after or before >= 0 >= after]
         g = g_new
         stop = min(roots) if roots else t
@@ -427,12 +506,16 @@ def _trajectory(rhs_for, seed, horizon: float, tol: float,
     ``end * i / 240`` and a truncation flag."""
     import numpy as np
 
-    ts, pieces, cut = solve_ivp(rhs_for(sign), seed, horizon, tol)
-    end = float(ts[-1])
-    if end <= 0.0:
-        return [tuple(seed)], cut
-    steps = 240
-    th, r = _sample(ts, pieces, end * np.arange(steps + 1) / steps)
+    # a trial stage may overflow to inf or nan; the solver rejects that
+    # step, and a sample may read such a piece, as scipy's would
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts, pieces, cut = solve_ivp(rhs_for(sign), seed, horizon, tol, tol,
+                                    _STOP_LEVELS)
+        end = float(ts[-1])
+        if end <= 0.0:
+            return [tuple(seed)], cut
+        steps = 240
+        th, r = _sample(ts, pieces, end * np.arange(steps + 1) / steps)
     return list(zip(th.tolist(), r.tolist())), cut
 
 

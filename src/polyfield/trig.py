@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .fields import InternalConsistencyError, WeightVector
+from .fields import WeightVector
 
 
 class QuadratureError(ArithmeticError):
@@ -58,26 +58,6 @@ class TrigTable:
                  * u + s0) * x + s)
 
 
-def _pieces(dense) -> tuple[list[float], list[tuple[float, ...]]]:
-    """Right ends and float pieces of a DOP853 ``OdeSolution``.
-
-    ``Dop853DenseOutput`` starts its Horner sum from zero, so the leading
-    row enters as ``0.0 + F[6]``.
-    """
-    pieces = []
-    for p in dense.interpolants:
-        if getattr(p, "F", None) is None or p.F.shape != (7, 2):
-            raise InternalConsistencyError(
-                "trig dense output is not a DOP853 interpolant")
-        rows = p.F[::-1].tolist()
-        rows[0] = [0.0 + v for v in rows[0]]
-        cs_old, sn_old = p.y_old.tolist()
-        pieces.append((float(p.t_old), float(p.h),
-                       *(row[0] for row in rows), cs_old,
-                       *(row[1] for row in rows), sn_old))
-    return dense.ts[1:].tolist(), pieces
-
-
 def period(w: WeightVector) -> float:
     """The period of (Cs, Sn): four equal quarter-orbits along the oval give
     prefactor * B(qa, qb), with the Beta function B from ``math.gamma``."""
@@ -91,48 +71,44 @@ _CACHE: dict[tuple[int, int], TrigTable] = {}
 
 
 def build_trig(w: WeightVector) -> TrigTable:
-    """Integrate the Cauchy problem and package a dense-output table."""
+    """Integrate the Cauchy problem by DOP853 over one and a half periods
+    and package its dense output as a table."""
     key = w.as_tuple()
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    from scipy.integrate import solve_ivp
+    import numpy as np
+
+    # the step loop lives in portrait, which imports this module
+    from .portrait import _horner, solve_ivp
 
     alpha, beta = key
     t_period = period(w)
+    ka, kb = 2 * alpha - 1, 2 * beta - 1
 
-    def rhs(_, y):
-        cs, sn = y
-        return [-(sn ** (2 * alpha - 1)), cs ** (2 * beta - 1)]
+    def rhs(_, cs, sn):
+        try:
+            return -(sn ** ka), cs ** kb
+        except OverflowError:
+            # a float power overflowed at a trial stage; numpy's power
+            # gives inf there instead, and the solver rejects the step
+            return -(np.float64(sn) ** ka), np.float64(cs) ** kb
 
-    sol = solve_ivp(rhs, (0.0, 1.5 * t_period), [1.0, 0.0], method="DOP853",
-                    dense_output=True, rtol=1e-12, atol=1e-14,
-                    events=lambda _, y: y[1])
-    if not sol.success:
-        raise QuadratureError(f"trig integration failed: {sol.message}")
-    # the oval meets {Sn = 0, Cs > 0} only at (1, 0), so the first such
-    # crossing is the orbit's own measurement of the period
-    returns = [t for t in sol.t_events[0] if t > 1e-9 and sol.sol(t)[0] > 0]
-    if not returns or abs(returns[0] - t_period) > 1e-7:
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts, pieces, cut = solve_ivp(rhs, (1.0, 0.0), 1.5 * t_period, 1e-12,
+                                    1e-14, ())
+    if cut:
+        raise QuadratureError(
+            f"trig integration for {key} stopped short of 1.5 periods")
+    ends = ts[1:]
+    # the orbit passes (1, 0) at the Beta period: Sn' = Cs**(2*beta - 1)
+    # is 1 there, so |Sn(T)| is the error of the return time
+    p = pieces[bisect_left(ends, t_period)]
+    x = (t_period - p[0]) / p[1]
+    cs, sn = _horner(x, *p[2:10]), _horner(x, *p[10:])
+    if not (abs(cs - 1.0) <= 1e-7 and abs(sn) <= 1e-7):
         raise QuadratureError(
             f"orbit return time disagrees with the Beta period for {key}")
-    table = TrigTable(key, t_period, *_pieces(sol.sol))
-    _check_against(table, sol.sol)
+    table = TrigTable(key, t_period, ends, pieces)
     _CACHE[key] = table
     return table
-
-
-def _check_against(table: TrigTable, dense) -> None:
-    """The float pieces read scipy internals; confirm they reproduce
-    ``dense`` exactly at every knot and every piece midpoint."""
-    knots = dense.ts.tolist()
-    if not table.period < knots[-1]:
-        raise InternalConsistencyError(
-            f"trig table for {table.weight} stops short of its period")
-    probes = knots + [(a + b) / 2 for a, b in zip(knots, knots[1:])]
-    for t in probes:
-        want = tuple(dense(t % table.period).tolist())
-        if table.eval(t) != want:
-            raise InternalConsistencyError(
-                f"trig table for {table.weight} departs from its dense "
-                f"output at theta = {t!r}")

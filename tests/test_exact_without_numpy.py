@@ -3,9 +3,10 @@
 Floats enter polyfield only through the trig table, the return-map
 quadrature and the portrait's trajectories and markers, and those import
 numpy and scipy on first use; a return map that the divisor data refuses
-never reaches its quadrature.  Each test runs recorded CLI cases from
-``tests/data/cli_golden.json`` in one fresh interpreter and compares them
-byte for byte.
+never reaches its quadrature.  The trig table and the trajectories need
+numpy alone, so a portrait that draws no marker runs without scipy.  Each
+test runs recorded CLI cases from ``tests/data/cli_golden.json`` in one
+fresh interpreter and compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ REFUSALS = ("return-map-quartic", "return-map-radial-no-weight",
 # Reads [name, argv] pairs on stdin and prints, per case, what
 # tests/test_cli_golden.py records plus the float libraries loaded so far.
 # With the argument "block", a meta path finder makes every import of numpy
-# or scipy fail.
+# or scipy fail; with "block-scipy", every import of scipy.
 RUNNER = """
 import contextlib, io, json, sys
 
-if sys.argv[1] == "block":
+if sys.argv[1] != "normal":
+    blocked = ("numpy", "scipy") if sys.argv[1] == "block" else ("scipy",)
+
     class Block:
         def find_spec(self, name, path=None, target=None):
-            if name.partition(".")[0] in ("numpy", "scipy"):
+            if name.partition(".")[0] in blocked:
                 raise ImportError(f"import of {name} blocked")
             return None
 
@@ -93,6 +96,24 @@ def test_return_map_refusals_run_without_numpy_and_scipy():
     assert all(golden[name]["code"] == 3 for name in REFUSALS)
     _replay_blocked(golden, [[name, golden[name]["argv"]]
                              for name in REFUSALS])
+
+
+def test_portraits_without_markers_run_without_scipy():
+    # a portrait draws a marker only through scipy.special's betainc; the
+    # radial field's divisor is a curve of singularities, which has none
+    golden = _golden()
+    cases = [[name, rec["argv"]] for name, rec in sorted(golden.items())
+             if rec["argv"][0] == "portrait"
+             and 'class="singularity"' not in rec["stdout"]]
+    names = [name for name, _ in cases]
+    assert {"portrait-rotation-no-markers", "portrait-radial-curve"} \
+        <= set(names)
+    got = _run_fresh("block-scipy", cases)
+    loaded = [got[name].pop("loaded") for name in names]
+    assert all("scipy" not in libs for libs in loaded)
+    assert loaded[-1] == ["numpy"]
+    for name in names:
+        assert got[name] == golden[name], name
 
 
 def test_float_subcommands_load_scipy_on_first_use():

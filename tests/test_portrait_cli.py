@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -715,8 +716,6 @@ def test_cli_thirty_digit_coefficient_gets_a_verdict(capsys):
     assert json.loads(out)["report"]["verdict"] in ("Equivalent", "HypothesesFail")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_cli_portrait_whose_first_step_fails(capsys):
     # both branches of the seed fail their first step, so its polyline is
     # the seed alone, drawn truncated
@@ -728,6 +727,26 @@ def test_cli_portrait_whose_first_step_fails(capsys):
         in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "48de6d5157b1c6155e1f1898367f3411521d67be3670667e26108f2c95a5e311")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--weight", "1,2", "--tolerance", "1e-3", "--field", QUARTIC_TEXT),
+     "a5a13f1ac2ae5f987f687baad31278e1856fde8b211941951a07ac4a108ddfae"),
+    (("--horizon", "2", "--seed", "1,0.5", "--field",
+      "dx = y; dy = -x + 1" + "0" * 30 + "*y^3"),
+     "323e53153564c14929d0fd5857d79f07efd6bc1e7639b6458b3697f7dbc1d90f"),
+    (("--weight", "1,1", "--seed", "0.1,0.5", "--field", HUGE_CUBIC_TEXT),
+     "48de6d5157b1c6155e1f1898367f3411521d67be3670667e26108f2c95a5e311"),
+])
+def test_cli_portrait_with_overflowing_trial_stages_warns_nothing(
+        capsys, argv, digest):
+    # trial stages overflow to inf or nan, and the solver rejects them as
+    # scipy's does; none of that reaches stderr or the warnings module
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "portrait", *argv)
+    assert code == 0 and err == "" and caught == []
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_zero_field_portrait(capsys):

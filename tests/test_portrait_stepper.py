@@ -1,19 +1,22 @@
 """The portrait's DOP853 step loop against scipy's own stepper.
 
-``portrait.solve_ivp`` steps DOP853 on plain floats.  The oracle here is
-the loop it replaced: scipy's public ``DOP853`` solver, stepped one step at
-a time, with its ``dense_output()`` per step, solve_ivp's event test and
-brentq roots, and ``OdeSolution`` for the samples.  Every comparison is by
-the bytes of the floats.
+``portrait.solve_ivp`` steps DOP853 on plain floats, with the tableau of
+``polyfield.dop853`` and its own port of brentq.  The oracle here is the
+loop it replaced: scipy's public ``DOP853`` solver, stepped one step at a
+time, with its ``dense_output()`` per step, solve_ivp's event test and
+scipy's brentq roots, and ``OdeSolution`` for the samples.  Every
+comparison is by the bytes of the floats.
 """
 
+import math
 import random
 
 import numpy as np
+import pytest
 from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
-from polyfield import portrait
+from polyfield import dop853, portrait
 from polyfield.fields import WeightVector
 from polyfield.trig import build_trig
 
@@ -120,7 +123,7 @@ def test_steps_match_scipys_dop853_bit_for_bit():
             calls, ts, pieces, dense, steps, ending = _scipy_branch(
                 rhs, seed, 2.0, tol)
             got_ts, got_pieces, cut = portrait.solve_ivp(
-                logged, seed, 2.0, tol)
+                logged, seed, 2.0, tol, tol, portrait._STOP_LEVELS)
             values = [rhs(*args) for args in calls]
         # every trial stage of every step, rejected ones included, and
         # each step's t and y: the arguments of the right-hand side
@@ -160,3 +163,77 @@ def test_steps_match_scipys_dop853_bit_for_bit():
     assert trials > accepted and overflows > 0 and split_knots > 0
     assert all(endings.get(ending, 0) > 0 for ending in (
         "failed first step", "failed", "step bound", "finished", "event"))
+
+
+@pytest.mark.parametrize("name", ["A", "C", "A_EXTRA", "C_EXTRA", "B", "E3",
+                                  "E5", "D"])
+def test_tableau_literals_are_scipys_arrays(name):
+    ours, theirs = getattr(dop853, name), getattr(DOP853, name)
+    assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+    assert ours.strides == theirs.strides
+    assert ours.flags.c_contiguous == theirs.flags.c_contiguous
+    assert ours.tobytes() == theirs.tobytes()
+    assert dop853.N_STAGES == DOP853.n_stages
+
+
+def _outcome(solve, f, a, b, **kw):
+    """A root by its bits, or the error raised, by type and message."""
+    try:
+        return solve(f, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_bracket(rng):
+    """A function and a bracket around one of its zeros."""
+    kind = rng.randrange(6)
+    c = rng.uniform(-3.0, 3.0)
+    a, b = c - rng.uniform(1e-9, 4.0), c + rng.uniform(1e-9, 4.0)
+    if kind == 0:
+        # the event form: a degree-7 piece less a level
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(7)]
+        t0, h = a, b - a
+        level = portrait._horner(rng.random(), *coeffs, 0.0)
+        return (lambda s: portrait._horner((s - t0) / h, *coeffs, 0.0)
+                - level), a, b
+    if kind == 1:
+        k = rng.choice((1, 3, 5, 9))
+        return lambda x: (x - c) ** k, a, b
+    if kind == 2:
+        return lambda x: 1e5 * math.atan(x - c), a, b
+    if kind == 3:
+        # a jump, which brentq narrows down by bisection
+        return lambda x: 1.0 if x > c else -1.0, a, b
+    if kind == 4:
+        return lambda x: math.expm1(x - c) - 1e-3 * (x - c), a, b
+    return lambda x: (x - c) * (1.0 + (x - c) ** 2) ** 3, a, b
+
+
+
+def test_brentq_matches_scipys_bit_for_bit():
+    rng = random.Random(1973)
+    tols = [dict(xtol=portrait._ROOT_TOL, rtol=portrait._ROOT_TOL),
+            dict(xtol=2e-12, rtol=4 * np.finfo(float).eps),
+            dict(xtol=1e-6, rtol=1e-10)]
+    cases = []
+    for _ in range(1200):
+        f, a, b = _random_bracket(rng)
+        if rng.random() < 0.5:
+            a, b = b, a
+        cases.append((f, a, b, rng.choice(tols)))
+    # zeros at the ends, one sign, a NaN, and too few iterations
+    cases += [(lambda x: x - 0.25, 0.25, 2.0, tols[0]),
+              (lambda x: x - 0.25, -1.0, 0.25, tols[0]),
+              (lambda x: -0.0 if x < 1 else 1.0, 0.0, 2.0, tols[0]),
+              (lambda x: x * x + 1.0, -1.0, 2.0, tols[0]),
+              (lambda x: math.nan, -1.0, 2.0, tols[0]),
+              (lambda x: x ** 3 - 0.3, 0.0, 1.0, dict(tols[0], maxiter=3)),
+              (lambda x: x ** 9 - 0.3, 0.0, 1.0, dict(tols[1], maxiter=5))]
+    errors = set()
+    for f, a, b, kw in cases:
+        want = _outcome(brentq, f, a, b, **kw)
+        assert _outcome(portrait._brentq, f, a, b, **kw) == want, (a, b, kw)
+        if isinstance(want, tuple):
+            errors.add(want[0] + want[1][:6])
+    assert errors == {"ValueErrorf(a) a", "ValueErrorThe fu",
+                      "RuntimeErrorFailed"}

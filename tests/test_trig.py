@@ -1,11 +1,13 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from oracles import reference_period, reference_trig
-from polyfield import trig
-from polyfield.fields import InternalConsistencyError, WeightVector
-from polyfield.trig import build_trig, period
+from polyfield import portrait, trig
+from polyfield.fields import WeightVector
+from polyfield.trig import QuadratureError, build_trig, period
 
 
 def test_circular_case():
@@ -98,17 +100,54 @@ def test_eval_is_bit_identical_to_scipy_dense_output(a, b):
         assert [v.hex() for v in got] == [v.hex() for v in lookup(theta)], theta
 
 
-def test_table_refuses_pieces_that_depart_from_scipy(monkeypatch):
-    real = trig._pieces
+def _scipy_pieces(dense):
+    """Right ends and float pieces of scipy's DOP853 dense output, read off
+    its interpolants in ``TrigTable``'s layout; the Horner sum starts from
+    zero, so the leading row enters as ``0.0 + F[6]``."""
+    pieces = []
+    for p in dense.interpolants:
+        rows = p.F[::-1].tolist()
+        rows[0] = [0.0 + v for v in rows[0]]
+        pieces.append((float(p.t_old), float(p.h),
+                       *(row[0] for row in rows), float(p.y_old[0]),
+                       *(row[1] for row in rows), float(p.y_old[1])))
+    return dense.ts[1:].tolist(), pieces
 
-    def swapped(dense):
-        ends, pieces = real(dense)
-        p = list(pieces[5])
-        p[3], p[4] = p[4], p[3]
-        pieces[5] = tuple(p)
-        return ends, pieces
 
+#: weights whose trial stages overflow a float power, where numpy's power
+#: gives inf and the solver rejects the step
+OVERFLOWING = [(1, 20), (20, 1), (30, 31), (50, 1), (1, 100)]
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 5),
+                                 (5, 7), (1, 9), (200, 1), *OVERFLOWING])
+def test_table_pieces_match_scipys_dense_output_bit_for_bit(
+        monkeypatch, a, b):
     monkeypatch.setattr(trig, "_CACHE", {})
-    monkeypatch.setattr(trig, "_pieces", swapped)
-    with pytest.raises(InternalConsistencyError, match="departs"):
+    # the overflowing trial stages warn nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t = build_trig(WeightVector(a, b))
+    assert caught == []
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense, _ = reference_trig(a, b, t.period)
+    ends, pieces = _scipy_pieces(dense)
+    assert np.array(t._ends).tobytes() == np.array(ends).tobytes()
+    assert np.array(t._pieces).tobytes() == np.array(pieces).tobytes()
+    assert all(type(v) is float for p in t._pieces for v in p)
+
+
+def test_a_table_whose_loop_stops_short_is_refused(monkeypatch):
+    monkeypatch.setattr(trig, "_CACHE", {})
+    monkeypatch.setattr(portrait, "MAX_STEPS", 50)
+    with pytest.raises(QuadratureError, match="stopped short"):
+        build_trig(WeightVector(1, 2))
+
+
+def test_a_table_off_the_beta_period_is_refused(monkeypatch):
+    true_period = trig.period
+    monkeypatch.setattr(trig, "_CACHE", {})
+    monkeypatch.setattr(trig, "period",
+                        lambda w: true_period(w) * (1 + 1e-6))
+    with pytest.raises(QuadratureError, match="Beta period"):
         build_trig(WeightVector(1, 2))
