@@ -97,23 +97,49 @@ def marker_theta(w: WeightVector, chart: str, u: float) -> float:
     beta) in the x-charts and (beta, alpha) in the y-charts; the oval's
     mirror symmetries put the four u = 0 at 0, T/4, T/2 and 3T/4.
     """
-    from scipy.special import betainc
-
     origin, step = _CHART_ORIGINS[chart]
     a, b = w.as_tuple() if chart.startswith("X") else w.as_tuple()[::-1]
-    # s and 1 - s, in u**(-2a) past |u| = 1, where u**(2a) can overflow
+    qa, qb = 0.5 / a, 0.5 / b
+    # s and 1 - s, in u**(-2a) past |u| = 1, where u**(2a) can overflow;
+    # p underflows for large a, so s**qa and rest**qb take |u| out of p
+    # on the side where p is a factor of them
     if abs(u) <= 1.0:
         p = abs(u) ** (2 * a)
         s, rest = b * p / (a + b * p), a / (a + b * p)
+        sa = abs(u) * (b / (a + b * p)) ** qa
+        rest_b = rest ** qb
     else:
         p = abs(u) ** (-2 * a)
         s, rest = b / (a * p + b), a * p / (a * p + b)
-    qa, qb = 0.5 / a, 0.5 / b
+        sa = s ** qa
+        rest_b = abs(u) ** (-a / b) * (a / (a * p + b)) ** qb
     # past s = 1/2 the complement reads 1 - s from ``rest``, which keeps
     # the digits that s rounds away
-    arc = betainc(qa, qb, s) if s <= 0.5 else 1.0 - betainc(qb, qa, rest)
+    arc = (_betainc(qa, qb, s, sa) if s <= 0.5
+           else 1.0 - _betainc(qb, qa, rest, rest_b))
     t = period(w)
-    return (origin * t + (step if u > 0 else -step) * t / 4 * float(arc)) % t
+    return (origin * t + (step if u > 0 else -step) * t / 4 * arc) % t
+
+
+def _betainc(a: float, b: float, x: float, xa: float) -> float:
+    """The regularized incomplete Beta integral I_x(a, b) for a, b in
+    (0, 1/2] and x in [0, 1/2], given ``xa`` = x**a.
+
+    Expanding (1 - t)**(b - 1) under the integral gives the series
+    I_x(a, b) = xa / B(a, b) * sum (1 - b)_n x**n / (n! (a + n)) (DLMF
+    8.17.7 before the hypergeometric step).  Every term is positive since
+    b < 1, and each is less than x <= 1/2 times the one before, so the sum
+    stops where a term no longer changes it, after about 55 terms.
+    """
+    total, coeff, n = 1.0 / a, 1.0, 0
+    while True:
+        n += 1
+        coeff *= (n - b) * x / n
+        nxt = total + coeff / (a + n)
+        if nxt == total:
+            break
+        total = nxt
+    return xa * math.gamma(a + b) / (math.gamma(a) * math.gamma(b)) * total
 
 
 @dataclass(frozen=True)

@@ -551,6 +551,30 @@ def reference_period(alpha, beta):
         return float(4 * (along_sn + along_cs))
 
 
+def scipy_marker_theta(w, chart, u):
+    """The divisor angle of ``portrait.marker_theta`` with scipy's
+    ``betainc`` for the incomplete Beta integral, from s and 1 - s as
+    formed there.  Sound where |u|**(2*alpha) (x-charts) or
+    |u|**(2*beta) (y-charts) does not underflow."""
+    from scipy.special import betainc
+
+    from polyfield.portrait import _CHART_ORIGINS
+    from polyfield.trig import period
+
+    origin, step = _CHART_ORIGINS[chart]
+    a, b = w.as_tuple() if chart.startswith("X") else w.as_tuple()[::-1]
+    if abs(u) <= 1.0:
+        p = abs(u) ** (2 * a)
+        s, rest = b * p / (a + b * p), a / (a + b * p)
+    else:
+        p = abs(u) ** (-2 * a)
+        s, rest = b / (a * p + b), a * p / (a * p + b)
+    qa, qb = 0.5 / a, 0.5 / b
+    arc = betainc(qa, qb, s) if s <= 0.5 else 1.0 - betainc(qb, qa, rest)
+    t = period(w)
+    return (origin * t + (step if u > 0 else -step) * t / 4 * float(arc)) % t
+
+
 def linear_return_integrand(pf):
     """G(theta) = (r-linear radial coefficient) / (on-divisor angular speed)
     of a polar chart, as a function of (Cs, Sn); None when the radial

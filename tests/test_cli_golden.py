@@ -62,6 +62,9 @@ HIGH_BIT = ("dx = -15322381*x*y^3; dy = -13002826*x^4 - 14126853*x^3 "
 # u = -1 and u = 1 are triple zeros, Degenerate records at rational points
 REPEATED_ROOTS = "dx = 4/3*x^3; dy = x^2*y"
 HUGE = "1" + "0" * 400
+# at weight (200,1) |u|**400 underflows for |u| < 0.155: the Xpos points
+# u = -0.1 and 0.1 get their own markers beside the origin's Hyperbolic one
+UNDERFLOWING_MARKERS = ("dx = x^2 - 1" + "0" * 200 + "*x*y^200; dy = 0")
 # divisor points near +-10^310 in Xpos, Xneg and fan:1, past the float
 # range: their positions and tangent eigenvalues print a null approximation
 # (24 in the inventory's two copies) and six match-table rows a null
@@ -209,6 +212,9 @@ CASES = {
     "portrait-radial-no-weight": ("portrait", "--field", RADIAL),
     "portrait-zero": ("portrait", "--field", ZERO),
     "portrait-zero-weighted": ("portrait", "--weight", "1,1", "--field", ZERO),
+    "portrait-underflowing-markers": ("portrait", "--weight", "200,1",
+                                      "--seed", "0,0.5", "--horizon", "1",
+                                      "--field", UNDERFLOWING_MARKERS),
     "portrait-overflow": ("portrait", "--weight", "1,1", "--seed", "0.5,0.5",
                           "--field", f"dx = {HUGE}*x; dy = y"),
 }

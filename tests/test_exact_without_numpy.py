@@ -3,8 +3,8 @@
 Floats enter polyfield only through the trig table, the return-map
 quadrature and the portrait's trajectories and markers, and those import
 numpy and scipy on first use; a return map that the divisor data refuses
-never reaches its quadrature.  The trig table and the trajectories need
-numpy alone, so a portrait that draws no marker runs without scipy.  Each
+never reaches its quadrature.  The trig table, the trajectories and the
+markers need numpy alone, so every portrait runs without scipy.  Each
 test runs recorded CLI cases from ``tests/data/cli_golden.json`` in one
 fresh interpreter and compares them byte for byte.
 """
@@ -98,16 +98,19 @@ def test_return_map_refusals_run_without_numpy_and_scipy():
                              for name in REFUSALS])
 
 
-def test_portraits_without_markers_run_without_scipy():
-    # a portrait draws a marker only through scipy.special's betainc; the
-    # radial field's divisor is a curve of singularities, which has none
+def test_portraits_run_without_scipy():
+    # the markers' incomplete Beta integral is portrait._betainc; the
+    # radial field's divisor is a curve of singularities, which has no
+    # marker, and the quartic's has four
     golden = _golden()
     cases = [[name, rec["argv"]] for name, rec in sorted(golden.items())
-             if rec["argv"][0] == "portrait"
-             and 'class="singularity"' not in rec["stdout"]]
+             if rec["argv"][0] == "portrait"]
     names = [name for name, _ in cases]
-    assert {"portrait-rotation-no-markers", "portrait-radial-curve"} \
+    assert {"portrait-rotation-no-markers", "portrait-radial-curve",
+            "portrait-quartic-seeds", "portrait-underflowing-markers"} \
         <= set(names)
+    assert golden["portrait-quartic-seeds"]["stdout"].count(
+        'class="singularity"') == 4
     got = _run_fresh("block-scipy", cases)
     loaded = [got[name].pop("loaded") for name in names]
     assert all("scipy" not in libs for libs in loaded)
@@ -124,6 +127,12 @@ def test_float_subcommands_load_scipy_on_first_use():
         if rec["argv"][0] in ("return-map", "portrait")]
     got = _run_fresh("normal", cases)
     assert got[first]["loaded"] == []
+    # the portraits run first, in name order, and load numpy alone; the
+    # return map's quadrature loads scipy
+    portraits = [name for name, argv in cases if argv[0] == "portrait"]
+    assert all(got[name]["loaded"] in ([], ["numpy"]) for name in portraits)
+    assert got[portraits[-1]]["loaded"] == ["numpy"]
+    assert got["return-map-rotation"]["loaded"] == ["numpy", "scipy"]
     assert got[cases[-1][0]]["loaded"] == ["numpy", "scipy"]
     for name, _ in cases:
         rec = got[name]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import reference_trig
+from oracles import reference_trig, scipy_marker_theta
 from polyfield import portrait
 from polyfield.analysis import Analysis, approximate
 from polyfield.charts import polar_field
@@ -112,6 +112,22 @@ def test_marker_theta_next_to_the_axes():
     _assert_inverts(WeightVector(1, 5), "Ypos", -2000.0)
 
 
+@pytest.mark.parametrize("w, charts, values", [
+    # |u|**400 underflows for |u| < 0.155, which put these points at
+    # their chart's u = 0
+    ((200, 1), ("Xpos", "Xneg"), (0.1, -0.1, 1e-3, -1e-3)),
+    ((1, 200), ("Ypos", "Yneg"), (0.1, -0.1, 1e-3, -1e-3)),
+    # |u|**(-2a) underflows, which put these points on the axis Cs = 0
+    # although 1 - s, near |u|**(-a/b), is far above an ulp of 1
+    ((30, 31), ("Xpos", "Xneg"), (1e6, -1e6)),
+    ((201, 200), ("Ypos", "Yneg"), (7.0, -7.0)),
+])
+def test_marker_theta_where_a_power_of_u_underflows(w, charts, values):
+    for chart in charts:
+        for u in values:
+            _assert_inverts(WeightVector(*w), chart, u)
+
+
 def test_markers_are_drawn_from_charts_with_small_u():
     # the Ypos and Yneg points at |u| ~ 1585 are the Xpos and Xneg points
     # at u = -+5e-17, which in turn lie within float noise of the points at
@@ -172,6 +188,28 @@ def test_each_divisor_point_gets_one_marker():
                 assert min(abs(theta - p) for p in points + [t]) \
                     <= 1e-9 * t
     assert seen >= 100
+
+
+def test_marker_angles_agree_with_scipys_betainc(monkeypatch):
+    rng = random.Random(3141)
+    weights = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2), (3, 4),
+               (5, 7)]
+    drawn = 0
+    for k in range(240):
+        w = WeightVector(*weights[k % len(weights)])
+        a = Analysis(_random_small_field(rng), w)
+        markers, _ = divisor_markers(a)
+        with monkeypatch.context() as m:
+            m.setattr(portrait, "marker_theta", scipy_marker_theta)
+            want, _ = divisor_markers(a)
+        t = build_trig(w).period
+        assert len(markers) == len(want)
+        for got, ref in zip(markers, want):
+            assert (got.chart, got.classification, got.chart_position) == \
+                (ref.chart, ref.classification, ref.chart_position)
+            assert abs(got.theta - ref.theta) <= 1e-13 * t
+        drawn += bool(markers)
+    assert drawn >= 200
 
 
 def test_quartic_markers_are_the_divisor_singularities():
