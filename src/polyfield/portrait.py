@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional, Sequence
 
 from .analysis import Analysis, approximate, approximate_text
@@ -213,13 +212,21 @@ def rhs_for(sign):
         try:
 {powers}
         except OverflowError:
-            # a float power overflowed at a trial stage; numpy's power
-            # gives inf there instead, and the solver rejects the step
-            r = float64(r)
-{powers}
+            # a float power overflowed at a trial stage; take the powers
+            # again with numpy's inf there, and the solver rejects the step
+{inf_powers}
         return (sign * ({theta}), sign * ({r}))
     return rhs
 """
+
+
+def _power(x: float, e: int) -> float:
+    """``x ** e`` for an integer e >= 1, with numpy's signed inf where the
+    float power overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.copysign(math.inf, x) if e % 2 else math.inf
 
 
 def _terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
@@ -233,16 +240,14 @@ def _compile_rhs(terms_theta, terms_r, trig):
 
     It generates one function for both components and returns the same
     floats, bit for bit, as the sum ``0.0 + c * cs**i * sn**j * r**k``
-    over ``terms`` taken term by term from the left: a power 0 is left out
-    (``c * 1.0 == c``), a power 1 is the variable itself, and each higher
-    power is one ``**`` shared by every term that uses it.  Where a power
-    of r overflows, every power of r is taken again on numpy's float64,
-    which gives inf.  The source holds only the ``repr`` of each float
-    coefficient and the integer exponents.
+    over ``terms`` taken term by term from the left on numpy's float64: a
+    power 0 is left out (``c * 1.0 == c``), a power 1 is the variable
+    itself, and each higher power is one ``**`` shared by every term that
+    uses it.  Where a power overflows, every power is taken again by
+    ``_power``, which gives inf as numpy does.  The source holds only the
+    ``repr`` of each float coefficient and the integer exponents.
     """
-    from numpy import float64
-
-    powers: dict[str, str] = {}
+    powers: dict[str, tuple[str, int]] = {}
 
     def total(terms) -> str:
         parts = ["0.0"]
@@ -254,17 +259,23 @@ def _compile_rhs(terms_theta, terms_r, trig):
                     factors.append(var)
                 elif e > 1:
                     name = f"{var}{e}"
-                    powers[name] = f"{name} = {var} ** {e}"
+                    powers[name] = (var, e)
                     factors.append(name)
             parts.append(" * ".join(factors))
         return " + ".join(parts)
 
     theta, r = total(terms_theta), total(terms_r)
-    body = "\n".join(" " * 12 + line for line in powers.values()) \
-        or " " * 12 + "pass"
-    space = {"trig": trig, "float64": float64}
-    exec(compile(_RHS_SOURCE.format(powers=body, theta=theta, r=r),
-                 "<polar field>", "exec"), space)
+
+    def lines(form: str) -> str:
+        return "\n".join(" " * 12 + form.format(name=name, var=var, e=e)
+                         for name, (var, e) in powers.items()) \
+            or " " * 12 + "pass"
+
+    source = _RHS_SOURCE.format(
+        powers=lines("{name} = {var} ** {e}"),
+        inf_powers=lines("{name} = power({var}, {e})"), theta=theta, r=r)
+    space = {"trig": trig, "power": _power}
+    exec(compile(source, "<polar field>", "exec"), space)
     return space["rhs_for"]
 
 
@@ -272,21 +283,6 @@ def _compile_rhs(terms_theta, terms_r, trig):
 #: sec. II.4), as scipy sets it: a safety factor and the least and greatest
 #: factors by which one step may change the step size
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-
-
-@cache
-def _tableau():
-    """DOP853's tableau (:mod:`polyfield.dop853`): per stage s, the row
-    ``A[s, :s]`` and the node ``C[s]`` (s = 1..11 for a step, 13..15 for
-    the dense output's extra stages), then B, E5, E3 and D.  The rows are
-    views of the module's arrays, laid out as scipy lays out its own."""
-    from . import dop853
-
-    n = dop853.N_STAGES
-    rows = [None] + [dop853.A[s][:s] for s in range(1, n)] + [None] \
-        + [a[:s] for s, a in enumerate(dop853.A_EXTRA, start=n + 1)]
-    nodes = [0.0] + dop853.C[1:].tolist() + [1.0] + dop853.C_EXTRA.tolist()
-    return rows, nodes, dop853.B, dop853.E5, dop853.E3, dop853.D
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
@@ -363,12 +359,11 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
 
     This is scipy's ``solve_ivp(..., method="DOP853", dense_output=True)``
     with a terminal event y[1] - level per entry of ``levels``, on plain
-    floats: the same initial step, steps, rejections, event roots
-    (``_brentq`` on the step's dense output) and rule of dropping a step's
-    interpolant when t repeats, bit for bit.  Each product of the stages
-    with the tableau is the numpy call scipy makes, on an array of the same
-    shape and layout, so it sums in the same BLAS order; everything
-    elementwise is float arithmetic in scipy's operation order.
+    floats in scipy's operation order: its initial step, step-size
+    control, event test, event roots (``_brentq`` on the step's dense
+    output) and rule of dropping a step's interpolant when t repeats.  Only
+    the stage sums of :mod:`polyfield.dop853` round differently from
+    scipy's BLAS sums.  Where numpy gives inf or nan, so does the loop.
     ``rhs(t, y0, y1)`` returns the two rates.
 
     The loop ends after ``MAX_STEPS`` accepted steps, or where a step would
@@ -378,21 +373,11 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
     order and the value at ``t_old``, as ``trig.TrigTable`` holds them) and
     whether the loop stopped short of the horizon.
     """
-    import numpy as np
+    from .dop853 import dense_step, trial_step
 
-    rows, nodes, b, e5, e3, d = _tableau()
-    n = len(b)
-    float64, norm = np.float64, np.linalg.norm
-    # the stages K, one row each, written through a flat view; a stage
-    # product is ndarray.dot, which is np.dot, on scipy's K[:s].T, and
-    # lands in ``prod``; an error norm is the ddot of ``pair`` with itself
-    k = np.empty((len(nodes), 2))
-    cells = memoryview(k).cast("B").cast("d")
-    prod, pair = np.empty(2), np.empty(2)
-    got, put = memoryview(prod), memoryview(pair)
-    dots = [k[:s].T.dot for s in range(len(nodes))]
-    ddot = pair.dot
-    sqrt = math.sqrt
+    def norm2(a, b):
+        # np.linalg.norm of (a, b), squared, which overflows as numpy's does
+        return a * a + b * b
 
     t, t_bound = 0.0, float(horizon)
     th, r = float(seed[0]), float(seed[1])
@@ -401,17 +386,18 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
     # select_initial_step, with scipy's RMS norm over the 2 components
     root2 = 2 ** 0.5
     s0, s1 = atol + abs(th) * rtol, atol + abs(r) * rtol
-    d0 = norm([th / s0, r / s1]) / root2
-    d1 = norm([f[0] / s0, f[1] / s1]) / root2
-    h0 = float(min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
-                   t_bound))
+    d0 = math.sqrt(norm2(th / s0, r / s1)) / root2
+    d1 = math.sqrt(norm2(f[0] / s0, f[1] / s1)) / root2
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
     f1 = rhs(t + h0, th + h0 * f[0], r + h0 * f[1])
-    d2 = norm([(f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1]) / root2 / h0
+    d2 = math.sqrt(norm2((f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1)) / root2
+    # h0 is 0 where d1 is inf: numpy's division gives inf, or nan for 0/0
+    d2 = d2 / h0 if h0 else math.inf if d2 > 0 else math.nan
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125
-    h_abs = float(min(100 * h0, h1, t_bound))
+    h_abs = min(100 * h0, h1, t_bound)
 
     ts = [0.0]
     pieces: list[tuple[float, ...]] = []
@@ -430,32 +416,24 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            cells[0], cells[1] = f
-            for s in range(1, n):
-                dots[s](rows[s], prod)
-                cells[2 * s], cells[2 * s + 1] = rhs(
-                    t + nodes[s] * h, th + got[0] * h, r + got[1] * h)
-            dots[n](b, prod)
-            y0, y1 = th + h * got[0], r + h * got[1]
-            f_new = rhs(t + h, y0, y1)
-            cells[2 * n], cells[2 * n + 1] = f_new
+            y0, y1, fa, fb, e5a, e5b, e3a, e3b, k = trial_step(
+                rhs, t, th, r, h, *f)
             # the scale keeps np.maximum's nan, which max() would drop
             m0, m1 = abs(th), abs(y0)
             s0 = atol + (m0 if m0 >= m1 or m0 != m0 else m1) * rtol
             m0, m1 = abs(r), abs(y1)
             s1 = atol + (m0 if m0 >= m1 or m0 != m0 else m1) * rtol
-            # np.linalg.norm squared, kept on float64 so that an overflow
-            # or 0/0 gives numpy's inf or nan
-            dots[n + 1](e5, prod)
-            put[0], put[1] = got[0] / s0, got[1] / s1
-            n5 = float64(sqrt(ddot(pair))) ** 2
-            dots[n + 1](e3, prod)
-            put[0], put[1] = got[0] / s0, got[1] / s1
-            n3 = float64(sqrt(ddot(pair))) ** 2
-            if n5 == 0 and n3 == 0:
+            n5, n3 = norm2(e5a / s0, e5b / s1), norm2(e3a / s0, e3b / s1)
+            if not (math.isfinite(fa) and math.isfinite(fb)):
+                # E5 and E3 weigh stage 12 by 0, which numpy's sums turn
+                # into nan where that stage is not finite
+                error = math.nan
+            elif n5 == 0 and n3 == 0:
                 error = 0.0
             else:
-                error = float(abs(h) * n5 / sqrt((n5 + 0.01 * n3) * 2))
+                # 0/0 where 0.01 * n3 underflows: numpy's nan
+                denom = math.sqrt((n5 + 0.01 * n3) * 2)
+                error = abs(h) * n5 / denom if denom else math.nan
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** -0.125)
@@ -467,24 +445,10 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
             rejected = True
 
         # the step's dense output: three more stages, then the rows F
-        t_old, th_old, r_old, f_old = t, th, r, f
-        t, th, r, f = t_new, y0, y1, f_new
-        for s in range(n + 1, len(nodes)):
-            dots[s](rows[s], prod)
-            cells[2 * s], cells[2 * s + 1] = rhs(
-                t_old + nodes[s] * h, th_old + got[0] * h,
-                r_old + got[1] * h)
-        (p3, q3), (p4, q4), (p5, q5), (p6, q6) = d.dot(k).tolist()
-        dth, dr = th - th_old, r - r_old
-        # the Horner sum starts from zero: 0.0 + F[6]
-        piece = (t_old, t - t_old,
-                 0.0 + h * p6, h * p5, h * p4, h * p3,
-                 2 * dth - h * (f[0] + f_old[0]), h * f_old[0] - dth, dth,
-                 th_old,
-                 0.0 + h * q6, h * q5, h * q4, h * q3,
-                 2 * dr - h * (f[1] + f_old[1]), h * f_old[1] - dr, dr,
-                 r_old)
+        piece = dense_step(rhs, t, th, r, h, k, y0, y1)
         pieces.append(piece)
+        t_old = t
+        t, th, r, f = t_new, y0, y1, (fa, fb)
 
         g_new = [r - level for level in levels]
         # solve_ivp's test for a zero of each event within the step
@@ -505,44 +469,46 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
 
 
 def _horner(x, c6, c5, c4, c3, c2, c1, c0, c):
-    """A piece's component at x = (t - t_old) / h, on floats or arrays, in
-    the operation order of ``Dop853DenseOutput``: from 0.0 + F[6] (``c6``)
-    it multiplies by x and 1 - x in turn and ends on the value at t_old."""
+    """A piece's component at x = (t - t_old) / h, in the operation order
+    of ``Dop853DenseOutput``: from 0.0 + F[6] (``c6``) it multiplies by x
+    and 1 - x in turn and ends on the value at t_old."""
     u = 1 - x
     return ((((((c6 * x + c5) * u + c4) * x + c3) * u + c2) * x + c1)
             * u + c0) * x + c
 
 
 def _sample(ts, pieces, times):
-    """The branch at ``times``, as arrays of theta and r: each time reads
-    the piece that ``OdeSolution`` reads (the lower one at a knot), all of
-    them in one pass."""
-    import numpy as np
-
-    at = np.searchsorted(ts, times, side="left") - 1
-    np.clip(at, 0, len(pieces) - 1, out=at)
-    rows = np.array(pieces)[at].T
-    x = (times - rows[0]) / rows[1]
-    return _horner(x, *rows[2:10]), _horner(x, *rows[10:])
+    """The branch at ascending ``times``, as (theta, r) pairs: each time
+    reads the piece that ``OdeSolution`` reads, the lower one at a knot
+    (the first or the last piece outside the knots)."""
+    out, k, n = [], 0, len(times)
+    for end, (t_old, h, c6, c5, c4, c3, c2, c1, c0, c,
+              s6, s5, s4, s3, s2, s1, s0, s) in zip(ts[1:-1] + [math.inf],
+                                                    pieces):
+        while k < n and times[k] <= end:
+            x = (times[k] - t_old) / h
+            u = 1 - x
+            out.append((((((((c6 * x + c5) * u + c4) * x + c3) * u + c2) * x
+                           + c1) * u + c0) * x + c,
+                        ((((((s6 * x + s5) * u + s4) * x + s3) * u + s2) * x
+                          + s1) * u + s0) * x + s))
+            k += 1
+    return out
 
 
 def _trajectory(rhs_for, seed, horizon: float, tol: float,
                 sign: float) -> tuple[list[tuple[float, float]], bool]:
     """Integrate one branch of an orbit; returns its 241 samples at
-    ``end * i / 240`` and a truncation flag."""
-    import numpy as np
-
-    # a trial stage may overflow to inf or nan; the solver rejects that
-    # step, and a sample may read such a piece, as scipy's would
-    with np.errstate(over="ignore", invalid="ignore"):
-        ts, pieces, cut = solve_ivp(rhs_for(sign), seed, horizon, tol, tol,
-                                    _STOP_LEVELS)
-        end = float(ts[-1])
-        if end <= 0.0:
-            return [tuple(seed)], cut
-        steps = 240
-        th, r = _sample(ts, pieces, end * np.arange(steps + 1) / steps)
-    return list(zip(th.tolist(), r.tolist())), cut
+    ``end * i / 240`` and a truncation flag.  A trial stage may overflow
+    to inf or nan; the solver rejects that step, and a sample may read
+    such a piece, as scipy's would."""
+    ts, pieces, cut = solve_ivp(rhs_for(sign), seed, horizon, tol, tol,
+                                _STOP_LEVELS)
+    end = ts[-1]
+    if end <= 0.0:
+        return [tuple(seed)], cut
+    steps = 240
+    return _sample(ts, pieces, [end * i / steps for i in range(steps + 1)]), cut
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ class QuadratureError(ArithmeticError):
 class TrigTable:
     """The pair (Cs, Sn) as plain-float pieces of a DOP853 dense output.
 
-    ``eval`` reproduces scipy's dense output of the Cauchy problem bit for
-    bit: it picks the piece that ``OdeSolution`` picks (the lower one at a
-    knot) and sums the degree-7 interpolant in the operation order of
-    ``Dop853DenseOutput``, without scipy's per-call array overhead.
+    ``eval`` reads the package's DOP853 dense output of the Cauchy problem
+    as scipy's would: it picks the piece that ``OdeSolution`` picks (the
+    lower one at a knot) and sums the degree-7 interpolant in the
+    operation order of ``Dop853DenseOutput``.
     """
 
     weight: tuple[int, int]
@@ -77,10 +77,8 @@ def build_trig(w: WeightVector) -> TrigTable:
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    import numpy as np
-
     # the step loop lives in portrait, which imports this module
-    from .portrait import _horner, solve_ivp
+    from .portrait import _power, _sample, solve_ivp
 
     alpha, beta = key
     t_period = period(w)
@@ -92,23 +90,19 @@ def build_trig(w: WeightVector) -> TrigTable:
         except OverflowError:
             # a float power overflowed at a trial stage; numpy's power
             # gives inf there instead, and the solver rejects the step
-            return -(np.float64(sn) ** ka), np.float64(cs) ** kb
+            return -_power(sn, ka), _power(cs, kb)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        ts, pieces, cut = solve_ivp(rhs, (1.0, 0.0), 1.5 * t_period, 1e-12,
-                                    1e-14, ())
+    ts, pieces, cut = solve_ivp(rhs, (1.0, 0.0), 1.5 * t_period, 1e-12, 1e-14,
+                                ())
     if cut:
         raise QuadratureError(
             f"trig integration for {key} stopped short of 1.5 periods")
-    ends = ts[1:]
     # the orbit passes (1, 0) at the Beta period: Sn' = Cs**(2*beta - 1)
     # is 1 there, so |Sn(T)| is the error of the return time
-    p = pieces[bisect_left(ends, t_period)]
-    x = (t_period - p[0]) / p[1]
-    cs, sn = _horner(x, *p[2:10]), _horner(x, *p[10:])
+    (cs, sn), = _sample(ts, pieces, [t_period])
     if not (abs(cs - 1.0) <= 1e-7 and abs(sn) <= 1e-7):
         raise QuadratureError(
             f"orbit return time disagrees with the Beta period for {key}")
-    table = TrigTable(key, t_period, ends, pieces)
+    table = TrigTable(key, t_period, ts[1:], pieces)
     _CACHE[key] = table
     return table

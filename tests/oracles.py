@@ -575,6 +575,31 @@ def scipy_marker_theta(w, chart, u):
     return (origin * t + (step if u > 0 else -step) * t / 4 * float(arc)) % t
 
 
+def exact_marker_theta(w, chart, u):
+    """The divisor angle of ``portrait.marker_theta`` from an mpmath Beta
+    integral at 40 digits: s, 1 - s and the period formed from u and the
+    weight at that precision, then reduced to a float in [0, T)."""
+    import mpmath
+
+    from polyfield.portrait import _CHART_ORIGINS
+
+    origin, step = _CHART_ORIGINS[chart]
+    alpha, beta = w.as_tuple()
+    a, b = (alpha, beta) if chart.startswith("X") else (beta, alpha)
+    with mpmath.workdps(40):
+        p = abs(mpmath.mpf(u)) ** (2 * a)
+        qa, qb = mpmath.mpf(1) / (2 * a), mpmath.mpf(1) / (2 * b)
+        s, rest = b * p / (a + b * p), a / (a + b * p)
+        # past s = 1/2 the complement, from 1 - s formed on its own
+        arc = mpmath.betainc(qa, qb, 0, s, regularized=True) if s <= 0.5 \
+            else 1 - mpmath.betainc(qb, qa, 0, rest, regularized=True)
+        qa, qb = mpmath.mpf(1) / (2 * alpha), mpmath.mpf(1) / (2 * beta)
+        t = 2 * mpmath.mpf(alpha) ** (qa - 1) / mpmath.mpf(beta) ** qa \
+            * mpmath.beta(qa, qb)
+        theta = origin * t + (step if u > 0 else -step) * t / 4 * arc
+        return float(theta % t)
+
+
 def linear_return_integrand(pf):
     """G(theta) = (r-linear radial coefficient) / (on-divisor angular speed)
     of a polar chart, as a function of (Cs, Sn); None when the radial

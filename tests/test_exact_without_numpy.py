@@ -1,12 +1,13 @@
-"""The exact subcommands run on the standard library alone.
+"""The exact subcommands and the portrait run on the standard library alone.
 
 Floats enter polyfield only through the trig table, the return-map
-quadrature and the portrait's trajectories and markers, and those import
-numpy and scipy on first use; a return map that the divisor data refuses
-never reaches its quadrature.  The trig table, the trajectories and the
-markers need numpy alone, so every portrait runs without scipy.  Each
-test runs recorded CLI cases from ``tests/data/cli_golden.json`` in one
-fresh interpreter and compares them byte for byte.
+quadrature and the portrait's trajectories and markers.  The trig table,
+the trajectories and the markers are the package's own float code, so
+every portrait runs without numpy and scipy; the return map's quadrature
+imports both on first use, and a return map that the divisor data refuses
+never reaches it.  Each test runs recorded CLI cases from
+``tests/data/cli_golden.json`` in one fresh interpreter and compares them
+byte for byte.
 """
 
 from __future__ import annotations
@@ -31,16 +32,14 @@ REFUSALS = ("return-map-quartic", "return-map-radial-no-weight",
 # Reads [name, argv] pairs on stdin and prints, per case, what
 # tests/test_cli_golden.py records plus the float libraries loaded so far.
 # With the argument "block", a meta path finder makes every import of numpy
-# or scipy fail; with "block-scipy", every import of scipy.
+# or scipy fail.
 RUNNER = """
 import contextlib, io, json, sys
 
-if sys.argv[1] != "normal":
-    blocked = ("numpy", "scipy") if sys.argv[1] == "block" else ("scipy",)
-
+if sys.argv[1] == "block":
     class Block:
         def find_spec(self, name, path=None, target=None):
-            if name.partition(".")[0] in blocked:
+            if name.partition(".")[0] in ("numpy", "scipy"):
                 raise ImportError(f"import of {name} blocked")
             return None
 
@@ -99,9 +98,9 @@ def test_return_map_refusals_run_without_numpy_and_scipy():
 
 
 def test_portraits_run_without_scipy():
-    # the markers' incomplete Beta integral is portrait._betainc; the
-    # radial field's divisor is a curve of singularities, which has no
-    # marker, and the quartic's has four
+    # the step loop, the trig table and the markers' incomplete Beta
+    # integral are the package's own; the radial field's divisor is a curve
+    # of singularities, which has no marker, and the quartic's has four
     golden = _golden()
     cases = [[name, rec["argv"]] for name, rec in sorted(golden.items())
              if rec["argv"][0] == "portrait"]
@@ -111,12 +110,7 @@ def test_portraits_run_without_scipy():
         <= set(names)
     assert golden["portrait-quartic-seeds"]["stdout"].count(
         'class="singularity"') == 4
-    got = _run_fresh("block-scipy", cases)
-    loaded = [got[name].pop("loaded") for name in names]
-    assert all("scipy" not in libs for libs in loaded)
-    assert loaded[-1] == ["numpy"]
-    for name in names:
-        assert got[name] == golden[name], name
+    _replay_blocked(golden, cases)
 
 
 def test_float_subcommands_load_scipy_on_first_use():
@@ -127,11 +121,10 @@ def test_float_subcommands_load_scipy_on_first_use():
         if rec["argv"][0] in ("return-map", "portrait")]
     got = _run_fresh("normal", cases)
     assert got[first]["loaded"] == []
-    # the portraits run first, in name order, and load numpy alone; the
-    # return map's quadrature loads scipy
+    # the portraits run first, in name order, and load neither; the return
+    # map's quadrature loads numpy and scipy
     portraits = [name for name, argv in cases if argv[0] == "portrait"]
-    assert all(got[name]["loaded"] in ([], ["numpy"]) for name in portraits)
-    assert got[portraits[-1]]["loaded"] == ["numpy"]
+    assert all(got[name]["loaded"] == [] for name in portraits)
     assert got["return-map-rotation"]["loaded"] == ["numpy", "scipy"]
     assert got[cases[-1][0]]["loaded"] == ["numpy", "scipy"]
     for name, _ in cases:
