@@ -30,10 +30,9 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .charts import (
     ChartField,
@@ -229,8 +228,7 @@ def _realroot_text(r: RealRoot, approx: str, nl: str) -> str:
 # records
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     """One eigenvalue of the on-divisor Jacobian.
 
     The sign is decided exactly.  ``num``/``den`` (in lowest terms, den > 0)
@@ -271,8 +269,7 @@ def _eigenvalue_text(e: Optional[Eigenvalue], nl: str) -> str:
             f'{i}"sign": {int.__repr__(e.sign)}{nl}}}')
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(NamedTuple):
     """A singularity on the divisor of one chart (or a whole singular branch).
 
     ``position`` is the exact coordinate along the divisor branch; it is
@@ -416,8 +413,7 @@ def divisor_singularities(cf: ChartField) -> list[SingularityRecord]:
 # hypothesis (a): the upper principal part has no zero in (R*)^2
 
 
-@dataclass(frozen=True)
-class DegeneracyWitness:
+class DegeneracyWitness(NamedTuple):
     """A common zero of one upper-segment restriction off the axes."""
 
     segment_normal: tuple[int, int]
@@ -630,8 +626,7 @@ def _check_on_upper_boundary(a: Analysis, faces) -> None:
                 f"the divisor face {list(face)} leaves the upper boundary")
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     verdict: str
     reasons: tuple[str, ...]
     hypotheses: dict[str, bool]
@@ -747,8 +742,7 @@ def equivalence_verdict(field: PlanarField) -> EquivalenceReport:
 # the return-map test
 
 
-@dataclass(frozen=True)
-class ReturnMapResult:
+class ReturnMapResult(NamedTuple):
     """The linear-order return-map integral, shared by the field and its
     upper principal part, and its strict sign."""
 

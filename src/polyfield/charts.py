@@ -13,7 +13,6 @@ are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -50,8 +49,19 @@ class Branch(NamedTuple):
     transverse_reading: tuple
 
 
-@dataclass
-class ChartField:
+class _ChartData(NamedTuple):
+    label: str
+    scale: int
+    divisor: str
+    normalization: dict[str, int]
+    divisor_terms: dict[str, tuple[dict, dict]]
+    pullback: tuple
+    weight: Optional[WeightVector] = None
+    chart: Optional[ChartMap] = None
+    delta: Optional[int] = None
+
+
+class ChartField(_ChartData):
     """A compactified field in one directional or fan chart.
 
     ``divisor_terms`` maps each divisor branch to the coefficients, by
@@ -67,15 +77,8 @@ class ChartField:
     are fixed, so comparing ``pullback`` compares the components.
     """
 
-    label: str
-    scale: int
-    divisor: str
-    normalization: dict[str, int]
-    divisor_terms: dict[str, tuple[dict, dict]]
-    pullback: tuple
-    weight: Optional[WeightVector] = None
-    chart: Optional[ChartMap] = None
-    delta: Optional[int] = None
+    # no __slots__: the cached properties keep their values in the
+    # instance's __dict__
 
     @cached_property
     def branches(self) -> dict[str, Branch]:
@@ -130,8 +133,7 @@ class ChartField:
         return f"({u}) du + ({v}) dv"
 
 
-@dataclass(frozen=True)
-class PolarField:
+class PolarField(NamedTuple):
     """The compactified field in weighted polar coordinates: ``theta`` and
     ``r`` are the dtheta and dr components as trig-polynomials, after
     multiplying by r**(delta-1)."""
@@ -285,8 +287,7 @@ def directional_plc(f: PlanarField, w: WeightVector, direction: str) -> ChartFie
 # fan charts
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     """Per-fan-vector minima of the weighting functional over the support.
 
     ``minima[j]`` is min over the support of <xi_j, (m,n)>, except at the

@@ -10,11 +10,9 @@ error, 3 failed hypotheses, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import ast
 import functools
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .analysis import (
@@ -90,7 +88,7 @@ def _polytope_json(p: Polytope) -> dict:
     out = {
         "support": sorted(p.support),
         "vertices": p.vertices,
-        "segments": [asdict(s) for s in p.segments],
+        "segments": [s._asdict() for s in p.segments],
         "is_point": p.is_point,
         "is_segment": p.is_segment,
     }
@@ -115,6 +113,9 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 def _cmd_fan(args: argparse.Namespace) -> int:
     if args.skeleton:
+        # ast imports on first use: the other subcommands never need it
+        import ast
+
         try:
             vectors = ast.literal_eval(f"[{args.skeleton}]")
         # the failures ast.literal_eval documents for malformed input
@@ -151,7 +152,7 @@ def _cmd_principal_part(args: argparse.Namespace) -> int:
     upp = _analysis(args).upper
     _emit({
         "field": format_field(upp.field),
-        "upper_segments": [asdict(s) for s in upp.polytope.upper],
+        "upper_segments": [s._asdict() for s in upp.polytope.upper],
     })
     return 0
 

@@ -12,9 +12,8 @@ breaking one of those constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fields import InternalConsistencyError
 from .polys import det2, xgcd
@@ -77,8 +76,7 @@ def sweep_key(v: IVec) -> SweepKey:
     return SweepKey((sector, x // g, y // g))
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(NamedTuple):
     """Monomial coordinate change attached to one cone of the fan.
 
     ``forward`` holds the exponents of (x, y) in terms of (u, v):
@@ -96,8 +94,7 @@ class ChartMap:
     divisor: str
 
 
-@dataclass(frozen=True)
-class SimpleFan:
+class SimpleFan(NamedTuple):
     vectors: tuple[IVec, ...]
     skeleton_flags: tuple[bool, ...]
 

@@ -14,10 +14,9 @@ constraints, and the zero pair is dropped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .polytope import Polytope
@@ -44,18 +43,23 @@ class ParseError(FieldError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class WeightVector:
-    """A pair of positive coprime integer weights."""
-
+class _Weights(NamedTuple):
     alpha: int
     beta: int
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1:
+
+class WeightVector(_Weights):
+    """A pair of positive coprime integer weights, ordered and hashed as
+    the tuple ``(alpha, beta)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int):
+        if alpha < 1 or beta < 1:
             raise ValueError("weights must be positive integers")
-        if gcd(self.alpha, self.beta) != 1:
+        if gcd(alpha, beta) != 1:
             raise ValueError("weights must be coprime")
+        return super().__new__(cls, alpha, beta)
 
     def level(self, p: LatticePoint) -> int:
         return self.alpha * p[0] + self.beta * p[1]

@@ -10,8 +10,7 @@ orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .fields import (
     FieldError,
@@ -28,8 +27,7 @@ LOWER = "lower"
 UPPER = "upper"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One boundary segment, oriented along the counterclockwise cycle."""
 
     start: LatticePoint
@@ -44,8 +42,7 @@ class Segment:
         return primitive((self.end[0] - self.start[0], self.end[1] - self.start[1]))
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     support: tuple[LatticePoint, ...]
     vertices: tuple[LatticePoint, ...]
     segments: tuple[Segment, ...]
@@ -155,8 +152,7 @@ def split_boundary(p: Polytope) -> tuple[tuple[Segment, ...], tuple[Segment, ...
     return p.lower, p.upper
 
 
-@dataclass(frozen=True)
-class MainFeatures:
+class MainFeatures(NamedTuple):
     p0: LatticePoint
     ph: LatticePoint
     gamma1: Optional[Segment]
@@ -199,8 +195,7 @@ def plc_weight(p: Polytope) -> tuple[WeightVector, int]:
     return WeightVector(-nx, -ny), -g.level
 
 
-@dataclass(frozen=True)
-class UpperPrincipalPart:
+class UpperPrincipalPart(NamedTuple):
     """The field restricted to the upper boundary of its polytope, whose
     segments are ``polytope.upper``."""
 

@@ -11,8 +11,7 @@ trajectories of the compactified field become curves inside the disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .analysis import Analysis, approximate, approximate_text
 from .charts import polar_field
@@ -28,8 +27,7 @@ _MARKER_FILL = {
 _RADIAL_RING = (0.25, 0.45, 0.65, 0.85)
 
 
-@dataclass(frozen=True)
-class PortraitSpec:
+class PortraitSpec(NamedTuple):
     """Rendering options for the disk portrait.
 
     Seeds are (theta, r) pairs of the polar field with r in (0, 1]: r = 1 is
@@ -141,8 +139,7 @@ def _betainc(a: float, b: float, x: float, xa: float) -> float:
     return xa * math.gamma(a + b) / (math.gamma(a) * math.gamma(b)) * total
 
 
-@dataclass(frozen=True)
-class DiskMarker:
+class DiskMarker(NamedTuple):
     theta: float
     classification: str
     chart: str

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from .fields import WeightVector
 
@@ -24,7 +23,6 @@ class QuadratureError(ArithmeticError):
     """A numerical integration failed or missed its accuracy check."""
 
 
-@dataclass(frozen=True)
 class TrigTable:
     """The pair (Cs, Sn) as plain-float pieces of a DOP853 dense output.
 
@@ -34,13 +32,16 @@ class TrigTable:
     operation order of ``Dop853DenseOutput``.
     """
 
-    weight: tuple[int, int]
-    period: float
-    #: right end of each piece, ascending; the last one lies past the period
-    _ends: list[float] = field(repr=False, compare=False)
-    #: per piece: t_old, h, the interpolant rows of Cs in Horner order and
-    #: Cs at t_old, then the same for Sn
-    _pieces: list[tuple[float, ...]] = field(repr=False, compare=False)
+    def __init__(self, weight: tuple[int, int], period: float,
+                 ends: list[float], pieces: list[tuple[float, ...]]):
+        self.weight = weight
+        self.period = period
+        #: right end of each piece, ascending; the last one lies past the
+        #: period
+        self._ends = ends
+        #: per piece: t_old, h, the interpolant rows of Cs in Horner order
+        #: and Cs at t_old, then the same for Sn
+        self._pieces = pieces
 
     def eval(self, theta: float) -> tuple[float, float]:
         t = float(theta) % self.period

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -74,6 +73,11 @@ def test_quartic_x_chart_records():
     assert node.tangent.exact == Fraction(-1, 4)
     assert node.transverse.exact == Fraction(-1, 8)
     assert node.characteristic_orbit
+    # the records and their eigenvalues are frozen
+    with pytest.raises(AttributeError):
+        node.classification = DEGENERATE
+    with pytest.raises(AttributeError):
+        node.tangent.sign = 1
 
 
 def test_quartic_y_chart_records():
@@ -302,7 +306,7 @@ def test_divisor_face_off_the_upper_boundary_is_an_internal_error(monkeypatch):
     def lossy(field, p):
         upp = real(field, p)
         kept = set(upp.field.support()) - {max(field.support())}
-        return dataclasses.replace(upp, field=upp.field.restricted(kept))
+        return upp._replace(field=upp.field.restricted(kept))
 
     monkeypatch.setattr(analysis, "upper_principal_part", lossy)
     with pytest.raises(InternalConsistencyError, match="upper boundary"):

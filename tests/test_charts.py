@@ -87,6 +87,10 @@ def test_xpos_quartic_matches_display():
     assert cf.delta == 6
     assert cf.normalization == {"v": 5}
     assert cf.divisor == "v"
+    # the fields are frozen; the branches are built once and kept
+    with pytest.raises(AttributeError):
+        cf.scale = 2
+    assert cf.branches is cf.branches
 
 
 def test_ypos_quartic_matches_display():

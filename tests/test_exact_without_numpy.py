@@ -5,9 +5,10 @@ quadrature and the portrait's trajectories and markers.  The trig table,
 the trajectories and the markers are the package's own float code, so
 every portrait runs without numpy and scipy; the return map's quadrature
 imports both on first use, and a return map that the divisor data refuses
-never reaches it.  Each test runs recorded CLI cases from
-``tests/data/cli_golden.json`` in one fresh interpreter and compares them
-byte for byte.
+never reaches it.  The package's records are named tuples, so its start-up
+imports neither ``dataclasses`` nor the ``inspect`` module that it pulls
+in.  Each test runs recorded CLI cases from ``tests/data/cli_golden.json``
+in one fresh interpreter and compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -30,16 +31,17 @@ REFUSALS = ("return-map-quartic", "return-map-radial-no-weight",
             "return-map-zero-weighted")
 
 # Reads [name, argv] pairs on stdin and prints, per case, what
-# tests/test_cli_golden.py records plus the float libraries loaded so far.
-# With the argument "block", a meta path finder makes every import of numpy
-# or scipy fail.
+# tests/test_cli_golden.py records plus the float libraries and the
+# introspection modules (dataclasses, inspect) loaded so far.  With the
+# argument "block", a meta path finder makes every import of numpy, scipy
+# or dataclasses fail.
 RUNNER = """
 import contextlib, io, json, sys
 
 if sys.argv[1] == "block":
     class Block:
         def find_spec(self, name, path=None, target=None):
-            if name.partition(".")[0] in ("numpy", "scipy"):
+            if name.partition(".")[0] in ("numpy", "scipy", "dataclasses"):
                 raise ImportError(f"import of {name} blocked")
             return None
 
@@ -53,8 +55,10 @@ for name, argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):
         code = main(argv)
     loaded = {m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy"}
+    introspection = {"dataclasses", "inspect"} & set(sys.modules)
     out[name] = {"argv": argv, "code": code, "stdout": o.getvalue(),
-                 "stderr": e.getvalue(), "loaded": sorted(loaded)}
+                 "stderr": e.getvalue(), "loaded": sorted(loaded),
+                 "introspection": sorted(introspection)}
 json.dump(out, sys.stdout)
 """
 
@@ -79,6 +83,7 @@ def _replay_blocked(golden: dict, cases: list) -> None:
     for name, _ in cases:
         rec = got[name]
         assert rec.pop("loaded") == [], name
+        assert rec.pop("introspection") == [], name
         assert rec == golden[name], name
 
 
@@ -120,14 +125,16 @@ def test_float_subcommands_load_scipy_on_first_use():
         [name, rec["argv"]] for name, rec in sorted(golden.items())
         if rec["argv"][0] in ("return-map", "portrait")]
     got = _run_fresh("normal", cases)
-    assert got[first]["loaded"] == []
+    assert got[first]["loaded"] == got[first]["introspection"] == []
     # the portraits run first, in name order, and load neither; the return
     # map's quadrature loads numpy and scipy
     portraits = [name for name, argv in cases if argv[0] == "portrait"]
-    assert all(got[name]["loaded"] == [] for name in portraits)
+    assert all(got[name]["loaded"] == got[name]["introspection"] == []
+               for name in portraits)
     assert got["return-map-rotation"]["loaded"] == ["numpy", "scipy"]
     assert got[cases[-1][0]]["loaded"] == ["numpy", "scipy"]
     for name, _ in cases:
         rec = got[name]
         rec.pop("loaded")
+        rec.pop("introspection")
         assert rec == golden[name], name

@@ -108,6 +108,16 @@ def test_weight_vector_validation():
     with pytest.raises(ValueError):
         WeightVector(2, 4)
     assert WeightVector(1, 2).level((-1, 3)) == 5
+    # ordered and hashed as the pair (alpha, beta), and frozen
+    ws = [WeightVector(3, 1), WeightVector(1, 2), WeightVector(2, 1),
+          WeightVector(1, 1)]
+    assert [w.as_tuple() for w in sorted(ws)] == [(1, 1), (1, 2), (2, 1),
+                                                  (3, 1)]
+    assert WeightVector(1, 2) < WeightVector(2, 1)
+    assert all(hash(w) == hash((w.alpha, w.beta)) for w in ws)
+    assert len({WeightVector(1, 2), WeightVector(1, 2)}) == 1
+    with pytest.raises(AttributeError):
+        WeightVector(1, 2).alpha = 3
 
 
 def test_max_level():

@@ -61,6 +61,8 @@ def test_quartic_hull_and_split():
     ups = [(s.inward_normal, s.level) for s in upper]
     assert ups == [((-2, -1), -5), ((-1, -1), -3), ((-1, -2), -5)]
     assert upper[1].points == ((3, -1), (2, 1), (1, 2)) or upper[1].points == ((2, 1), (1, 2))
+    with pytest.raises(AttributeError):
+        low.level = 0
 
 
 def test_quartic_upper_segment_points():
