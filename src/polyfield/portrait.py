@@ -205,7 +205,7 @@ _ROOT_TOL = 4 * math.ulp(1.0)
 _RHS_SOURCE = """\
 def rhs_for(sign):
     def rhs(t, theta, r):
-        cs, sn = trig(theta)
+{lookup}
         try:
 {powers}
         except OverflowError:
@@ -232,24 +232,28 @@ def _terms(comp: dict) -> tuple[tuple[float, int, int, int], ...]:
                  for (i, j, k), c in sorted(comp.items()))
 
 
-def _compile_rhs(terms_theta, terms_r, trig):
+def _compile_rhs(terms_theta, terms_r, table):
     """The polar field's right-hand side, ``rhs_for(sign)(t, theta, r)``.
 
-    It generates one function for both components and returns the same
-    floats, bit for bit, as the sum ``0.0 + c * cs**i * sn**j * r**k``
-    over ``terms`` taken term by term from the left on numpy's float64: a
-    power 0 is left out (``c * 1.0 == c``), a power 1 is the variable
-    itself, and each higher power is one ``**`` shared by every term that
-    uses it.  Where a power overflows, every power is taken again by
-    ``_power``, which gives inf as numpy does.  The source holds only the
-    ``repr`` of each float coefficient and the integer exponents.
+    It generates one function for both components: ``table``'s lookup
+    (``TrigTable.LOOKUP``) of (cs, sn) at theta, then the same floats, bit
+    for bit, as the sum ``0.0 + c * cs**i * sn**j * r**k`` over ``terms``
+    taken term by term from the left on numpy's float64.  A power 0 is
+    left out (``c * 1.0 == c``), a power 1 is the variable itself, and each
+    higher power is one ``**`` shared by every term that uses it.  The sign
+    of c is the term's operator and a magnitude 1 is left out, which is
+    exact: (-c) * x == -(c * x), 1.0 * x == x and a + (-b) == a - b.
+    Where a power overflows, every power is taken again by ``_power``,
+    which gives inf as numpy does.  The source holds only the ``repr`` of
+    each float coefficient and the integer exponents.
     """
     powers: dict[str, tuple[str, int]] = {}
 
     def total(terms) -> str:
-        parts = ["0.0"]
+        text = "0.0"
         for c, *exps in terms:
-            factors = [f"({float.__repr__(float(c))})"]
+            c = float(c)
+            factors = []
             for var, e in zip(("cs", "sn", "r"), exps):
                 e = int(e)
                 if e == 1:
@@ -258,8 +262,11 @@ def _compile_rhs(terms_theta, terms_r, trig):
                     name = f"{var}{e}"
                     powers[name] = (var, e)
                     factors.append(name)
-            parts.append(" * ".join(factors))
-        return " + ".join(parts)
+            if abs(c) != 1.0 or not factors:
+                factors.insert(0, float.__repr__(abs(c)))
+            text += (" - " if math.copysign(1.0, c) < 0 else " + ") \
+                + " * ".join(factors)
+        return text
 
     theta, r = total(terms_theta), total(terms_r)
 
@@ -269,9 +276,11 @@ def _compile_rhs(terms_theta, terms_r, trig):
             or " " * 12 + "pass"
 
     source = _RHS_SOURCE.format(
+        lookup="\n".join(" " * 8 + line
+                         for line in table.LOOKUP.splitlines()),
         powers=lines("{name} = {var} ** {e}"),
         inf_powers=lines("{name} = power({var}, {e})"), theta=theta, r=r)
-    space = {"trig": trig, "power": _power}
+    space = {"power": _power, **table.lookup_names()}
     exec(compile(source, "<polar field>", "exec"), space)
     return space["rhs_for"]
 
@@ -372,22 +381,22 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
     """
     from .dop853 import dense_step, trial_step
 
-    def norm2(a, b):
-        # np.linalg.norm of (a, b), squared, which overflows as numpy's does
-        return a * a + b * b
-
     t, t_bound = 0.0, float(horizon)
     th, r = float(seed[0]), float(seed[1])
     f = rhs(t, th, r)
 
-    # select_initial_step, with scipy's RMS norm over the 2 components
+    # select_initial_step, with scipy's RMS norm over the 2 components;
+    # each squared norm a * a + b * b overflows as np.linalg.norm's does
     root2 = 2 ** 0.5
     s0, s1 = atol + abs(th) * rtol, atol + abs(r) * rtol
-    d0 = math.sqrt(norm2(th / s0, r / s1)) / root2
-    d1 = math.sqrt(norm2(f[0] / s0, f[1] / s1)) / root2
+    a, b = th / s0, r / s1
+    d0 = math.sqrt(a * a + b * b) / root2
+    a, b = f[0] / s0, f[1] / s1
+    d1 = math.sqrt(a * a + b * b) / root2
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
     f1 = rhs(t + h0, th + h0 * f[0], r + h0 * f[1])
-    d2 = math.sqrt(norm2((f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1)) / root2
+    a, b = (f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1
+    d2 = math.sqrt(a * a + b * b) / root2
     # h0 is 0 where d1 is inf: numpy's division gives inf, or nan for 0/0
     d2 = d2 / h0 if h0 else math.inf if d2 > 0 else math.nan
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -398,7 +407,6 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
 
     ts = [0.0]
     pieces: list[tuple[float, ...]] = []
-    g = [r - level for level in levels]
     for _ in range(MAX_STEPS):
         # one accepted step, as RungeKutta._step_impl takes it
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -420,7 +428,10 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
             s0 = atol + (m0 if m0 >= m1 or m0 != m0 else m1) * rtol
             m0, m1 = abs(r), abs(y1)
             s1 = atol + (m0 if m0 >= m1 or m0 != m0 else m1) * rtol
-            n5, n3 = norm2(e5a / s0, e5b / s1), norm2(e3a / s0, e3b / s1)
+            a, b = e5a / s0, e5b / s1
+            n5 = a * a + b * b
+            a, b = e3a / s0, e3b / s1
+            n3 = a * a + b * b
             if not (math.isfinite(fa) and math.isfinite(fb)):
                 # E5 and E3 weigh stage 12 by 0, which numpy's sums turn
                 # into nan where that stage is not finite
@@ -444,24 +455,26 @@ def solve_ivp(rhs, seed, horizon: float, rtol: float, atol: float,
         # the step's dense output: three more stages, then the rows F
         piece = dense_step(rhs, t, th, r, h, k, y0, y1)
         pieces.append(piece)
-        t_old = t
+        t_old, r_old = t, r
         t, th, r, f = t_new, y0, y1, (fa, fb)
 
-        g_new = [r - level for level in levels]
-        # solve_ivp's test for a zero of each event within the step
-        roots = [_brentq(lambda s, level=level:
-                         _horner((s - t_old) / h, *piece[10:]) - level,
-                         t_old, t, _ROOT_TOL, _ROOT_TOL)
-                 for before, after, level in zip(g, g_new, levels)
-                 if before <= 0 <= after or before >= 0 >= after]
-        g = g_new
-        stop = min(roots) if roots else t
+        # solve_ivp's test for a zero of each event within the step; the
+        # earliest root ends the branch there
+        hit, stop = False, t
+        for level in levels:
+            before, after = r_old - level, r - level
+            if before <= 0 <= after or before >= 0 >= after:
+                root = _brentq(
+                    lambda s: _horner((s - t_old) / h, *piece[10:]) - level,
+                    t_old, t, _ROOT_TOL, _ROOT_TOL)
+                if not hit or root < stop:
+                    hit, stop = True, root
         if len(ts) > 1 and ts[-1] == stop:
             pieces.pop()
         else:
             ts.append(stop)
-        if roots or t - t_bound >= 0:
-            return ts, pieces, bool(roots)
+        if hit or t - t_bound >= 0:
+            return ts, pieces, hit
     return ts, pieces, True
 
 
@@ -527,17 +540,20 @@ def _fmt(x: float) -> str:
 
 def _points(pts, period: float, centre: float, radius: float) -> str:
     """A polyline's points attribute: ``_disk_xy`` and ``_fmt`` of every
-    sample, in one pass over the samples and one over the text."""
+    sample, in one pass over the samples, one ``%`` over their
+    coordinates and one pass over the text."""
     tau = 2.0 * math.pi
     cos, sin = math.cos, math.sin
-    out = []
+    xy = []
+    push = xy.append
     for theta, r in pts:
         # radius * rho and 2*pi*theta/period, as _disk_xy orders them
         scale = radius * (1.0 / (1.0 + (0.0 if r < 0.0 else r)))
         phi = tau * theta / period
-        out.append("%.3f,%.3f" % (centre + scale * cos(phi),
-                                  centre - scale * sin(phi)))
-    return " ".join(out).replace("-0.000", "0.000")
+        push(centre + scale * cos(phi))
+        push(centre - scale * sin(phi))
+    text = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(xy)
+    return text.replace("-0.000", "0.000")
 
 
 def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
@@ -549,7 +565,7 @@ def render_portrait(a: Analysis, spec: PortraitSpec) -> str:
     pf = polar_field(a.field, a.weight)
     table = build_trig(a.weight)
     period = table.period
-    rhs_for = _compile_rhs(_terms(pf.theta), _terms(pf.r), table.eval)
+    rhs_for = _compile_rhs(_terms(pf.theta), _terms(pf.r), table)
 
     seeds = tuple(spec.seeds) if spec.seeds is not None \
         else default_seeds(period)

@@ -29,7 +29,8 @@ class TrigTable:
     ``eval`` reads the package's DOP853 dense output of the Cauchy problem
     as scipy's would: it picks the piece that ``OdeSolution`` picks (the
     lower one at a knot) and sums the degree-7 interpolant in the
-    operation order of ``Dop853DenseOutput``.
+    operation order of ``Dop853DenseOutput``.  It is the reference lookup:
+    generated code reads the pieces itself through ``LOOKUP``.
     """
 
     def __init__(self, weight: tuple[int, int], period: float,
@@ -57,6 +58,26 @@ class TrigTable:
                  * u + c0) * x + c,
                 ((((((s6 * x + s5) * u + s4) * x + s3) * u + s2) * x + s1)
                  * u + s0) * x + s)
+
+    #: ``eval``'s lookup as statements, in its operation order, for code
+    #: generated around it: they read ``theta`` and the names that
+    #: ``lookup_names`` gives, and leave (Cs, Sn) at theta in ``cs`` and
+    #: ``sn``.  ``theta`` must be a float.
+    LOOKUP = """\
+at = theta % period
+(t_old, h, c6, c5, c4, c3, c2, c1, c0, c,
+ s6, s5, s4, s3, s2, s1, s0, s) = pieces[bisect_left(ends, at)]
+x = (at - t_old) / h
+u = 1 - x
+cs = (((((((c6 * x + c5) * u + c4) * x + c3) * u + c2) * x + c1)
+       * u + c0) * x + c)
+sn = (((((((s6 * x + s5) * u + s4) * x + s3) * u + s2) * x + s1)
+       * u + s0) * x + s)"""
+
+    def lookup_names(self) -> dict:
+        """The names that ``LOOKUP`` reads besides ``theta``."""
+        return {"period": self.period, "ends": self._ends,
+                "pieces": self._pieces, "bisect_left": bisect_left}
 
 
 def period(w: WeightVector) -> float:

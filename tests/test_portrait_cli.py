@@ -5,13 +5,14 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from oracles import exact_marker_theta, reference_trig, scipy_marker_theta
-from polyfield import portrait
+from polyfield import polys, portrait
 from polyfield.analysis import Analysis, approximate
 from polyfield.charts import polar_field
 from polyfield.cli import main
@@ -23,7 +24,7 @@ from polyfield.portrait import (
     marker_theta,
     render_portrait,
 )
-from polyfield.trig import build_trig
+from polyfield.trig import TrigTable, build_trig
 
 QUARTIC_TEXT = "dx = y^3 - x^3*y; dy = -x^3 + x*y^3"
 QUARTIC = parse_field(QUARTIC_TEXT)
@@ -413,35 +414,101 @@ def _loop_rhs(terms_theta, terms_r, trig, sign):
 
 
 def test_compiled_rhs_matches_the_loop_form_bit_for_bit():
+    # the compiled form reads the trig pieces itself and folds each
+    # coefficient's sign, and a magnitude 1, into its operator; the
+    # reference is the loop over TrigTable.eval
     rng = random.Random(31)
-    table = build_trig(WeightVector(1, 2))
+    tables = [build_trig(WeightVector(*w)) for w in ((1, 2), (1, 1), (2, 3))]
+    # the tables' pieces meet bit for bit at their knots; so that the piece
+    # a lookup takes there shows, every other piece of this one is shifted
+    first = tables[0]
+    pieces = [p if i % 2 else
+              p[:9] + (p[9] + 0.5,) + p[10:17] + (p[17] - 0.25,)
+              for i, p in enumerate(first._pieces)]
+    tables.append(TrigTable(first.weight, first.period, first._ends, pieces))
     overflowed = 0
-    for _ in range(60):
-        comps = []
-        for _ in range(2):
-            monos = rng.sample([(i, j, k) for i in range(5) for j in range(5)
-                                for k in range(5)], rng.randint(0, 7))
-            # a high power of r overflows a float power at r ~ 6
-            if rng.random() < 0.3:
-                monos.append((rng.randint(0, 2), rng.randint(0, 2), 400))
-            comps.append(tuple(sorted(
-                (rng.choice((-1, 1)) * rng.uniform(0.1, 9.9)
-                 * 10.0 ** rng.randint(-30, 30), i, j, k)
-                for i, j, k in monos)))
-        compiled = portrait._compile_rhs(*comps, table.eval)
-        for sign in (-1.0, 1.0):
-            fast, slow = compiled(sign), _loop_rhs(*comps, table.eval, sign)
-            for _ in range(20):
-                y = np.array([rng.uniform(-10.0, 10.0),
-                              rng.choice((rng.uniform(0.0, 1.0),
-                                          rng.uniform(0.0, 60.0), 1e200))])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    want = np.asarray(slow(0.0, y), dtype=float)
-                    got = np.asarray(fast(0.0, *y.tolist()), dtype=float)
-                assert got.tobytes() == want.tobytes(), (comps, y)
-                overflowed += not np.isfinite(want).all()
+    for table in tables:
+        period = table.period
+        # the knots inside one period, where the lookup takes the lower
+        # piece, whole periods, and angles far out on either side
+        inside = [end for end in table._ends if end < period]
+        for _ in range(40):
+            comps = []
+            for _ in range(2):
+                monos = rng.sample([(i, j, k) for i in range(5)
+                                    for j in range(5) for k in range(5)],
+                                   rng.randint(0, 7))
+                if rng.random() < 0.3 and (0, 0, 0) not in monos:
+                    monos.append((0, 0, 0))
+                # a high power of r overflows a float power at r ~ 6
+                if rng.random() < 0.3:
+                    monos.append((rng.randint(0, 2), rng.randint(0, 2), 400))
+                comps.append(tuple(sorted(
+                    (rng.choice((-1, 1))
+                     * rng.choice((1.0, rng.uniform(0.1, 9.9)
+                                   * 10.0 ** rng.randint(-30, 30))), i, j, k)
+                    for i, j, k in monos)))
+            compiled = portrait._compile_rhs(*comps, table)
+            thetas = [rng.uniform(-10.0, 10.0) for _ in range(12)]
+            thetas += rng.sample(inside, 8)
+            thetas += [rng.randint(-4, 4) * period,
+                       -rng.uniform(1e3, 1e9), rng.uniform(1e3, 1e9)]
+            for sign in (-1.0, 1.0):
+                fast = compiled(sign)
+                slow = _loop_rhs(*comps, table.eval, sign)
+                for theta in thetas:
+                    y = np.array([theta,
+                                  rng.choice((rng.uniform(0.0, 1.0),
+                                              rng.uniform(0.0, 60.0),
+                                              1e200))])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = np.asarray(slow(0.0, y), dtype=float)
+                        got = np.asarray(fast(0.0, *y.tolist()), dtype=float)
+                    assert got.tobytes() == want.tobytes(), (comps, y)
+                    overflowed += not np.isfinite(want).all()
     # the fallback to _power ran, not just the float path
     assert overflowed > 20
+
+
+def test_polar_rate_on_the_divisor_has_the_charts_sign():
+    # the float path (the polar field, the trig pieces and marker_theta)
+    # against the exact directional charts: at u on a chart's divisor the
+    # restriction f gives the flow u' = f(u), and theta moves with u in the
+    # direction ``step`` of _CHART_ORIGINS, so the polar rate theta' at
+    # r = 0 has the sign step * sign(f(u)) wherever f(u) != 0
+    rng = random.Random(1607)
+    weights = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)]
+    cases = [(_random_small_field(rng), WeightVector(*weights[k % 6]))
+             for k in range(240)]
+    with open(Path(__file__).with_name("data") / "cli_golden.json") as fh:
+        golden = json.load(fh)
+    for case in golden.values():
+        argv = case["argv"]
+        if argv[0] == "portrait" and case["code"] == 0:
+            field = parse_field(argv[argv.index("--field") + 1])
+            w = argv[argv.index("--weight") + 1] if "--weight" in argv \
+                else None
+            cases.append((field, w and WeightVector(*map(int, w.split(",")))))
+    sampled = 0
+    for field, w in cases:
+        a = Analysis(field, w)
+        pf = polar_field(a.field, a.weight)
+        table = build_trig(a.weight)
+        rhs = portrait._compile_rhs(portrait._terms(pf.theta),
+                                    portrait._terms(pf.r), table)(1.0)
+        for chart, cf in a.directional.items():
+            restriction = cf.branches["v=0"].restriction
+            step = portrait._CHART_ORIGINS[chart][1]
+            for k in range(-7, 8):
+                value = polys.ival(restriction, k, 7)
+                if value == 0:
+                    continue
+                theta = marker_theta(a.weight, chart, k / 7)
+                rate, _ = rhs(0.0, theta, 0.0)
+                assert (step if value > 0 else -step) * rate > 0, \
+                    (field, a.weight, chart, k)
+                sampled += 1
+    assert sampled >= 10_000
 
 
 def test_power_gives_numpys_signed_inf():
@@ -471,7 +538,7 @@ def test_trajectory_survives_a_trial_stage_overflow():
     # and gives up
     table = build_trig(WeightVector(1, 1))
     terms = (((1.0, 0, 0, 0),), ((1.0, 0, 0, 400),))
-    rhs_for = portrait._compile_rhs(*terms, table.eval)
+    rhs_for = portrait._compile_rhs(*terms, table)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _per_point_trajectory(*terms, table, (0.0, 1.0), 8.0, 1e-9, 1.0)
     got = portrait._trajectory(rhs_for, (0.0, 1.0), 8.0, 1e-9, 1.0)
@@ -495,7 +562,7 @@ def test_a_branch_whose_first_step_fails_is_its_seed():
     pf = polar_field(a.field, a.weight)
     table = build_trig(a.weight)
     terms = (_loop_terms(pf.theta), _loop_terms(pf.r))
-    rhs_for = portrait._compile_rhs(*terms, table.eval)
+    rhs_for = portrait._compile_rhs(*terms, table)
     for sign in (-1.0, 1.0):
         with np.errstate(over="ignore", invalid="ignore"):
             want = _per_point_trajectory(*terms, table, (0.1, 0.5), 8.0, 1e-9,

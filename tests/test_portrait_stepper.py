@@ -139,7 +139,7 @@ def test_steps_match_scipys_dop853_bit_for_bit(monkeypatch):
     trials = accepted = overflows = split_knots = 0
     same_steps = close = sampled = 0
     for terms, seed, sign, tol in cases + [NAN_ROWS]:
-        rhs = portrait._compile_rhs(*terms, table.eval)(sign)
+        rhs = portrait._compile_rhs(*terms, table)(sign)
         ours = []
 
         def logged(t, theta, r):
